@@ -8,7 +8,8 @@ that identical inputs always serialize to identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .cost_model import CostReport, Placement
@@ -199,7 +200,7 @@ def bundle_from_json(data: dict) -> ScenarioBundle:
         solver = data.get("solver")
     except BundleError:
         raise
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise BundleError(f"malformed bundle: {exc}") from exc
     return ScenarioBundle(
         topology=topology,
@@ -211,7 +212,11 @@ def bundle_from_json(data: dict) -> ScenarioBundle:
 
 
 def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
-    """Topology invariants plus pipeline/scenario/budget sanity, all collected."""
+    """Topology invariants plus pipeline/scenario/budget sanity, all collected.
+
+    Every number must be finite: NaN and +-inf are reported like any other
+    out-of-range value (the chained bounds below are false for them).
+    """
     violations = list(validate_topology(bundle.topology))
 
     pipeline = bundle.pipeline
@@ -220,33 +225,29 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     if not 1 <= pipeline.aggregation_index <= len(pipeline.stages) + 1:
         violations.append(("invalid aggregation index", str(pipeline.aggregation_index)))
     for stage in pipeline.stages:
-        bad = (
-            stage.cpu_per_unit < 0
-            or stage.reduction <= 0
-            or stage.base_ms < 0
-            or stage.deploy_cost < 0
-            or stage.dispatch_cost < 0
-            or stage.dispatch_penalty_ms < 0
-        )
-        if bad:
+        amounts = (stage.cpu_per_unit, stage.base_ms, stage.deploy_cost,
+                   stage.dispatch_cost, stage.dispatch_penalty_ms)
+        if not (0 < stage.reduction < math.inf and all(0 <= v < math.inf for v in amounts)):
             violations.append(("invalid stage value", stage.name))
 
     scenario = bundle.scenario
     if not scenario.slots:
         violations.append(("invalid scenario value", "slots"))
-    if scenario.slot_seconds <= 0:
+    if not 0 < scenario.slot_seconds < math.inf:
         violations.append(("invalid scenario value", "slot_seconds"))
-    if scenario.source_rate_mbps <= 0:
+    if not 0 < scenario.source_rate_mbps < math.inf:
         violations.append(("invalid scenario value", "source_rate_mbps"))
     if scenario.seed < 0:
         violations.append(("invalid scenario value", "seed"))
     for slot in scenario.slots:
+        if slot.target is not None and not all(map(math.isfinite, slot.target)):
+            violations.append(("invalid scenario value", "target"))
         for device_id in slot.devices or ():
             node = bundle.topology.nodes.get(device_id)
             if node is None or node.layer != Layer.DEVICE:
                 violations.append(("unknown device", device_id))
 
-    if bundle.budget < 0:
+    if not 0 <= bundle.budget < math.inf:
         violations.append(("invalid budget", str(bundle.budget)))
     return violations
 
@@ -285,7 +286,7 @@ def placement_from_json(data: dict) -> Placement:
             predeploy=frozenset(str(g) for g in data.get("predeploy", [])),
             alloc=int(data.get("alloc", 0)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BundleError(f"malformed placement: {exc}") from exc
 
 
@@ -440,17 +441,10 @@ def synth_bundle(
     if budget is None:
         from .cost_model import evaluate, min_alloc
 
-        pre_count = mini.pipeline.pre_count
-        baseline = Placement(
-            layer_of=tuple([Layer.CLOUD] * pre_count), agg_node="dc1", sink_dc="dc1"
-        )
         spec = ServiceSpec(pipeline=mini.pipeline, scenario=scenario, budget=0.0)
-        baseline = Placement(
-            layer_of=baseline.layer_of,
-            agg_node="dc1",
-            sink_dc="dc1",
-            alloc=min_alloc(topology, spec, baseline),
-        )
+        layers = (Layer.CLOUD,) * mini.pipeline.pre_count
+        baseline = Placement(layer_of=layers, agg_node="dc1", sink_dc="dc1")
+        baseline = replace(baseline, alloc=min_alloc(topology, spec, baseline))
         budget = 2.0 * evaluate(topology, spec, baseline).total_cost
 
     return ScenarioBundle(

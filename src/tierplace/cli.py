@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -229,6 +230,14 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for budgets: NaN and +-inf are usage errors (exit 3)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tierplace",
@@ -243,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="optimize a placement for a bundle")
     p.add_argument("bundle")
     p.add_argument("--solver", choices=SOLVER_CHOICES, default=None)
-    p.add_argument("--budget", type=float, default=None)
+    p.add_argument("--budget", type=_finite_float, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--time-budget-ms", type=float, default=None)
     p.add_argument("--max-states", type=int, default=None)
@@ -258,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="solve across a list of budgets")
     p.add_argument("bundle")
-    p.add_argument("--budgets", type=float, nargs="+", required=True)
+    p.add_argument("--budgets", type=_finite_float, nargs="+", required=True)
     p.add_argument("--solver", choices=SOLVER_CHOICES, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--time-budget-ms", type=float, default=None)
@@ -271,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slots", type=int, required=True)
     p.add_argument("--step", type=float, default=10.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=float, default=None)
+    p.add_argument("--budget", type=_finite_float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

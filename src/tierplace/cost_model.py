@@ -17,23 +17,34 @@ The model a placement is scored under:
   the function stays cached afterwards).
 * Feasibility = per-slot CPU usage within node capacity (and within alloc
   on the aggregation host) and per-slot link load within bandwidth.
+
+Placement-independent data (active streams, per-sink routes, first-touch
+slots, per-gateway and per-edge stream counts, the reduction prefix, peak
+merged demand and minimal reservation) is derived once per problem into an
+`Instance` by `compile_instance`, which memoizes the last one by the
+identity of the topology, pipeline and scenario, so none of the three may
+be mutated after first use.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .topology import Layer, Route, Topology, TopologyError, route
-from .workload import Pipeline, ServiceSpec, derive_active_streams
+from .workload import Pipeline, Scenario, ServiceSpec, derive_active_streams
 
 __all__ = [
     "AggregationTooSmall",
     "CostReport",
+    "Instance",
     "InvalidPlacement",
     "Placement",
     "Violation",
     "check_budget",
+    "compile_instance",
     "evaluate",
     "first_touch_slots",
     "min_alloc",
@@ -107,6 +118,7 @@ class _Plan:
     agg_id: str | None
     agg_pos: int  # path index (0..3) of the merged-stage host
     positions: tuple[int, ...]  # path index per pipeline stage
+    hosted_below: tuple[int, ...]  # stages hosted at or below each link's child
     pre_count: int
     gateway_stages: tuple[int, ...]  # 0-based indices of gateway-tier stages
     predeploy: frozenset[str]
@@ -204,6 +216,7 @@ def resolve_placement(
         agg_id=agg_id,
         agg_pos=agg_pos,
         positions=positions,
+        hosted_below=tuple(sum(1 for p in positions if p <= i) for i in range(3)),
         pre_count=pre_count,
         gateway_stages=gateway_stages,
         predeploy=frozenset(placement.predeploy),
@@ -242,24 +255,113 @@ def _ceil_tolerant(value: float) -> int:
 
 def peak_aggregated_demand(topology: Topology, spec: ServiceSpec) -> float:
     """Peak over slots of total merged-stage CPU demand (placement-independent)."""
-    stages = spec.pipeline.stages
-    pre_count = spec.pipeline.pre_count
-    prefix = [1.0]
-    for stage in stages:
-        prefix.append(prefix[-1] * stage.reduction)
-    streams = derive_active_streams(topology, spec.scenario)
-    peak = 0.0
-    for active in streams:
-        merged = 0.0
-        for _ in active:
-            merged += spec.scenario.source_rate_mbps * prefix[pre_count]
-        demand = 0.0
-        rate_in = merged
-        for k in range(pre_count, len(stages)):
-            demand += stages[k].cpu_per_unit * rate_in
-            rate_in *= stages[k].reduction
-        peak = max(peak, demand)
-    return peak
+    return compile_instance(topology, spec).peak_demand
+
+
+class Instance:
+    """Placement-independent data of one (topology, pipeline, scenario).
+
+    Built by `compile_instance`: `streams` is derived on construction, every
+    other field on first use. Treat all of it as read-only.
+    """
+
+    def __init__(self, topology: Topology, pipeline: Pipeline, scenario: Scenario) -> None:
+        self.topology, self.pipeline, self.scenario = topology, pipeline, scenario
+        self.streams: tuple[tuple[str, ...], ...] = tuple(
+            map(tuple, derive_active_streams(topology, scenario))
+        )
+        self._routes: dict[str, dict[str, Route | None]] = {}  # sink -> device -> route
+
+    @cached_property
+    def prefix(self) -> list[float]:
+        """prefix[k] is the product of the first k stage reductions."""
+        prefix = [1.0]
+        for stage in self.pipeline.stages:
+            prefix.append(prefix[-1] * stage.reduction)
+        return prefix
+
+    @cached_property
+    def first_touch(self) -> dict[str, int]:
+        return first_touch_slots(self.topology, self.streams)
+
+    @cached_property
+    def gateway_counts(self) -> list[Counter[str]]:
+        """Per slot: gateway id -> number of active streams it serves."""
+        parent_of = self.topology.parent_of
+        return [Counter(g.id for g in map(parent_of, active) if g) for active in self.streams]
+
+    @cached_property
+    def edge_weights(self) -> Counter[str]:
+        """Edge id -> stream activations through it; its keys are the used edges."""
+        weights: Counter[str] = Counter()
+        for counts in self.gateway_counts:
+            for gateway_id, count in counts.items():
+                edge = self.topology.parent_of(gateway_id)
+                if edge is not None:
+                    weights[edge.id] += count
+        return weights
+
+    @cached_property
+    def peak_demand(self) -> float:
+        """Peak over slots of total merged-stage CPU demand."""
+        stages = self.pipeline.stages
+        pre_count = self.pipeline.pre_count
+        peak = 0.0
+        for active in self.streams:
+            merged = 0.0
+            for _ in active:
+                merged += self.scenario.source_rate_mbps * self.prefix[pre_count]
+            demand = 0.0
+            rate_in = merged
+            for k in range(pre_count, len(stages)):
+                demand += stages[k].cpu_per_unit * rate_in
+                rate_in *= stages[k].reduction
+            peak = max(peak, demand)
+        return peak
+
+    @cached_property
+    def min_reservation(self) -> int:
+        """Smallest integer reservation covering peak_demand (floor 1)."""
+        return max(1, _ceil_tolerant(self.peak_demand))
+
+    def paths(self, plan: _Plan) -> dict[str, Route]:
+        """Every active device's route to the plan's sink, built once per sink.
+
+        For the first device, in scenario order, that has no route or whose
+        route misses the aggregation host, stream_route raises the reason.
+        """
+        table = self._routes.get(plan.sink)
+        if table is None:
+            table = {}
+            for device_id in dict.fromkeys(d for active in self.streams for d in active):
+                try:
+                    table[device_id] = route(self.topology, device_id, plan.sink)
+                except TopologyError:
+                    table[device_id] = None
+            self._routes[plan.sink] = table
+        for device_id, path in table.items():
+            if path is None or (plan.agg_id is not None and plan.agg_id not in path.nodes):
+                stream_route(self.topology, device_id, plan)  # raises InvalidPlacement
+        return table  # type: ignore[return-value]  # no None left once checked
+
+
+# (topology, pipeline, scenario, Instance) of the last compile, replaced as a whole.
+_memo: tuple[Topology, Pipeline, Scenario, Instance] | None = None
+
+
+def compile_instance(topology: Topology, spec: ServiceSpec) -> Instance:
+    """The Instance of (topology, spec.pipeline, spec.scenario), memoized.
+
+    The one-entry memo is keyed by object identity and ignores the budget;
+    it holds the three objects, so their ids cannot be reused while cached.
+    """
+    global _memo
+    memo = _memo
+    if memo and memo[0] is topology and memo[1] is spec.pipeline and memo[2] is spec.scenario:
+        return memo[3]
+    instance = Instance(topology, spec.pipeline, spec.scenario)
+    _memo = (topology, spec.pipeline, spec.scenario, instance)
+    return instance
 
 
 def min_alloc(topology: Topology, spec: ServiceSpec, placement: Placement) -> int:
@@ -271,12 +373,12 @@ def min_alloc(topology: Topology, spec: ServiceSpec, placement: Placement) -> in
     plan = resolve_placement(topology, spec.pipeline, placement)
     if plan.agg_id is None:
         raise InvalidPlacement("invalid placement: no merged stage to size")
-    peak = peak_aggregated_demand(topology, spec)
-    if peak > topology.node(plan.agg_id).capacity_cpu:
+    instance = compile_instance(topology, spec)
+    if instance.peak_demand > topology.node(plan.agg_id).capacity_cpu:
         raise AggregationTooSmall(
-            f"aggregation node too small: {plan.agg_id} needs {peak:g} CPU"
+            f"aggregation node too small: {plan.agg_id} needs {instance.peak_demand:g} CPU"
         )
-    return max(1, _ceil_tolerant(peak))
+    return instance.min_reservation
 
 
 def check_budget(report: CostReport, budget: float) -> tuple[bool, float]:
@@ -295,22 +397,18 @@ def evaluate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Cos
     the two are written independently as a cross-check.
     """
     plan = resolve_placement(topology, spec.pipeline, placement)
+    instance = compile_instance(topology, spec)
+    paths = instance.paths(plan)
+    prefix = instance.prefix
+    hosted_below = plan.hosted_below
     scenario = spec.scenario
     stages = spec.pipeline.stages
-    streams = derive_active_streams(topology, scenario)
     period = scenario.period_seconds
     share = scenario.slot_seconds / period
     src_rate = scenario.source_rate_mbps
 
-    prefix = [1.0]
-    for stage in stages:
-        prefix.append(prefix[-1] * stage.reduction)
-    # Number of stages hosted at or below each path position.
-    hosted_below = [sum(1 for p in plan.positions if p <= i) for i in range(3)]
-
-    first = first_touch_slots(topology, streams)
     if plan.gateway_stages:
-        dispatch_slot = {g: s for g, s in first.items() if g not in plan.predeploy}
+        dispatch_slot = {g: s for g, s in instance.first_touch.items() if g not in plan.predeploy}
     else:
         dispatch_slot = {}
     penalty_ms = sum(stages[k].dispatch_penalty_ms for k in plan.gateway_stages)
@@ -324,13 +422,13 @@ def evaluate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Cos
     peak_cpu: dict[str, float] = {}
     worst: dict[tuple[str, str], float] = {}
 
-    for slot_index, active in enumerate(streams):
+    for slot_index, active in enumerate(instance.streams):
         node_usage: dict[str, float] = {}
         link_load: dict[str, float] = {}
         link_by_key: dict[str, object] = {}
         merged = 0.0
         for device_id in active:
-            path = stream_route(topology, device_id, plan)
+            path = paths[device_id]
             for li, link in enumerate(path.links):
                 rate = src_rate * prefix[hosted_below[li]]
                 network_cost += (

@@ -12,16 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cost_model import (
+# stream_route and derive_active_streams are not called here but stay
+# importable: perfbench/tracer.py wraps them in this module.
+from .cost_model import (  # noqa: F401
     GB_PER_MBPS_SECOND,
     CostReport,
     Placement,
     Violation,
+    compile_instance,
     resolve_placement,
     stream_route,
 )
 from .topology import Topology
-from .workload import ServiceSpec, derive_active_streams
+from .workload import ServiceSpec, derive_active_streams  # noqa: F401
 
 __all__ = ["SlotRecord", "TimeSeriesReport", "simulate", "summarize"]
 
@@ -66,16 +69,15 @@ class TimeSeriesReport:
 def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> TimeSeriesReport:
     """Replay every slot in order, accruing realized costs and latencies."""
     plan = resolve_placement(topology, spec.pipeline, placement)
+    instance = compile_instance(topology, spec)
+    routes = instance.paths(plan)
+    prefix = instance.prefix
+    hosted_below = plan.hosted_below
     scenario = spec.scenario
     stages = spec.pipeline.stages
-    streams = derive_active_streams(topology, scenario)
     share = scenario.slot_seconds / scenario.period_seconds
     src_rate = scenario.source_rate_mbps
 
-    prefix = [1.0]
-    for stage in stages:
-        prefix.append(prefix[-1] * stage.reduction)
-    hosted_below = [sum(1 for p in plan.positions if p <= i) for i in range(3)]
     penalty_ms = sum(stages[k].dispatch_penalty_ms for k in plan.gateway_stages)
     agg_speed = topology.node(plan.agg_id or plan.sink).speed
 
@@ -85,8 +87,7 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
     peak_cpu: dict[str, float] = {}
     worst: dict[tuple[str, str], float] = {}
 
-    for slot_index, active in enumerate(streams):
-        routes = {device_id: stream_route(topology, device_id, plan) for device_id in active}
+    for slot_index, active in enumerate(instance.streams):
         touched = sorted({routes[d].nodes[1] for d in active})
         dispatch_now = []
         if plan.gateway_stages:

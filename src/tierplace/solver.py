@@ -15,17 +15,19 @@ import random
 import time
 from dataclasses import dataclass
 
-from .cost_model import (
+# first_touch_slots, peak_aggregated_demand and derive_active_streams are not
+# called here but stay importable: perfbench/tracer.py wraps them in this module.
+from .cost_model import (  # noqa: F401
     CostReport,
     InvalidPlacement,
     Placement,
-    _ceil_tolerant,
+    compile_instance,
     evaluate,
     first_touch_slots,
     peak_aggregated_demand,
 )
 from .topology import Layer, Topology
-from .workload import ServiceSpec, derive_active_streams
+from .workload import ServiceSpec, derive_active_streams  # noqa: F401
 
 __all__ = [
     "CompareRow",
@@ -129,25 +131,11 @@ def candidate_termini(topology: Topology, spec: ServiceSpec) -> list[tuple[str |
     if not spec.pipeline.has_aggregation:
         return [(None, dc) for dc in clouds]
     out: list[tuple[str | None, str]] = [(dc, dc) for dc in clouds]
-    streams = derive_active_streams(topology, spec.scenario)
-    edges_used: set[str] = set()
-    for active in streams:
-        for device_id in active:
-            gateway = topology.parent_of(device_id)
-            edge = topology.parent_of(gateway.id) if gateway else None
-            if edge is not None:
-                edges_used.add(edge.id)
+    edges_used = compile_instance(topology, spec).edge_weights.keys()
     for edge in topology.edges():
         if edges_used <= {edge.id}:
             out.extend((edge.id, dc) for dc in topology.dcs_of_edge(edge.id))
     return out
-
-
-def _alloc_for(topology: Topology, spec: ServiceSpec, agg_id: str | None) -> int:
-    """Reservation used by every solver: minimal covering value, never searched."""
-    if agg_id is None:
-        return 0
-    return max(1, _ceil_tolerant(peak_aggregated_demand(topology, spec)))
 
 
 def _layer_vectors(pre_count: int, max_layer: int):
@@ -176,8 +164,9 @@ def solve_exhaustive(
     cfg = cfg or SolverConfig(kind="exhaustive")
     start = time.monotonic()
     pre_count = spec.pipeline.pre_count
+    instance = compile_instance(topology, spec)
     termini = candidate_termini(topology, spec)
-    visited = sorted(first_touch_slots(topology, derive_active_streams(topology, spec.scenario)))
+    visited = sorted(instance.first_touch)
 
     size = 0
     for agg_id, _sink in termini:
@@ -190,7 +179,8 @@ def solve_exhaustive(
     tracker = _Best(spec.budget)
     examined = 0
     for agg_id, sink in termini:
-        alloc = _alloc_for(topology, spec, agg_id)
+        # The reservation is always the minimal covering value, never searched.
+        alloc = instance.min_reservation if agg_id else 0
         max_layer = int(topology.node(agg_id).layer) if agg_id else int(Layer.CLOUD)
         for vector in _layer_vectors(pre_count, max_layer):
             predeploys = _subsets(visited) if Layer.GATEWAY in vector else iter([frozenset()])
@@ -214,14 +204,7 @@ def solve_exhaustive(
 
 def choose_dc(topology: Topology, spec: ServiceSpec) -> str:
     """DC minimizing activation-weighted edge latency; ties go to the smaller id."""
-    streams = derive_active_streams(topology, spec.scenario)
-    weight: dict[str, int] = {}
-    for active in streams:
-        for device_id in active:
-            gateway = topology.parent_of(device_id)
-            edge = topology.parent_of(gateway.id) if gateway else None
-            if edge is not None:
-                weight[edge.id] = weight.get(edge.id, 0) + 1
+    weight = compile_instance(topology, spec).edge_weights
     clouds = topology.clouds()
     if not clouds:
         raise InvalidPlacement("invalid placement: topology has no cloud DC")
@@ -259,9 +242,8 @@ def choose_predeploy(
     ]
     if not gateway_stages:
         return frozenset()
-    streams = derive_active_streams(topology, spec.scenario)
-    first = first_touch_slots(topology, streams)
-    total_pairs = sum(len(active) for active in streams)
+    instance = compile_instance(topology, spec)
+    total_pairs = sum(len(active) for active in instance.streams)
     if total_pairs == 0:
         return frozenset()
     penalty_ms = sum(stages[k].dispatch_penalty_ms for k in gateway_stages)
@@ -269,12 +251,8 @@ def choose_predeploy(
     per_deploy = sum(stages[k].deploy_cost for k in gateway_stages)
 
     scored: list[tuple[float, str, float, float]] = []
-    for gateway, slot in sorted(first.items()):
-        hit = 0
-        for device_id in streams[slot]:
-            parent = topology.parent_of(device_id)
-            if parent is not None and parent.id == gateway:
-                hit += 1
+    for gateway, slot in sorted(instance.first_touch.items()):
+        hit = instance.gateway_counts[slot][gateway]
         benefit = hit * penalty_ms / total_pairs
         cost = per_deploy - per_dispatch
         scored.append((-(benefit / max(cost, 1e-9)), gateway, benefit, cost))
@@ -303,7 +281,7 @@ def _greedy_candidate(
     """
     agg_id, sink = terminus
     agg_layer = topology.node(agg_id).layer if agg_id else Layer.CLOUD
-    alloc = _alloc_for(topology, spec, agg_id)
+    alloc = compile_instance(topology, spec).min_reservation if agg_id else 0
     pre_count = spec.pipeline.pre_count
     evals = 0
 
@@ -417,9 +395,10 @@ def solve_anneal(
     deadline = start + cfg.time_budget_ms / 1000.0
     rng = random.Random(cfg.seed)
     tracker = _Best(spec.budget)
+    instance = compile_instance(topology, spec)
     termini = candidate_termini(topology, spec)
-    visited = sorted(first_touch_slots(topology, derive_active_streams(topology, spec.scenario)))
-    alloc_by_agg = {agg: _alloc_for(topology, spec, agg) for agg, _ in termini}
+    visited = sorted(instance.first_touch)
+    alloc_by_agg = {agg: instance.min_reservation if agg else 0 for agg, _ in termini}
     evals = 0
 
     def placement_of(state) -> Placement:

@@ -4,13 +4,17 @@ edges, edges linked to cloud data centers.
 Containment below the edge tier is a forest (one gateway per device, one
 edge per gateway); the only routing freedom is which data center an edge
 talks to. All types are immutable and all queries are pure, so a topology
-can be shared freely across threads.
+can be shared freely across threads. A `Topology` must not be mutated after
+its first use: `cost_model` memoizes derived data keyed by its identity.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+import math
+from bisect import bisect_left
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from functools import cached_property
 from enum import IntEnum
 
 __all__ = [
@@ -21,6 +25,7 @@ __all__ = [
     "Topology",
     "TopologyError",
     "nearest_device",
+    "nearest_device_index",
     "route",
     "validate_topology",
 ]
@@ -76,7 +81,7 @@ class Link:
     traffic_cost_rate: float = 0.0  # cost per decimal GB (8000 Mb)
     bandwidth_mbps: float | None = None  # None means unbounded
 
-    @property
+    @cached_property
     def key(self) -> str:
         return f"{self.src}->{self.dst}"
 
@@ -88,7 +93,7 @@ class Route:
     nodes: tuple[str, ...]
     links: tuple[Link, ...]
 
-    @property
+    @cached_property
     def latency_ms(self) -> float:
         return sum(link.latency_ms for link in self.links)
 
@@ -180,12 +185,15 @@ def validate_topology(topology: Topology) -> list[tuple[str, str]]:
                 violations.append(("parent-layer mismatch", node.id))
         elif node.parent is not None:
             violations.append(("unexpected parent", node.id))
-        if node.capacity_cpu < 0:
+        # Chained bounds against math.inf reject NaN and +-inf as well.
+        if not 0 <= node.capacity_cpu < math.inf:
             violations.append(("invalid capacity", node.id))
-        if node.cpu_cost_rate < 0:
+        if not 0 <= node.cpu_cost_rate < math.inf:
             violations.append(("invalid cost rate", node.id))
-        if node.speed <= 0:
+        if not 0 < node.speed < math.inf:
             violations.append(("invalid speed", node.id))
+        if node.location is not None and not all(map(math.isfinite, node.location)):
+            violations.append(("invalid location", node.id))
 
     seen_links: set[tuple[str, str]] = set()
     for link in topology.tree_link_list + topology.dc_link_list:
@@ -195,9 +203,9 @@ def validate_topology(topology: Topology) -> list[tuple[str, str]]:
         if link.src not in topology.nodes or link.dst not in topology.nodes:
             violations.append(("unknown endpoint", link.key))
             continue
-        if link.latency_ms < 0 or link.traffic_cost_rate < 0:
+        if not (0 <= link.latency_ms < math.inf and 0 <= link.traffic_cost_rate < math.inf):
             violations.append(("invalid link value", link.key))
-        if link.bandwidth_mbps is not None and link.bandwidth_mbps <= 0:
+        if link.bandwidth_mbps is not None and not 0 < link.bandwidth_mbps < math.inf:
             violations.append(("invalid link value", link.key))
 
     for link in topology.tree_link_list:
@@ -271,3 +279,43 @@ def nearest_device(topology: Topology, target: tuple[float, float]) -> str:
     if best is None:
         raise TopologyError("no candidate device")
     return best[1]
+
+
+def nearest_device_index(topology: Topology) -> Callable[[tuple[float, float]], str]:
+    """Build `nearest_device` for many targets: same answers, including ties.
+
+    Located devices are sorted by (x, id) once; each query bisects on the
+    target's x and sweeps outward, nearer side first, until the next
+    device's squared x distance alone exceeds the best squared distance.
+    """
+    located = sorted(
+        (n.location[0], n.id, n.location[1])
+        for n in topology.nodes.values()
+        if n.layer == Layer.DEVICE and n.location is not None
+    )
+    xs = [x for x, _, _ in located]
+
+    def nearest(target: tuple[float, float]) -> str:
+        tx, ty = target
+        best: tuple[float, str] | None = None
+        right = bisect_left(xs, tx)
+        left = right - 1
+        while left >= 0 or right < len(xs):
+            if left < 0 or (right < len(xs) and xs[right] - tx <= tx - xs[left]):
+                x, node_id, y = located[right]
+                right += 1
+            else:
+                x, node_id, y = located[left]
+                left -= 1
+            dx = x - tx
+            if best is not None and dx * dx > best[0]:
+                break  # every device left on either side is at least this far
+            dy = y - ty
+            key = (dx * dx + dy * dy, node_id)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            raise TopologyError("no candidate device")
+        return best[1]
+
+    return nearest

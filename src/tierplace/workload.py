@@ -6,7 +6,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .topology import Topology, TopologyError, nearest_device
+# nearest_device is not called here but stays importable for perfbench/tracer.py.
+from .topology import Topology, TopologyError, nearest_device, nearest_device_index  # noqa: F401
 
 __all__ = [
     "Pipeline",
@@ -83,6 +84,9 @@ class Slot:
 
 @dataclass(frozen=True)
 class Scenario:
+    """Like a `Topology`, must not be mutated after first use: `cost_model`
+    memoizes derived data keyed by its identity."""
+
     slot_seconds: float
     slots: tuple[Slot, ...]
     source_rate_mbps: float
@@ -118,13 +122,16 @@ def flow_profile(pipeline: Pipeline, source_rate: float) -> list[float]:
 def derive_active_streams(topology: Topology, scenario: Scenario) -> list[list[str]]:
     """Resolve each slot to the sorted list of active device ids.
 
-    Coordinate slots pick the single nearest located device; explicit slots
-    pass through after an existence check.
+    Coordinate slots pick the single nearest located device (as
+    `nearest_device` would, through an index built on the first such slot);
+    explicit slots pass through after an existence check.
     """
     out: list[list[str]] = []
+    nearest = None
     for slot in scenario.slots:
         if slot.target is not None:
-            out.append([nearest_device(topology, slot.target)])
+            nearest = nearest or nearest_device_index(topology)
+            out.append([nearest(slot.target)])
             continue
         active: set[str] = set()
         for device_id in slot.devices or ():

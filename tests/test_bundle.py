@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tierplace import (
     BundleError,
     Layer,
     Node,
+    Slot,
     Topology,
     load_bundle,
     load_placement,
@@ -146,3 +150,51 @@ def test_node_json_keeps_optional_fields():
     from tierplace.bundle import _node_from_json, _node_to_json
 
     assert _node_from_json(_node_to_json(node)) == node
+
+
+def _number_paths(value, path=()):
+    """Key paths of every JSON number (not bool) inside value."""
+    if isinstance(value, bool):
+        return
+    if isinstance(value, (int, float)):
+        yield path
+        return
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _number_paths(child, path + (key,))
+
+
+def _every_field_bundle():
+    """The mini bundle plus a target slot and a capped link, so that every
+    numeric field kind (locations, bandwidth, targets) occurs at least once."""
+    mini = mini_bundle()
+    t = mini.topology
+    capped = [replace(t.dc_link_list[0], bandwidth_mbps=100.0), *t.dc_link_list[1:]]
+    slots = mini.scenario.slots + (Slot.at(5.0, 0.0),)
+    return replace(
+        mini,
+        topology=Topology(t.node_list, t.tree_link_list, capped),
+        scenario=replace(mini.scenario, slots=slots),
+    )
+
+
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_numbers_are_rejected_in_every_field(bad):
+    base = bundle_to_json(_every_field_bundle())
+    assert validate_bundle(bundle_from_json(base)) == []
+    paths = list(_number_paths(base))
+    assert len(paths) > 40
+    for path in paths:
+        data = json.loads(json.dumps(base))
+        owner = data
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = bad
+        # Through the text form, so JSON's NaN/Infinity literals are exercised too.
+        data = json.loads(json.dumps(data))
+        try:
+            bundle = bundle_from_json(data)
+        except BundleError:
+            continue
+        assert validate_bundle(bundle), f"{bad} accepted at {path}"

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from tierplace import mini_bundle, save_bundle
-from tierplace.bundle import dumps, placement_to_json
+from tierplace.bundle import bundle_to_json, dumps, placement_to_json
 from tierplace.cli import main
 
 
@@ -181,3 +181,20 @@ def test_seeded_anneal_solve_is_byte_identical(mini_path, tmp_path):
     assert main(base + ["--out", str(a)]) == 0
     assert main(base + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_non_finite_budget_arguments_exit_3(mini_path, tmp_path):
+    for value in ("nan", "inf", "-inf"):
+        assert main(["solve", mini_path, "--solver", "greedy", "--budget", value]) == 3
+        assert main(["sweep", mini_path, "--solver", "greedy", "--budgets", "1.0", value]) == 3
+        out = str(tmp_path / "gen.json")
+        assert main(["gen", "--devices", "2", "--slots", "2", "--budget", value, "--out", out]) == 3
+
+
+def test_infinite_source_rate_exits_3(tmp_path, capsys):
+    data = json.loads(dumps(bundle_to_json(mini_bundle())))
+    data["scenario"]["source_rate_mbps"] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", str(path), "--solver", "greedy"]) == 3
+    assert "source_rate_mbps" in capsys.readouterr().err
