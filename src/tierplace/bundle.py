@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .cost_model import CostReport, Placement
-from .solver import Solution
+from .solver import SOLVER_KINDS, Solution
 from .topology import Layer, Link, Node, Topology, validate_topology
 from .workload import (
     Pipeline,
@@ -212,7 +212,7 @@ def bundle_from_json(data: dict) -> ScenarioBundle:
 
 
 def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
-    """Topology invariants plus pipeline/scenario/budget sanity, all collected.
+    """Topology invariants plus pipeline/scenario/budget/solver sanity, all collected.
 
     Every number must be finite: NaN and +-inf are reported like any other
     out-of-range value (the chained bounds below are false for them).
@@ -249,6 +249,22 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
 
     if not 0 <= bundle.budget < math.inf:
         violations.append(("invalid budget", str(bundle.budget)))
+
+    defaults = bundle.solver
+    if defaults is not None and not isinstance(defaults, dict):
+        violations.append(("invalid solver defaults", "solver"))
+    elif defaults:
+        if "kind" in defaults and defaults["kind"] not in SOLVER_KINDS:
+            violations.append(("invalid solver value", "kind"))
+        bounds = {  # field -> (accepted types, lowest value)
+            "time_budget_ms": ((int, float), 0),
+            "seed": ((int,), 0),
+            "max_states": ((int,), 1),
+        }
+        for field, (types, low) in bounds.items():
+            value = defaults.get(field, low)
+            if type(value) not in types or not low <= value < math.inf:
+                violations.append(("invalid solver value", field))
     return violations
 
 

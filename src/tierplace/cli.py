@@ -25,9 +25,9 @@ from .bundle import (
     synth_bundle,
     validate_bundle,
 )
-from .cost_model import InvalidPlacement, check_budget
+from .cost_model import CostReport, InvalidPlacement, check_budget
 from .simulator import simulate, summarize
-from .solver import SearchSpaceTooLarge, Solution, SolverConfig, solve
+from .solver import SOLVER_KINDS, SearchSpaceTooLarge, Solution, SolverConfig, solve
 from .topology import TopologyError
 from .workload import UnknownDevice
 
@@ -35,8 +35,6 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_INVALID = 3
 EXIT_LIMIT = 4
-
-SOLVER_CHOICES = ("exact", "exhaustive", "greedy", "anneal")
 
 
 def _load_valid_bundle(path: str) -> ScenarioBundle:
@@ -49,25 +47,31 @@ def _load_valid_bundle(path: str) -> ScenarioBundle:
 
 
 def _solver_config(args, bundle: ScenarioBundle) -> SolverConfig:
-    defaults = dict(bundle.solver or {})
-    kind = args.solver or defaults.get("kind", "exact")
-    if kind not in SOLVER_CHOICES:
-        raise BundleError(f"unknown solver kind: {kind!r}")
-    cfg = SolverConfig(
-        kind=kind,
-        time_budget_ms=(
-            args.time_budget_ms
-            if args.time_budget_ms is not None
-            else float(defaults.get("time_budget_ms", 1000.0))
-        ),
-        seed=args.seed if args.seed is not None else int(defaults.get("seed", 0)),
-        max_states=(
-            args.max_states
-            if args.max_states is not None
-            else int(defaults.get("max_states", 200_000))
-        ),
+    """Command-line options over the bundle's solver defaults (already validated)."""
+    defaults = bundle.solver or {}
+
+    def pick(option, key: str, fallback):
+        return option if option is not None else defaults.get(key, fallback)
+
+    return SolverConfig(
+        kind=pick(args.solver, "kind", "exact"),
+        time_budget_ms=float(pick(args.time_budget_ms, "time_budget_ms", 1000.0)),
+        seed=pick(args.seed, "seed", 0),
+        max_states=pick(args.max_states, "max_states", 200_000),
     )
-    return cfg
+
+
+def _print_costs(report: CostReport, *between: str) -> None:
+    """The cost breakdown, the lines `between`, then one line per violation."""
+    print(
+        f"cost: total {report.total_cost:.6g} "
+        f"(server {report.server_cost:.6g}, network {report.network_cost:.6g}, "
+        f"deploy {report.deploy_cost:.6g}, dispatch {report.dispatch_cost:.6g})"
+    )
+    for line in between:
+        print(line)
+    for violation in report.violations:
+        print(f"violation: {violation.kind} {violation.ident} by {violation.magnitude:.6g}")
 
 
 def _print_solution(solution: Solution, budget: float) -> None:
@@ -79,14 +83,7 @@ def _print_solution(solution: Solution, budget: float) -> None:
         f"mean latency: {report.mean_latency_ms:.6g} ms   "
         f"max latency: {report.max_latency_ms:.6g} ms"
     )
-    print(
-        f"cost: total {report.total_cost:.6g} "
-        f"(server {report.server_cost:.6g}, network {report.network_cost:.6g}, "
-        f"deploy {report.deploy_cost:.6g}, dispatch {report.dispatch_cost:.6g})"
-    )
-    print(f"budget: {budget:.6g}  within: {within}  excess: {excess:.6g}")
-    for violation in report.violations:
-        print(f"violation: {violation.kind} {violation.ident} by {violation.magnitude:.6g}")
+    _print_costs(report, f"budget: {budget:.6g}  within: {within}  excess: {excess:.6g}")
     print(
         f"states examined: {solution.states_examined}  "
         f"elapsed: {solution.elapsed_ms:.1f} ms"
@@ -129,69 +126,28 @@ def cmd_simulate(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
-            writer.writerow(
-                [
-                    "slot",
-                    "active_devices",
-                    "traffic_gb",
-                    "server_cost",
-                    "network_cost",
-                    "dispatch_cost",
-                    "mean_latency_ms",
-                ]
-            )
+            fields = [
+                "traffic_gb",
+                "server_cost",
+                "network_cost",
+                "dispatch_cost",
+                "mean_latency_ms",
+            ]
+            writer.writerow(["slot", "active_devices"] + fields)
             for record in report.records:
-                writer.writerow(
-                    [
-                        record.index,
-                        ";".join(record.active),
-                        record.traffic_gb,
-                        record.server_cost,
-                        record.network_cost,
-                        record.dispatch_cost,
-                        record.mean_latency_ms,
-                    ]
-                )
+                values = [getattr(record, field) for field in fields]
+                writer.writerow([record.index, ";".join(record.active)] + values)
         print(f"wrote {args.csv}")
     print(
         f"slots: {len(report.records)}   mean latency: {summary.mean_latency_ms:.6g} ms"
     )
-    print(
-        f"cost: total {summary.total_cost:.6g} "
-        f"(server {summary.server_cost:.6g}, network {summary.network_cost:.6g}, "
-        f"deploy {summary.deploy_cost:.6g}, dispatch {summary.dispatch_cost:.6g})"
-    )
-    for violation in summary.violations:
-        print(f"violation: {violation.kind} {violation.ident} by {violation.magnitude:.6g}")
+    _print_costs(summary)
     return EXIT_INFEASIBLE if summary.violations else EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     bundle = _load_valid_bundle(args.bundle)
     cfg = _solver_config(args, bundle)
-    rows = []
-    any_feasible = False
-    for budget in args.budgets:
-        spec = replace(bundle.service_spec(), budget=budget)
-        solution = solve(bundle.topology, spec, cfg)
-        feasible = not solution.best_effort
-        any_feasible = any_feasible or feasible
-        report = solution.report
-        if feasible:
-            rows.append(
-                [
-                    budget,
-                    "true",
-                    report.mean_latency_ms,
-                    report.total_cost,
-                    report.server_cost,
-                    report.network_cost,
-                    report.deploy_cost,
-                    report.dispatch_cost,
-                ]
-            )
-        else:
-            rows.append([budget, "false", "", "", "", "", "", ""])
     header = [
         "budget",
         "feasible",
@@ -202,6 +158,17 @@ def cmd_sweep(args) -> int:
         "deploy_cost",
         "dispatch_cost",
     ]
+    rows = []
+    any_feasible = False
+    for budget in args.budgets:
+        spec = replace(bundle.service_spec(), budget=budget)
+        solution = solve(bundle.topology, spec, cfg)
+        feasible = not solution.best_effort
+        any_feasible = any_feasible or feasible
+        if feasible:
+            rows.append([budget, "true"] + [getattr(solution.report, f) for f in header[2:]])
+        else:
+            rows.append([budget, "false"] + [""] * len(header[2:]))
     if args.csv:
         with open(args.csv, "w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
@@ -215,9 +182,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.devices < 1 or args.slots < 1:
-        print("error: --devices and --slots must be at least 1", file=sys.stderr)
-        return EXIT_INVALID
     bundle = synth_bundle(
         devices=args.devices,
         slots=args.slots,
@@ -231,11 +195,24 @@ def cmd_gen(args) -> int:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type for budgets: NaN and +-inf are usage errors (exit 3)."""
+    """argparse type for float options: NaN and +-inf are usage errors (exit 3)."""
     value = float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value
+
+
+def _at_least(convert, low):
+    """argparse type: convert, then require a finite value >= low (exit 3 otherwise)."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not low <= value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite and >= {low}: {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" message
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,11 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="optimize a placement for a bundle")
     p.add_argument("bundle")
-    p.add_argument("--solver", choices=SOLVER_CHOICES, default=None)
-    p.add_argument("--budget", type=_finite_float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--time-budget-ms", type=float, default=None)
-    p.add_argument("--max-states", type=int, default=None)
+    p.add_argument("--solver", choices=SOLVER_KINDS, default=None)
+    p.add_argument("--budget", type=_at_least(float, 0), default=None)
+    p.add_argument("--seed", type=_at_least(int, 0), default=None)
+    p.add_argument("--time-budget-ms", type=_at_least(float, 0), default=None)
+    p.add_argument("--max-states", type=_at_least(int, 1), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -267,20 +244,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="solve across a list of budgets")
     p.add_argument("bundle")
-    p.add_argument("--budgets", type=_finite_float, nargs="+", required=True)
-    p.add_argument("--solver", choices=SOLVER_CHOICES, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--time-budget-ms", type=float, default=None)
-    p.add_argument("--max-states", type=int, default=None)
+    p.add_argument("--budgets", type=_at_least(float, 0), nargs="+", required=True)
+    p.add_argument("--solver", choices=SOLVER_KINDS, default=None)
+    p.add_argument("--seed", type=_at_least(int, 0), default=None)
+    p.add_argument("--time-budget-ms", type=_at_least(float, 0), default=None)
+    p.add_argument("--max-states", type=_at_least(int, 1), default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gen", help="emit a synthetic bundle")
-    p.add_argument("--devices", type=int, required=True)
-    p.add_argument("--slots", type=int, required=True)
-    p.add_argument("--step", type=float, default=10.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=_finite_float, default=None)
+    p.add_argument("--devices", type=_at_least(int, 1), required=True)
+    p.add_argument("--slots", type=_at_least(int, 1), required=True)
+    p.add_argument("--step", type=_finite_float, default=10.0)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
+    p.add_argument("--budget", type=_at_least(float, 0), default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 

@@ -18,12 +18,13 @@ The model a placement is scored under:
 * Feasibility = per-slot CPU usage within node capacity (and within alloc
   on the aggregation host) and per-slot link load within bandwidth.
 
-Placement-independent data (active streams, per-sink routes, first-touch
-slots, per-gateway and per-edge stream counts, the reduction prefix, peak
-merged demand and minimal reservation) is derived once per problem into an
-`Instance` by `compile_instance`, which memoizes the last one by the
-identity of the topology, pipeline and scenario, so none of the three may
-be mutated after first use.
+Every cost term and the latency sum are linear in how many slots each
+device is active, so `evaluate` scores a placement in closed form from
+placement-independent counts, and `simulator.simulate` is the slot-by-slot
+replay it is tested against. `compile_instance` derives those counts, the
+routes and the reduction prefix once per problem into an `Instance`, and
+memoizes the last one by the identity of the topology, pipeline and
+scenario, so none of the three may be mutated after first use.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .topology import Layer, Route, Topology, TopologyError, route
-from .workload import Pipeline, Scenario, ServiceSpec, derive_active_streams
+from .topology import Layer, Link, Route, Topology, TopologyError, route
+from .workload import Pipeline, Scenario, ServiceSpec, derive_active_streams, flow_profile
 
 __all__ = [
     "AggregationTooSmall",
@@ -248,21 +249,26 @@ def first_touch_slots(topology: Topology, streams: list[list[str]]) -> dict[str,
     return first
 
 
-def _ceil_tolerant(value: float) -> int:
-    """Ceiling that forgives last-ulp noise from float accumulation."""
-    return math.ceil(value - 1e-12 * max(1.0, abs(value)))
-
-
 def peak_aggregated_demand(topology: Topology, spec: ServiceSpec) -> float:
     """Peak over slots of total merged-stage CPU demand (placement-independent)."""
     return compile_instance(topology, spec).peak_demand
 
 
+def _repeated_sum(values: tuple[float, ...], times: int) -> float:
+    """0.0 plus `values`, in order, `times` over: how the replay adds up one
+    slot's per-stream loads, so a closed-form peak rounds exactly like it."""
+    total = 0.0
+    for _ in range(times):
+        for value in values:
+            total += value
+    return total
+
+
 class Instance:
     """Placement-independent data of one (topology, pipeline, scenario).
 
-    Built by `compile_instance`: `streams` is derived on construction, every
-    other field on first use. Treat all of it as read-only.
+    Built by `compile_instance`: the fields set in __init__ on construction,
+    every other one on first use. Treat all of it as read-only.
     """
 
     def __init__(self, topology: Topology, pipeline: Pipeline, scenario: Scenario) -> None:
@@ -270,59 +276,66 @@ class Instance:
         self.streams: tuple[tuple[str, ...], ...] = tuple(
             map(tuple, derive_active_streams(topology, scenario))
         )
+        self.prefix = flow_profile(pipeline, 1.0)  # products of the first k reductions
+        # device -> number of active slots, in order of first activation
+        self.activations = Counter(d for active in self.streams for d in active)
         self._routes: dict[str, dict[str, Route | None]] = {}  # sink -> device -> route
 
     @cached_property
-    def prefix(self) -> list[float]:
-        """prefix[k] is the product of the first k stage reductions."""
-        prefix = [1.0]
-        for stage in self.pipeline.stages:
-            prefix.append(prefix[-1] * stage.reduction)
-        return prefix
-
-    @cached_property
-    def first_touch(self) -> dict[str, int]:
-        return first_touch_slots(self.topology, self.streams)
-
-    @cached_property
-    def gateway_counts(self) -> list[Counter[str]]:
-        """Per slot: gateway id -> number of active streams it serves."""
+    def peak_streams(self) -> dict[str, int]:
+        """Node id -> most streams through it in one slot; each DC gets the busiest slot."""
         parent_of = self.topology.parent_of
-        return [Counter(g.id for g in map(parent_of, active) if g) for active in self.streams]
+        peak: dict[str, int] = {}
+        for active in self.streams:
+            gateways = [g.id for g in map(parent_of, active) if g is not None]
+            through = Counter(active + tuple(gateways))
+            through.update(e.id for e in map(parent_of, gateways) if e is not None)
+            for node_id, count in through.items():
+                peak[node_id] = max(peak.get(node_id, 0), count)
+        busiest = max(map(len, self.streams), default=0)
+        peak.update((dc.id, busiest) for dc in self.topology.clouds())
+        return peak
+
+    @cached_property
+    def first_touch(self) -> dict[str, tuple[str, ...]]:
+        """Visited gateway -> the devices it serves in its first active slot."""
+        node = self.topology.node
+        return {
+            gateway_id: tuple(d for d in self.streams[slot] if node(d).parent == gateway_id)
+            for gateway_id, slot in first_touch_slots(self.topology, self.streams).items()
+        }
 
     @cached_property
     def edge_weights(self) -> Counter[str]:
         """Edge id -> stream activations through it; its keys are the used edges."""
+        parent_of = self.topology.parent_of
         weights: Counter[str] = Counter()
-        for counts in self.gateway_counts:
-            for gateway_id, count in counts.items():
-                edge = self.topology.parent_of(gateway_id)
-                if edge is not None:
-                    weights[edge.id] += count
+        for device_id, count in self.activations.items():
+            gateway = parent_of(device_id)
+            edge = parent_of(gateway.id) if gateway is not None else None
+            if edge is not None:
+                weights[edge.id] += count
         return weights
 
     @cached_property
     def peak_demand(self) -> float:
-        """Peak over slots of total merged-stage CPU demand."""
-        stages = self.pipeline.stages
+        """Merged-stage CPU demand of the busiest slot, the peak over slots."""
         pre_count = self.pipeline.pre_count
-        peak = 0.0
-        for active in self.streams:
-            merged = 0.0
-            for _ in active:
-                merged += self.scenario.source_rate_mbps * self.prefix[pre_count]
-            demand = 0.0
-            rate_in = merged
-            for k in range(pre_count, len(stages)):
-                demand += stages[k].cpu_per_unit * rate_in
-                rate_in *= stages[k].reduction
-            peak = max(peak, demand)
-        return peak
+        per_stream = self.scenario.source_rate_mbps * self.prefix[pre_count]
+        merged = _repeated_sum((per_stream,), max(map(len, self.streams), default=0))
+        demand = 0.0
+        rate_in = merged
+        for stage in self.pipeline.stages[pre_count:]:
+            demand += stage.cpu_per_unit * rate_in
+            rate_in *= stage.reduction
+        return demand
 
     @cached_property
     def min_reservation(self) -> int:
-        """Smallest integer reservation covering peak_demand (floor 1)."""
-        return max(1, _ceil_tolerant(self.peak_demand))
+        """Smallest integer reservation covering peak_demand (floor 1); the ceiling
+        forgives last-ulp noise from float accumulation."""
+        demand = self.peak_demand
+        return max(1, math.ceil(demand - 1e-12 * max(1.0, abs(demand))))
 
     def paths(self, plan: _Plan) -> dict[str, Route]:
         """Every active device's route to the plan's sink, built once per sink.
@@ -333,7 +346,7 @@ class Instance:
         table = self._routes.get(plan.sink)
         if table is None:
             table = {}
-            for device_id in dict.fromkeys(d for active in self.streams for d in active):
+            for device_id in self.activations:
                 try:
                     table[device_id] = route(self.topology, device_id, plan.sink)
                 except TopologyError:
@@ -389,118 +402,114 @@ def check_budget(report: CostReport, budget: float) -> tuple[bool, float]:
 
 
 def evaluate(topology: Topology, spec: ServiceSpec, placement: Placement) -> CostReport:
-    """Score a placement over the whole scenario.
+    """Score a placement over the whole scenario in closed form, with no slot loop.
 
-    Costs, latency statistics, and violations follow the module-level model
-    notes; the result is a pure function of the inputs. The replay in
-    `simulator.simulate` must agree with this report on every numeric field;
-    the two are written independently as a cross-check.
+    Each active device adds its number of active slots times its per-stream
+    network cost, usage cost and latency; each dispatching gateway adds the
+    dispatch cost once and the penalty on the streams of its first slot. Peaks
+    need the precondition `validate_bundle` enforces, that every rate, CPU
+    demand and reduction is finite and nonnegative: a slot's load, added up
+    stream by stream, then never shrinks as the streams through its node or
+    link grow, nor merged demand as the streams in the slot grow. So a peak is
+    the per-stream loads added up for the most streams through the node (or the
+    link's child side) in one slot, plus peak merged demand on the aggregation
+    host and in its alloc check. Added up in the replay's order, not multiplied,
+    they let `simulator.simulate` agree on every field, at a capacity boundary too.
     """
     plan = resolve_placement(topology, spec.pipeline, placement)
     instance = compile_instance(topology, spec)
     paths = instance.paths(plan)
     prefix = instance.prefix
-    hosted_below = plan.hosted_below
     scenario = spec.scenario
     stages = spec.pipeline.stages
-    period = scenario.period_seconds
-    share = scenario.slot_seconds / period
+    share = scenario.slot_seconds / scenario.period_seconds
     src_rate = scenario.source_rate_mbps
-
-    if plan.gateway_stages:
-        dispatch_slot = {g: s for g, s in instance.first_touch.items() if g not in plan.predeploy}
-    else:
-        dispatch_slot = {}
-    penalty_ms = sum(stages[k].dispatch_penalty_ms for k in plan.gateway_stages)
-    cost_per_dispatch = sum(stages[k].dispatch_cost for k in plan.gateway_stages)
     agg_speed = topology.node(plan.agg_id or plan.sink).speed
+
+    used = [stages[k].cpu_per_unit * (src_rate * prefix[k]) for k in range(plan.pre_count)]
+    tier_loads: list[tuple[float, ...]] = [()] * 4  # nonzero per-stream loads per path index
+    for k, load in enumerate(used):
+        if load != 0.0:
+            tier_loads[plan.positions[k]] += (load,)
+    loaded_tiers = [i for i, loads in enumerate(tier_loads) if loads]
 
     usage_cost = 0.0
     network_cost = 0.0
+    latency_sum = 0.0
+    latency: dict[str, float] = {}  # device -> stream latency without dispatch penalty
+    loaded: dict[str, int] = {}  # node id -> path index of a tier with CPU load
+    capped: dict[str, tuple[Link, float]] = {}  # link key -> (link, per-stream rate)
+    for device_id, count in instance.activations.items():
+        path = paths[device_id]
+        network = 0.0
+        for li, link in enumerate(path.links):
+            rate = src_rate * prefix[plan.hosted_below[li]]
+            network += rate * scenario.slot_seconds * GB_PER_MBPS_SECOND * link.traffic_cost_rate
+            if link.bandwidth_mbps is not None:
+                capped[link.key] = (link, rate)
+        usage = 0.0
+        stream_latency = path.latency_ms
+        for k in range(plan.pre_count):
+            host = topology.node(path.nodes[plan.positions[k]])
+            usage += used[k] * host.cpu_cost_rate * share
+            stream_latency += stages[k].base_ms / host.speed
+        for k in range(plan.pre_count, len(stages)):
+            stream_latency += stages[k].base_ms / agg_speed
+        network_cost += count * network
+        usage_cost += count * usage
+        latency_sum += count * stream_latency
+        latency[device_id] = stream_latency
+        for i in loaded_tiers:
+            loaded[path.nodes[i]] = i
+
     dispatch_cost = 0.0
-    latencies: list[float] = []
-    peak_cpu: dict[str, float] = {}
-    worst: dict[tuple[str, str], float] = {}
-
-    for slot_index, active in enumerate(instance.streams):
-        node_usage: dict[str, float] = {}
-        link_load: dict[str, float] = {}
-        link_by_key: dict[str, object] = {}
-        merged = 0.0
-        for device_id in active:
-            path = paths[device_id]
-            for li, link in enumerate(path.links):
-                rate = src_rate * prefix[hosted_below[li]]
-                network_cost += (
-                    rate * scenario.slot_seconds * GB_PER_MBPS_SECOND
-                    * link.traffic_cost_rate
-                )
-                link_load[link.key] = link_load.get(link.key, 0.0) + rate
-                link_by_key[link.key] = link
-            latency = path.latency_ms
-            for k in range(plan.pre_count):
-                host = topology.node(path.nodes[plan.positions[k]])
-                used = stages[k].cpu_per_unit * (src_rate * prefix[k])
-                if used != 0.0:
-                    node_usage[host.id] = node_usage.get(host.id, 0.0) + used
-                    usage_cost += used * host.cpu_cost_rate * share
-                latency += stages[k].base_ms / host.speed
-            for k in range(plan.pre_count, len(stages)):
-                latency += stages[k].base_ms / agg_speed
-            if dispatch_slot.get(path.nodes[1]) == slot_index:
-                latency += penalty_ms
-            latencies.append(latency)
-            merged += src_rate * prefix[plan.pre_count]
-
-        agg_usage = 0.0
-        if plan.agg_id is not None and active:
-            rate_in = merged
-            for k in range(plan.pre_count, len(stages)):
-                agg_usage += stages[k].cpu_per_unit * rate_in
-                rate_in *= stages[k].reduction
-            if agg_usage != 0.0:
-                node_usage[plan.agg_id] = node_usage.get(plan.agg_id, 0.0) + agg_usage
-
-        for gateway, slot in dispatch_slot.items():
-            if slot == slot_index:
+    max_latency = max(latency.values(), default=0.0)
+    if plan.gateway_stages:
+        penalty_ms = sum(stages[k].dispatch_penalty_ms for k in plan.gateway_stages)
+        cost_per_dispatch = sum(stages[k].dispatch_cost for k in plan.gateway_stages)
+        for gateway, devices in instance.first_touch.items():
+            if gateway not in plan.predeploy:
                 dispatch_cost += cost_per_dispatch
+                latency_sum += len(devices) * penalty_ms
+                max_latency = max(max_latency, max(map(latency.get, devices)) + penalty_ms)
 
-        for node_id in sorted(node_usage):
-            used = node_usage[node_id]
-            peak_cpu[node_id] = max(peak_cpu.get(node_id, 0.0), used)
-            capacity = topology.node(node_id).capacity_cpu
-            if used > capacity:
-                key = ("cpu_capacity", node_id)
-                worst[key] = max(worst.get(key, 0.0), used - capacity)
-        if plan.agg_id is not None and agg_usage > plan.alloc:
-            key = ("alloc", plan.agg_id)
-            worst[key] = max(worst.get(key, 0.0), agg_usage - plan.alloc)
-        for link_key in sorted(link_load):
-            bandwidth = link_by_key[link_key].bandwidth_mbps
-            if bandwidth is not None and link_load[link_key] > bandwidth:
-                key = ("bandwidth", link_key)
-                worst[key] = max(worst.get(key, 0.0), link_load[link_key] - bandwidth)
+    peak_cpu = {
+        node_id: _repeated_sum(tier_loads[i], instance.peak_streams[node_id])
+        for node_id, i in loaded.items()
+    }
+    violations: list[Violation] = []
+    if plan.agg_id is not None:
+        demand = instance.peak_demand
+        if demand != 0.0:
+            peak_cpu[plan.agg_id] = peak_cpu.get(plan.agg_id, 0.0) + demand
+        if demand > plan.alloc:
+            violations.append(Violation("alloc", plan.agg_id, demand - plan.alloc))
+    for node_id, peak in peak_cpu.items():
+        capacity = topology.node(node_id).capacity_cpu
+        if peak > capacity:
+            violations.append(Violation("cpu_capacity", node_id, peak - capacity))
+    for key, (link, rate) in capped.items():
+        load = _repeated_sum((rate,), instance.peak_streams[link.src])
+        if load > link.bandwidth_mbps:
+            violations.append(Violation("bandwidth", key, load - link.bandwidth_mbps))
+    violations.sort(key=lambda v: (v.kind, v.ident))
 
-    deploy_cost = 0.0
     per_gateway_deploy = sum(stages[k].deploy_cost for k in plan.gateway_stages)
-    for _ in sorted(plan.predeploy):
-        deploy_cost += per_gateway_deploy
-    reservation = plan.alloc * topology.node(plan.agg_id).cpu_cost_rate if plan.agg_id else 0.0
+    deploy_cost = _repeated_sum((per_gateway_deploy,), len(plan.predeploy))
 
+    reservation = plan.alloc * topology.node(plan.agg_id).cpu_cost_rate if plan.agg_id else 0.0
+    streams = sum(instance.activations.values())
     server_cost = usage_cost + reservation
     total_cost = server_cost + network_cost + deploy_cost + dispatch_cost
-    violations = tuple(
-        Violation(kind, ident, worst[(kind, ident)]) for kind, ident in sorted(worst)
-    )
     return CostReport(
         server_cost=server_cost,
         network_cost=network_cost,
         deploy_cost=deploy_cost,
         dispatch_cost=dispatch_cost,
         total_cost=total_cost,
-        mean_latency_ms=sum(latencies) / len(latencies) if latencies else 0.0,
-        max_latency_ms=max(latencies) if latencies else 0.0,
+        mean_latency_ms=latency_sum / streams if streams else 0.0,
+        max_latency_ms=max_latency,
         peak_cpu=peak_cpu,
         feasible=not violations,
-        violations=violations,
+        violations=tuple(violations),
     )

@@ -86,6 +86,9 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
     latencies: list[float] = []
     peak_cpu: dict[str, float] = {}
     worst: dict[tuple[str, str], float] = {}
+    network_total = 0.0
+    server_total = 0.0
+    dispatch_total = 0.0
 
     for slot_index, active in enumerate(instance.streams):
         touched = sorted({routes[d].nodes[1] for d in active})
@@ -162,6 +165,9 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
                 key = ("bandwidth", link_key)
                 worst[key] = max(worst.get(key, 0.0), link_load[link_key] - bandwidth)
 
+        network_total += slot_network
+        server_total += slot_server
+        dispatch_total += slot_dispatch
         records.append(
             SlotRecord(
                 index=slot_index,
@@ -183,14 +189,6 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
     reservation = (
         plan.alloc * topology.node(plan.agg_id).cpu_cost_rate if plan.agg_id else 0.0
     )
-
-    network_total = 0.0
-    server_total = 0.0
-    dispatch_total = 0.0
-    for record in records:
-        network_total += record.network_cost
-        server_total += record.server_cost
-        dispatch_total += record.dispatch_cost
 
     return TimeSeriesReport(
         records=tuple(records),

@@ -13,7 +13,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 # first_touch_slots, peak_aggregated_demand and derive_active_streams are not
 # called here but stay importable: perfbench/tracer.py wraps them in this module.
@@ -31,6 +31,7 @@ from .workload import ServiceSpec, derive_active_streams  # noqa: F401
 
 __all__ = [
     "CompareRow",
+    "SOLVER_KINDS",
     "SearchSpaceTooLarge",
     "Solution",
     "SolverConfig",
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 
+PENALTY = 1000.0  # anneal's energy weight per unit of budget excess or violation
+
+
 class SearchSpaceTooLarge(ValueError):
     """Exhaustive enumeration would exceed the configured state cap."""
 
@@ -55,10 +59,8 @@ class SolverConfig:
     time_budget_ms: float = 1000.0
     seed: int = 0
     max_states: int = 200_000
-    initial_temperature: float | None = None  # auto-calibrated when None
     cooling: float = 0.95
     iters_per_temp: int = 50
-    penalty: float = 1000.0  # energy weight per unit of constraint violation
 
 
 @dataclass(frozen=True)
@@ -243,17 +245,14 @@ def choose_predeploy(
     if not gateway_stages:
         return frozenset()
     instance = compile_instance(topology, spec)
-    total_pairs = sum(len(active) for active in instance.streams)
-    if total_pairs == 0:
-        return frozenset()
+    total_pairs = sum(instance.activations.values())  # nonzero once a gateway is visited
     penalty_ms = sum(stages[k].dispatch_penalty_ms for k in gateway_stages)
     per_dispatch = sum(stages[k].dispatch_cost for k in gateway_stages)
     per_deploy = sum(stages[k].deploy_cost for k in gateway_stages)
 
     scored: list[tuple[float, str, float, float]] = []
-    for gateway, slot in sorted(instance.first_touch.items()):
-        hit = instance.gateway_counts[slot][gateway]
-        benefit = hit * penalty_ms / total_pairs
+    for gateway, served in sorted(instance.first_touch.items()):
+        benefit = len(served) * penalty_ms / total_pairs
         cost = per_deploy - per_dispatch
         scored.append((-(benefit / max(cost, 1e-9)), gateway, benefit, cost))
 
@@ -303,10 +302,7 @@ def _greedy_candidate(
         predeploy = choose_predeploy(topology, spec, base, max(0.0, remaining))
         if not predeploy:
             return base, base_report
-        chosen = Placement(
-            layer_of=vector, agg_node=agg_id, sink_dc=sink,
-            predeploy=predeploy, alloc=alloc,
-        )
+        chosen = replace(base, predeploy=predeploy)
         report = evaluate(topology, spec, chosen)
         evals += 1
         tracker.offer(chosen, report)
@@ -381,14 +377,14 @@ def solve_anneal(
 ) -> Solution:
     """Simulated annealing over (layer vector, terminus, predeploy set).
 
-    Energy is mean latency plus cfg.penalty times the sum of the budget
+    Energy is mean latency plus PENALTY times the sum of the budget
     excess and all capacity/bandwidth violation magnitudes, so the walk may
     cross infeasible regions; the returned state is the best strictly
     feasible in-budget one seen. The walk starts from the greedy
-    construction (a deterministic warm start), cools geometrically, and
-    stops at the temperature floor or the wall-clock budget. With a fixed
-    seed the run is fully deterministic whenever the schedule completes
-    inside the time budget.
+    construction (a deterministic warm start) at a temperature calibrated
+    from 16 probe moves, cools geometrically, and stops at the temperature
+    floor or the wall-clock budget. With a fixed seed the run is fully
+    deterministic whenever the schedule completes inside the time budget.
     """
     cfg = cfg or SolverConfig(kind="anneal")
     start = time.monotonic()
@@ -417,7 +413,7 @@ def solve_anneal(
             return math.inf
         evals += 1
         tracker.offer(placement, report)
-        return report.mean_latency_ms + cfg.penalty * _violation_score(report, spec.budget)
+        return report.mean_latency_ms + PENALTY * _violation_score(report, spec.budget)
 
     def propose(state):
         vector, terminus, predeploy = state
@@ -460,19 +456,17 @@ def solve_anneal(
     )
     current_energy = energy(state)
 
-    temperature = cfg.initial_temperature
-    if temperature is None:
-        deltas = []
-        for _ in range(16):
-            probe = propose(state)
-            if probe is None:
-                continue
-            probe_energy = energy(probe)
-            if math.isfinite(probe_energy):
-                deltas.append(abs(probe_energy - current_energy))
-        mean_delta = sum(deltas) / len(deltas) if deltas else 0.0
-        peak_delta = max(deltas) if deltas else 0.0
-        temperature = max(2.0 * mean_delta, peak_delta, 1.0)
+    deltas = []
+    for _ in range(16):
+        probe = propose(state)
+        if probe is None:
+            continue
+        probe_energy = energy(probe)
+        if math.isfinite(probe_energy):
+            deltas.append(abs(probe_energy - current_energy))
+    mean_delta = sum(deltas) / len(deltas) if deltas else 0.0
+    peak_delta = max(deltas) if deltas else 0.0
+    temperature = max(2.0 * mean_delta, peak_delta, 1.0)
     floor = max(temperature * 1e-3, 1e-9)
 
     while temperature > floor and time.monotonic() < deadline:
@@ -501,6 +495,7 @@ _SOLVERS = {
     "greedy": solve_greedy,
     "anneal": solve_anneal,
 }
+SOLVER_KINDS = tuple(_SOLVERS)
 
 
 def solve(topology: Topology, spec: ServiceSpec, cfg: SolverConfig) -> Solution:

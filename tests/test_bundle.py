@@ -198,3 +198,20 @@ def test_non_finite_numbers_are_rejected_in_every_field(bad):
         except BundleError:
             continue
         assert validate_bundle(bundle), f"{bad} accepted at {path}"
+
+
+def test_validate_bundle_checks_solver_defaults(mini):
+    assert validate_bundle(replace(mini, solver={"kind": "anneal", "time_budget_ms": 500,
+                                                 "seed": 0, "max_states": 1})) == []
+    cases = [
+        (["x"], ("invalid solver defaults", "solver")),
+        ({"kind": "fastest"}, ("invalid solver value", "kind")),
+        ({"time_budget_ms": math.nan}, ("invalid solver value", "time_budget_ms")),
+        ({"time_budget_ms": -1.0}, ("invalid solver value", "time_budget_ms")),
+        ({"seed": "abc"}, ("invalid solver value", "seed")),
+        ({"seed": -1}, ("invalid solver value", "seed")),
+        ({"max_states": 0}, ("invalid solver value", "max_states")),
+        ({"max_states": 2.5}, ("invalid solver value", "max_states")),
+    ]
+    for defaults, violation in cases:
+        assert validate_bundle(replace(mini, solver=defaults)) == [violation]

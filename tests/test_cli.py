@@ -198,3 +198,52 @@ def test_infinite_source_rate_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["solve", str(path), "--solver", "greedy"]) == 3
     assert "source_rate_mbps" in capsys.readouterr().err
+
+
+def test_non_finite_time_budget_exits_3(mini_path):
+    for value in ("nan", "inf"):
+        assert main(["solve", mini_path, "--solver", "anneal", "--time-budget-ms", value]) == 3
+
+
+def test_non_finite_sweep_time_budget_exits_3(mini_path):
+    args = ["sweep", mini_path, "--solver", "anneal", "--budgets", "5.0"]
+    for value in ("nan", "-inf"):
+        assert main(args + ["--time-budget-ms", value]) == 3
+
+
+def test_out_of_range_solver_flags_exit_3(mini_path, tmp_path):
+    for flags in (["--time-budget-ms", "-1"], ["--max-states", "0"], ["--seed", "-1"]):
+        assert main(["solve", mini_path, "--solver", "anneal"] + flags) == 3
+        assert main(["sweep", mini_path, "--solver", "anneal", "--budgets", "5.0"] + flags) == 3
+    assert main(["solve", mini_path, "--solver", "greedy", "--budget", "-1"]) == 3
+    assert main(["sweep", mini_path, "--solver", "greedy", "--budgets", "5.0", "-1"]) == 3
+    out = tmp_path / "gen.json"
+    for flags in (["--seed", "-1"], ["--budget", "-1"]):
+        assert main(["gen", "--devices", "4", "--slots", "3", "--out", str(out)] + flags) == 3
+    assert not out.exists()
+
+
+def test_non_finite_gen_step_exits_3(tmp_path):
+    out = tmp_path / "gen.json"
+    for value in ("nan", "inf"):
+        assert main(["gen", "--devices", "4", "--slots", "3", "--step", value, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "defaults, field",
+    [
+        (["x"], "solver"),
+        ({"kind": "fastest"}, "kind"),
+        ({"kind": "anneal", "time_budget_ms": float("nan")}, "time_budget_ms"),
+        ({"seed": "abc"}, "seed"),
+        ({"max_states": 0}, "max_states"),
+    ],
+)
+def test_invalid_solver_defaults_exit_3(tmp_path, capsys, defaults, field):
+    path = tmp_path / "defaults.json"
+    save_bundle(replace(mini_bundle(), solver=defaults), path)
+    assert main(["validate", str(path)]) == 3
+    assert field in capsys.readouterr().out
+    assert main(["solve", str(path)]) == 3
+    assert field in capsys.readouterr().err

@@ -5,7 +5,24 @@ from dataclasses import replace
 
 import pytest
 
-from tierplace import Slot, evaluate, simulate, summarize
+from tierplace import (
+    Layer,
+    Link,
+    Node,
+    Pipeline,
+    Placement,
+    Scenario,
+    ServiceSpec,
+    Slot,
+    Stage,
+    Topology,
+    candidate_termini,
+    derive_active_streams,
+    evaluate,
+    simulate,
+    summarize,
+)
+from tierplace.cost_model import compile_instance
 from _instances import random_instance, random_placement, reports_close
 
 
@@ -100,3 +117,138 @@ def test_agreement_on_random_pairs():
         summary = summarize(simulate(topology, spec, placement))
         direct = evaluate(topology, spec, placement)
         assert reports_close(summary, direct)
+
+
+def _crowded_instance(seed: int) -> tuple[Topology, ServiceSpec]:
+    """Many streams per slot on tight CPU capacities and capped links.
+
+    Every gateway has three cameras. The busiest slot activates two cameras
+    of every gateway; other slots crowd one gateway (all three cameras) or
+    one edge (all its cameras), so no gateway, and no edge of a multi-edge
+    instance, peaks in the busiest slot. The crowded slots come first, so
+    each gateway serves several streams in its first slot. Odd seeds hang
+    all gateways under one edge, which can then host the merged stage.
+    """
+    rng = random.Random(seed)
+    rate = rng.uniform(4.0, 10.0)
+    n_edge, gateways_per_edge = (1, 3) if seed % 2 else (3, 2)
+    nodes: list[Node] = []
+    tree: list[Link] = []
+    dc_links: list[Link] = []
+    cams_of: dict[str, list[str]] = {}
+    for e in range(1, n_edge + 1):
+        edge = f"edge{e}"
+        nodes.append(Node(edge, Layer.EDGE, capacity_cpu=rate * rng.uniform(0.3, 2.0),
+                          cpu_cost_rate=rng.uniform(0.2, 1.0), speed=rng.uniform(0.5, 1.5)))
+        for dc in ("dc1", "dc2"):
+            dc_links.append(Link(edge, dc, latency_ms=rng.uniform(10, 50),
+                                 traffic_cost_rate=rng.uniform(0.1, 0.3),
+                                 bandwidth_mbps=rate * rng.uniform(2.0, 10.0)))
+        for g in range(1, gateways_per_edge + 1):
+            gw = f"gw{e}{g}"
+            nodes.append(Node(gw, Layer.GATEWAY, parent=edge, capacity_cpu=rate * rng.uniform(0.1, 1.0),
+                              cpu_cost_rate=rng.uniform(0.5, 2.0), speed=rng.uniform(0.8, 1.5)))
+            tree.append(Link(gw, edge, latency_ms=rng.uniform(3, 8),
+                             traffic_cost_rate=rng.uniform(0.05, 0.2),
+                             bandwidth_mbps=rate * rng.uniform(1.0, 4.0)))
+            cams_of[gw] = [f"cam{e}{g}{c}" for c in range(1, 4)]
+            for cam in cams_of[gw]:
+                nodes.append(Node(cam, Layer.DEVICE, parent=gw))
+                tree.append(Link(cam, gw, latency_ms=rng.uniform(1, 3)))
+    for dc in ("dc1", "dc2"):
+        nodes.append(Node(dc, Layer.CLOUD, capacity_cpu=1000.0, cpu_cost_rate=rng.uniform(0.1, 0.5)))
+
+    n_pre = rng.randint(1, 2)
+    stages = [
+        Stage(name=f"s{k}", cpu_per_unit=rng.uniform(0.05, 0.3), reduction=rng.uniform(0.2, 1.0),
+              base_ms=rng.uniform(10, 60), deploy_cost=rng.uniform(0.02, 0.3),
+              dispatch_cost=rng.uniform(0.005, 0.05), dispatch_penalty_ms=rng.uniform(100, 800))
+        for k in range(n_pre)
+    ]
+    if seed % 2 or rng.random() < 0.7:
+        stages.append(Stage(name="merge", cpu_per_unit=rng.uniform(0.05, 0.2), reduction=1.0,
+                            base_ms=rng.uniform(10, 30)))
+    pipeline = Pipeline(stages=tuple(stages), aggregation_index=n_pre + 1)
+
+    cams = [cam for group in cams_of.values() for cam in group]
+    crowded = list(cams_of.values())
+    if n_edge > 1:
+        crowded += [cams_of[f"gw{e}1"] + cams_of[f"gw{e}2"] for e in range(1, n_edge + 1)]
+    crowded.append([cam for group in cams_of.values() for cam in group[:2]])
+    rng.shuffle(crowded)
+    sparse = [rng.sample(cams, rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+    slots = tuple(Slot.explicit(devices) for devices in crowded + sparse)
+    scenario = Scenario(slot_seconds=3600.0, slots=slots, source_rate_mbps=rate)
+    return Topology(nodes, tree, dc_links), ServiceSpec(pipeline, scenario, budget=100.0)
+
+
+def _peak_slots_avoid_the_busiest(topology: Topology, spec: ServiceSpec) -> bool:
+    streams = derive_active_streams(topology, spec.scenario)
+    busiest = max(range(len(streams)), key=lambda s: len(streams[s]))
+    single_edge = len(topology.edges()) == 1
+    for node in topology.gateways() + ([] if single_edge else topology.edges()):
+        through = [
+            sum(node.id in (topology.parent_of(d).id, topology.parent_of(d).parent) for d in active)
+            for active in streams
+        ]
+        if through[busiest] >= max(through):
+            return False
+    return True
+
+
+def test_closed_form_agrees_with_replay_on_crowded_slots():
+    rng = random.Random(31)
+    pairs = violated = edge_hosted = dispatched = 0
+    kinds: set[str] = set()
+    for seed in range(24):
+        topology, spec = _crowded_instance(seed)
+        assert _peak_slots_avoid_the_busiest(topology, spec)
+        instance = compile_instance(topology, spec)
+        visited = sorted(instance.first_touch)
+        assert all(len(served) >= 2 for served in instance.first_touch.values())
+        for agg, sink in candidate_termini(topology, spec) * 2:
+            max_layer = int(topology.node(agg).layer) if agg else int(Layer.CLOUD)
+            pre = spec.pipeline.pre_count
+            vector = tuple(sorted(Layer(rng.randint(0, max_layer)) for _ in range(pre)))
+            predeploy = frozenset(g for g in visited if rng.random() < 0.3)
+            if Layer.GATEWAY not in vector:
+                predeploy = frozenset()
+            alloc = instance.min_reservation + rng.choice((-1, 0, 0, 1)) if agg else 0
+            placement = Placement(vector, agg, sink, predeploy, alloc)
+            direct = evaluate(topology, spec, placement)
+            replayed = summarize(simulate(topology, spec, placement))
+            assert reports_close(direct, replayed), (seed, placement)
+            pairs += 1
+            violated += not direct.feasible
+            kinds.update(v.kind for v in direct.violations)
+            edge_hosted += agg is not None and topology.node(agg).layer == Layer.EDGE
+            dispatched += direct.dispatch_cost > 0
+    assert pairs >= 100
+    assert violated >= 0.6 * pairs
+    assert kinds == {"alloc", "bandwidth", "cpu_capacity"}
+    assert edge_hosted > 0 and dispatched > 0
+
+
+def test_peaks_round_like_the_replay_at_an_exact_boundary():
+    """Twelve 0.05-CPU streams on a 0.6-CPU gateway and twelve 0.1 Mb/s
+    streams on a 1.2 Mb/s uplink: 12 * 0.05 and 12 * 0.1 round above the
+    capacities, the replay's repeated additions land on them exactly."""
+    cams = [f"cam{c}" for c in range(12)]
+    nodes = [
+        Node("gw1", Layer.GATEWAY, parent="edge1", capacity_cpu=0.6, cpu_cost_rate=1.0),
+        Node("edge1", Layer.EDGE, capacity_cpu=10.0),
+        Node("dc1", Layer.CLOUD, capacity_cpu=10.0),
+    ] + [Node(cam, Layer.DEVICE, parent="gw1") for cam in cams]
+    tree = [Link(cam, "gw1") for cam in cams] + [Link("gw1", "edge1", bandwidth_mbps=1.2)]
+    topology = Topology(nodes, tree, [Link("edge1", "dc1")])
+    pipeline = Pipeline(stages=(Stage(name="detect", cpu_per_unit=0.05, reduction=0.1),),
+                        aggregation_index=2)
+    slots = (Slot.explicit(cams[:5]), Slot.explicit(cams))
+    spec = ServiceSpec(pipeline, Scenario(slot_seconds=3600.0, slots=slots, source_rate_mbps=1.0),
+                       budget=100.0)
+    placement = Placement((Layer.GATEWAY,), None, "dc1", frozenset({"gw1"}))
+    direct = evaluate(topology, spec, placement)
+    replayed = summarize(simulate(topology, spec, placement))
+    assert direct.peak_cpu["gw1"] == replayed.peak_cpu["gw1"] == 0.6
+    assert direct.feasible and replayed.feasible
+    assert reports_close(direct, replayed)
