@@ -135,6 +135,13 @@ def _stage_from_json(data: dict) -> Stage:
     )
 
 
+def _integer(value, field: str) -> int:
+    """A JSON integer as is: int() would truncate 2.7 and accept true or "3"."""
+    if type(value) is not int:
+        raise BundleError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
 def _slot_to_json(slot: Slot) -> dict:
     if slot.target is not None:
         return {"target": list(slot.target)}
@@ -187,14 +194,14 @@ def bundle_from_json(data: dict) -> ScenarioBundle:
         pipe = data["pipeline"]
         pipeline = Pipeline(
             stages=tuple(_stage_from_json(s) for s in pipe["stages"]),
-            aggregation_index=int(pipe["aggregation_index"]),
+            aggregation_index=_integer(pipe["aggregation_index"], "aggregation_index"),
         )
         scen = data["scenario"]
         scenario = Scenario(
             slot_seconds=float(scen["slot_seconds"]),
             slots=tuple(_slot_from_json(s) for s in scen["slots"]),
             source_rate_mbps=float(scen["source_rate_mbps"]),
-            seed=int(scen.get("seed", 0)),
+            seed=_integer(scen.get("seed", 0), "seed"),
         )
         budget = float(data["budget"])
         solver = data.get("solver")
@@ -300,7 +307,7 @@ def placement_from_json(data: dict) -> Placement:
             agg_node=data.get("agg_node"),
             sink_dc=data.get("sink_dc"),
             predeploy=frozenset(str(g) for g in data.get("predeploy", [])),
-            alloc=int(data.get("alloc", 0)),
+            alloc=_integer(data.get("alloc", 0), "alloc"),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise BundleError(f"malformed placement: {exc}") from exc

@@ -47,18 +47,21 @@ def _load_valid_bundle(path: str) -> ScenarioBundle:
 
 
 def _solver_config(args, bundle: ScenarioBundle) -> SolverConfig:
-    """Command-line options over the bundle's solver defaults (already validated)."""
+    """Command-line options over the bundle's solver defaults (already validated)
+    over SolverConfig's own defaults."""
     defaults = bundle.solver or {}
-
-    def pick(option, key: str, fallback):
-        return option if option is not None else defaults.get(key, fallback)
-
-    return SolverConfig(
-        kind=pick(args.solver, "kind", "exact"),
-        time_budget_ms=float(pick(args.time_budget_ms, "time_budget_ms", 1000.0)),
-        seed=pick(args.seed, "seed", 0),
-        max_states=pick(args.max_states, "max_states", 200_000),
-    )
+    options = {
+        "kind": args.solver,
+        "time_budget_ms": args.time_budget_ms,
+        "seed": args.seed,
+        "max_states": args.max_states,
+    }
+    settings = {
+        key: defaults[key] if option is None else option
+        for key, option in options.items()
+        if option is not None or key in defaults
+    }
+    return SolverConfig(**settings)
 
 
 def _print_costs(report: CostReport, *between: str) -> None:

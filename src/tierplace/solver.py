@@ -13,12 +13,13 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # first_touch_slots, peak_aggregated_demand and derive_active_streams are not
 # called here but stay importable: perfbench/tracer.py wraps them in this module.
 from .cost_model import (  # noqa: F401
     CostReport,
+    Instance,
     InvalidPlacement,
     Placement,
     compile_instance,
@@ -81,7 +82,8 @@ class CompareRow:
     optimal: bool = False
 
 
-def _objective_key(report: CostReport, placement: Placement) -> tuple:
+def _objective_key(state: tuple[Placement, CostReport]) -> tuple:
+    placement, report = state
     return (report.mean_latency_ms, report.total_cost, placement.encode())
 
 
@@ -95,16 +97,19 @@ def _within(report: CostReport, budget: float) -> bool:
 
 
 class _Best:
-    """Track the best feasible state and the least-violating fallback."""
+    """Track the best feasible state, the least-violating fallback and the
+    number of evaluations offered."""
 
     def __init__(self, budget: float) -> None:
         self.budget = budget
         self.best: tuple | None = None
         self.fallback: tuple | None = None
+        self.offers = 0
 
     def offer(self, placement: Placement, report: CostReport) -> None:
+        self.offers += 1
         if _within(report, self.budget):
-            key = _objective_key(report, placement)
+            key = _objective_key((placement, report))
             if self.best is None or key < self.best[0]:
                 self.best = (key, placement, report)
         score_key = (_violation_score(report, self.budget), placement.encode())
@@ -140,12 +145,22 @@ def candidate_termini(topology: Topology, spec: ServiceSpec) -> list[tuple[str |
     return out
 
 
-def _layer_vectors(pre_count: int, max_layer: int):
-    if pre_count == 0:
-        yield ()
-        return
-    for combo in itertools.combinations_with_replacement(range(max_layer + 1), pre_count):
-        yield tuple(Layer(v) for v in combo)
+def _top(topology: Topology, agg_id: str | None) -> Layer:
+    """The highest tier a per-stream stage may take under this aggregation host."""
+    return topology.node(agg_id).layer if agg_id else Layer.CLOUD
+
+
+def _placement(
+    instance: Instance,
+    vector: tuple[Layer, ...],
+    terminus: tuple[str | None, str],
+    predeploy: frozenset[str] = frozenset(),
+) -> Placement:
+    """The placement of a search state; the reservation is always the minimal
+    covering value, never searched."""
+    agg_id, sink = terminus
+    alloc = instance.min_reservation if agg_id else 0
+    return Placement(vector, agg_id, sink, predeploy, alloc)
 
 
 def _subsets(items: list[str]):
@@ -165,43 +180,31 @@ def solve_exhaustive(
     """
     cfg = cfg or SolverConfig(kind="exhaustive")
     start = time.monotonic()
-    pre_count = spec.pipeline.pre_count
     instance = compile_instance(topology, spec)
-    termini = candidate_termini(topology, spec)
     visited = sorted(instance.first_touch)
-
-    size = 0
-    for agg_id, _sink in termini:
-        max_layer = int(topology.node(agg_id).layer) if agg_id else int(Layer.CLOUD)
-        for vector in _layer_vectors(pre_count, max_layer):
-            size += 2 ** len(visited) if Layer.GATEWAY in vector else 1
+    states = [
+        (tuple(map(Layer, combo)), terminus)
+        for terminus in candidate_termini(topology, spec)
+        for combo in itertools.combinations_with_replacement(
+            range(_top(topology, terminus[0]) + 1), spec.pipeline.pre_count
+        )
+    ]
+    size = sum(2 ** len(visited) if Layer.GATEWAY in vector else 1 for vector, _ in states)
     if size > cfg.max_states:
         raise SearchSpaceTooLarge(f"search space too large ({size} states)")
 
     tracker = _Best(spec.budget)
-    examined = 0
-    for agg_id, sink in termini:
-        # The reservation is always the minimal covering value, never searched.
-        alloc = instance.min_reservation if agg_id else 0
-        max_layer = int(topology.node(agg_id).layer) if agg_id else int(Layer.CLOUD)
-        for vector in _layer_vectors(pre_count, max_layer):
-            predeploys = _subsets(visited) if Layer.GATEWAY in vector else iter([frozenset()])
-            for predeploy in predeploys:
-                examined += 1
-                placement = Placement(
-                    layer_of=vector,
-                    agg_node=agg_id,
-                    sink_dc=sink,
-                    predeploy=predeploy,
-                    alloc=alloc,
-                )
-                try:
-                    report = evaluate(topology, spec, placement)
-                except InvalidPlacement:
-                    continue
-                tracker.offer(placement, report)
+    for vector, terminus in states:
+        predeploys = _subsets(visited) if Layer.GATEWAY in vector else [frozenset()]
+        for predeploy in predeploys:
+            placement = _placement(instance, vector, terminus, predeploy)
+            try:
+                report = evaluate(topology, spec, placement)
+            except InvalidPlacement:
+                continue
+            tracker.offer(placement, report)
     elapsed = (time.monotonic() - start) * 1000.0
-    return tracker.solution("exhaustive", elapsed, examined)
+    return tracker.solution("exhaustive", elapsed, size)
 
 
 def choose_dc(topology: Topology, spec: ServiceSpec) -> str:
@@ -230,40 +233,34 @@ def choose_predeploy(
     placement: Placement,
     remaining_budget: float,
 ) -> frozenset[str]:
-    """Greedy knapsack over scenario-visited gateways.
+    """The visited gateways that pre-install the gateway stages: a ranked prefix.
 
-    benefit(g) is the drop in mean latency from avoiding g's dispatch
-    penalties; cost(g) is the deploy cost net of the avoided dispatch cost.
-    Gateways are taken in descending benefit / max(cost, 1e-9) order while
-    they fit the remaining budget and actually help (positive benefit or
-    negative net cost). Ties are broken by gateway id.
+    Pre-installing at one gateway costs the same net amount at every gateway
+    (the deploy cost less the dispatch cost it saves), removes the dispatch
+    penalty from the streams of the gateway's first slot, and moves no CPU or
+    bandwidth load. So among sets of one size, the gateways with the most
+    first-slot streams (ties to the smaller id) give the least mean latency
+    at the same cost, and the longest such prefix whose net cost fits
+    remaining_budget is the (mean latency, total cost) optimum for this
+    layer vector and terminus. None are taken when they lower no latency and
+    save no cost.
     """
-    stages = spec.pipeline.stages
-    gateway_stages = [
-        k for k, layer in enumerate(placement.layer_of) if layer == Layer.GATEWAY
-    ]
-    if not gateway_stages:
+    per_stream = zip(spec.pipeline.stages, placement.layer_of)
+    stages = [stage for stage, layer in per_stream if layer == Layer.GATEWAY]
+    if not stages:
         return frozenset()
-    instance = compile_instance(topology, spec)
-    total_pairs = sum(instance.activations.values())  # nonzero once a gateway is visited
-    penalty_ms = sum(stages[k].dispatch_penalty_ms for k in gateway_stages)
-    per_dispatch = sum(stages[k].dispatch_cost for k in gateway_stages)
-    per_deploy = sum(stages[k].deploy_cost for k in gateway_stages)
-
-    scored: list[tuple[float, str, float, float]] = []
-    for gateway, served in sorted(instance.first_touch.items()):
-        benefit = len(served) * penalty_ms / total_pairs
-        cost = per_deploy - per_dispatch
-        scored.append((-(benefit / max(cost, 1e-9)), gateway, benefit, cost))
-
-    chosen: set[str] = set()
+    penalty_ms = sum(s.dispatch_penalty_ms for s in stages)
+    net_cost = sum(s.deploy_cost for s in stages) - sum(s.dispatch_cost for s in stages)
+    if penalty_ms <= 0.0 and net_cost >= 0.0:
+        return frozenset()
+    served = compile_instance(topology, spec).first_touch
+    chosen: list[str] = []
     remaining = max(0.0, remaining_budget)
-    for _ratio, gateway, benefit, cost in sorted(scored):
-        if benefit <= 0.0 and cost >= 0.0:
-            continue
-        if cost <= remaining:
-            chosen.add(gateway)
-            remaining -= cost
+    for gateway in sorted(served, key=lambda g: (-len(served[g]), g)):
+        if net_cost > remaining:
+            break
+        chosen.append(gateway)
+        remaining -= net_cost
     return frozenset(chosen)
 
 
@@ -272,104 +269,70 @@ def _greedy_candidate(
     spec: ServiceSpec,
     terminus: tuple[str | None, str],
     tracker: _Best,
-) -> tuple[tuple[tuple, Placement, CostReport] | None, int]:
-    """Run the layer-lowering scan for one terminus.
-
-    Returns (result, evaluations); result is None when nothing at this
-    terminus is both feasible and within budget.
-    """
-    agg_id, sink = terminus
-    agg_layer = topology.node(agg_id).layer if agg_id else Layer.CLOUD
-    alloc = compile_instance(topology, spec).min_reservation if agg_id else 0
-    pre_count = spec.pipeline.pre_count
-    evals = 0
+) -> tuple[Placement, CostReport] | None:
+    """Run the layer-lowering scan for one terminus: the best (placement, report)
+    it reaches, or None when nothing there is both feasible and within budget."""
+    instance = compile_instance(topology, spec)
 
     def complete(vector: tuple[Layer, ...]):
-        nonlocal evals
-        base = Placement(
-            layer_of=vector, agg_node=agg_id, sink_dc=sink,
-            predeploy=frozenset(), alloc=alloc,
-        )
+        base = _placement(instance, vector, terminus)
         try:
             base_report = evaluate(topology, spec, base)
         except InvalidPlacement:
             return None
-        evals += 1
         tracker.offer(base, base_report)
         if Layer.GATEWAY not in vector:
             return base, base_report
-        remaining = spec.budget - base_report.total_cost
-        predeploy = choose_predeploy(topology, spec, base, max(0.0, remaining))
+        predeploy = choose_predeploy(topology, spec, base, spec.budget - base_report.total_cost)
         if not predeploy:
             return base, base_report
-        chosen = replace(base, predeploy=predeploy)
+        chosen = _placement(instance, vector, terminus, predeploy)
         report = evaluate(topology, spec, chosen)
-        evals += 1
         tracker.offer(chosen, report)
         return chosen, report
 
-    vector = tuple([agg_layer] * pre_count)
+    vector = (_top(topology, terminus[0]),) * spec.pipeline.pre_count
     current = complete(vector)
     if current is None or not _within(current[1], spec.budget):
-        return None, evals
+        return None
     # Lower stages from the merge point toward the devices; each step scans
     # every tier at or below the stage's current one (clamping earlier
     # stages down to keep the vector monotone) and keeps the best trial.
-    for k in range(pre_count - 1, -1, -1):
-        best_trial = None
-        for level in range(int(vector[k]) + 1):
-            trial_vector = list(vector)
-            trial_vector[k] = Layer(level)
-            for j in range(k):
-                trial_vector[j] = min(trial_vector[j], Layer(level))
-            trial = complete(tuple(trial_vector))
-            if trial is None or not _within(trial[1], spec.budget):
-                continue
-            key = _objective_key(trial[1], trial[0])
-            if best_trial is None or key < best_trial[0]:
-                best_trial = (key, trial[0], trial[1], tuple(trial_vector))
-        if best_trial is not None:
-            vector = best_trial[3]
-            current = (best_trial[1], best_trial[2])
-    placement, report = current
-    return (_objective_key(report, placement), placement, report), evals
+    for k in range(len(vector) - 1, -1, -1):
+        trials = []
+        for level in map(Layer, range(vector[k] + 1)):
+            below = tuple(min(layer, level) for layer in vector[:k])
+            trial = complete(below + (level,) + vector[k + 1:])
+            if trial is not None and _within(trial[1], spec.budget):
+                trials.append(trial)
+        if trials:
+            current = min(trials, key=_objective_key)
+            vector = current[0].layer_of
+    return current
 
 
 def solve_greedy(
     topology: Topology, spec: ServiceSpec, cfg: SolverConfig | None = None
 ) -> Solution:
     """Deterministic construction: pick a DC, sink stages toward the devices,
-    then pre-install gateway functions by knapsack and size the reservation."""
+    and pre-install gateway functions on the ranked prefix of
+    `choose_predeploy`, the best predeploy set for each layer vector tried."""
     start = time.monotonic()
     tracker = _Best(spec.budget)
-    states = 0
-
     primary_dc = choose_dc(topology, spec)
-    primary: tuple[str | None, str] = (
-        (primary_dc, primary_dc) if spec.pipeline.has_aggregation else (None, primary_dc)
-    )
-    result, evals = _greedy_candidate(topology, spec, primary, tracker)
-    states += evals
+    primary = (primary_dc if spec.pipeline.has_aggregation else None, primary_dc)
+    result = _greedy_candidate(topology, spec, primary, tracker)
     if result is None:
         # Initial all-at-DC placement did not fit; scan every terminus.
-        best = None
-        for terminus in candidate_termini(topology, spec):
-            candidate, evals = _greedy_candidate(topology, spec, terminus, tracker)
-            states += evals
-            if candidate is None:
-                continue
-            if best is None or candidate[0] < best[0]:
-                best = candidate
-        result = best
+        candidates = [
+            _greedy_candidate(topology, spec, terminus, tracker)
+            for terminus in candidate_termini(topology, spec)
+        ]
+        result = min(filter(None, candidates), key=_objective_key, default=None)
     elapsed = (time.monotonic() - start) * 1000.0
     if result is None:
-        return tracker.solution("greedy", elapsed, states)
-    _, placement, report = result
-    return Solution(placement, report, "greedy", elapsed, states, False)
-
-
-def _clamp_vector(vector: tuple[Layer, ...], max_layer: Layer) -> tuple[Layer, ...]:
-    return tuple(min(layer, max_layer) for layer in vector)
+        return tracker.solution("greedy", elapsed, tracker.offers)
+    return Solution(*result, "greedy", elapsed, tracker.offers, False)
 
 
 def solve_anneal(
@@ -394,32 +357,18 @@ def solve_anneal(
     instance = compile_instance(topology, spec)
     termini = candidate_termini(topology, spec)
     visited = sorted(instance.first_touch)
-    alloc_by_agg = {agg: instance.min_reservation if agg else 0 for agg, _ in termini}
-    evals = 0
-
-    def placement_of(state) -> Placement:
-        vector, (agg_id, sink), predeploy = state
-        return Placement(
-            layer_of=vector, agg_node=agg_id, sink_dc=sink,
-            predeploy=predeploy, alloc=alloc_by_agg[agg_id],
-        )
 
     def energy(state) -> float:
-        nonlocal evals
-        placement = placement_of(state)
+        placement = _placement(instance, *state)
         try:
             report = evaluate(topology, spec, placement)
         except InvalidPlacement:
             return math.inf
-        evals += 1
         tracker.offer(placement, report)
         return report.mean_latency_ms + PENALTY * _violation_score(report, spec.budget)
 
     def propose(state):
         vector, terminus, predeploy = state
-        agg_layer = (
-            topology.node(terminus[0]).layer if terminus[0] else Layer.CLOUD
-        )
         for _ in range(8):
             move = rng.randrange(3)
             if move == 0 and vector:
@@ -427,7 +376,7 @@ def solve_anneal(
                 step = rng.choice((-1, 1))
                 level = int(vector[k]) + step
                 low = int(vector[k - 1]) if k else 0
-                high = int(vector[k + 1]) if k + 1 < len(vector) else int(agg_layer)
+                high = vector[k + 1] if k + 1 < len(vector) else _top(topology, terminus[0])
                 if not low <= level <= high:
                     continue
                 new_vector = vector[:k] + (Layer(level),) + vector[k + 1:]
@@ -437,10 +386,8 @@ def solve_anneal(
                 candidate = termini[rng.randrange(len(termini))]
                 if candidate == terminus:
                     continue
-                new_layer = (
-                    topology.node(candidate[0]).layer if candidate[0] else Layer.CLOUD
-                )
-                new_vector = _clamp_vector(vector, new_layer)
+                top = _top(topology, candidate[0])
+                new_vector = tuple(min(layer, top) for layer in vector)
                 new_predeploy = predeploy if Layer.GATEWAY in new_vector else frozenset()
                 return new_vector, candidate, new_predeploy
             if move == 2 and visited and Layer.GATEWAY in vector:
@@ -486,7 +433,7 @@ def solve_anneal(
         temperature *= cfg.cooling
 
     elapsed = (time.monotonic() - start) * 1000.0
-    return tracker.solution("anneal", elapsed, evals)
+    return tracker.solution("anneal", elapsed, tracker.offers)
 
 
 _SOLVERS = {

@@ -247,3 +247,31 @@ def test_invalid_solver_defaults_exit_3(tmp_path, capsys, defaults, field):
     assert field in capsys.readouterr().out
     assert main(["solve", str(path)]) == 3
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("pipeline", "aggregation_index", 2.7),
+        ("pipeline", "aggregation_index", True),
+        ("scenario", "seed", 1.5),
+        ("scenario", "seed", "3"),
+    ],
+)
+def test_non_integer_bundle_field_exits_3(tmp_path, capsys, section, field, value):
+    data = json.loads(dumps(bundle_to_json(mini_bundle())))
+    data[section][field] = value
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", str(path)]) == 3
+    assert field in capsys.readouterr().err
+
+
+def test_non_integer_alloc_exits_3(mini_path, tmp_path, capsys, p1):
+    placement_path = tmp_path / "p1.json"
+    for value in (1.5, False, "1"):
+        data = placement_to_json(p1)
+        data["alloc"] = value
+        placement_path.write_text(dumps(data), encoding="utf-8")
+        assert main(["simulate", mini_path, str(placement_path)]) == 3
+        assert "alloc" in capsys.readouterr().err

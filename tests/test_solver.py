@@ -1,27 +1,35 @@
 from __future__ import annotations
 
+import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
+import tierplace.solver as solver_module
 from tierplace import (
     Layer,
     Link,
     Node,
+    Placement,
     Scenario,
     SearchSpaceTooLarge,
     ServiceSpec,
     Slot,
     SolverConfig,
     Topology,
+    candidate_termini,
     choose_dc,
     choose_predeploy,
     compare,
+    derive_active_streams,
     evaluate,
+    min_alloc,
     solve_anneal,
     solve_exhaustive,
     solve_greedy,
 )
+from tierplace.cost_model import first_touch_slots
 from _instances import random_instance, reports_close
 
 
@@ -398,3 +406,92 @@ def test_exhaustive_and_greedy_are_deterministic(mini, mini_spec):
     assert (a.placement, a.report, a.states_examined) == (b.placement, b.report, b.states_examined)
     c, d = solve_greedy(mini.topology, mini_spec), solve_greedy(mini.topology, mini_spec)
     assert (c.placement, c.report) == (d.placement, d.report)
+
+
+def _predeploy_instances(seeds):
+    """random_instance as generated, and again with three crowded explicit
+    slots, in which gateways serve different numbers of first-slot streams."""
+    for seed in seeds:
+        topology, spec = random_instance(seed)
+        yield topology, spec
+        rng = random.Random(seed)
+        cams = [node.id for node in topology.devices()]
+        slots = tuple(Slot.explicit(rng.sample(cams, rng.randint(1, len(cams)))) for _ in range(3))
+        yield topology, replace(spec, scenario=replace(spec.scenario, slots=slots))
+
+
+def test_choose_predeploy_is_the_per_vector_optimum():
+    # Within one terminus and layer vector, no predeploy subset within budget
+    # beats the chosen set on (mean latency, total cost).
+    cases = partial = 0
+    for topology, base_spec in _predeploy_instances(range(30)):
+        for factor in (0.3, 0.7, 1.0, 3.0):
+            spec = replace(base_spec, budget=base_spec.budget * factor)
+            visited = sorted(
+                first_touch_slots(topology, derive_active_streams(topology, spec.scenario))
+            )
+            for agg, sink in candidate_termini(topology, spec):
+                top = int(topology.node(agg).layer) if agg else int(Layer.CLOUD)
+                for combo in itertools.combinations_with_replacement(
+                    range(top + 1), spec.pipeline.pre_count
+                ):
+                    vector = tuple(Layer(v) for v in combo)
+                    if Layer.GATEWAY not in vector:
+                        continue
+                    base = Placement(layer_of=vector, agg_node=agg, sink_dc=sink)
+                    if agg is not None:
+                        base = replace(base, alloc=min_alloc(topology, spec, base))
+                    base_cost = evaluate(topology, spec, base).total_cost
+                    if base_cost > spec.budget:
+                        continue
+                    chosen = choose_predeploy(topology, spec, base, spec.budget - base_cost)
+                    report = evaluate(topology, spec, replace(base, predeploy=chosen))
+                    assert report.total_cost <= spec.budget
+                    best = min(
+                        (r.mean_latency_ms, r.total_cost)
+                        for r in (
+                            evaluate(topology, spec, replace(base, predeploy=frozenset(s)))
+                            for size in range(len(visited) + 1)
+                            for s in itertools.combinations(visited, size)
+                        )
+                        if r.total_cost <= spec.budget
+                    )
+                    # Gateways with equal stream counts tie up to the order
+                    # of the latency sum, so ties may differ in the last bits.
+                    assert (report.mean_latency_ms, report.total_cost) == pytest.approx(
+                        best, rel=1e-12
+                    )
+                    cases += 1
+                    partial += 0 < len(chosen) < len(visited)
+    assert cases > 900 and partial > 30  # partial: the budget cuts the prefix short
+
+
+def test_states_examined_counts_returned_evaluations(monkeypatch):
+    real_evaluate, real_greedy = solver_module.evaluate, solver_module.solve_greedy
+    returned, warm_starts = [], []
+
+    def counting_evaluate(*args):
+        report = real_evaluate(*args)
+        returned.append(report)
+        return report
+
+    def recording_greedy(*args):
+        solution = real_greedy(*args)
+        warm_starts.append(solution.states_examined)
+        return solution
+
+    monkeypatch.setattr(solver_module, "evaluate", counting_evaluate)
+    monkeypatch.setattr(solver_module, "solve_greedy", recording_greedy)
+    for seed in range(6):
+        topology, spec = random_instance(seed)
+        returned.clear()
+        assert solve_greedy(topology, spec).states_examined == len(returned)
+
+        returned.clear()
+        warm_starts.clear()
+        cfg = SolverConfig(
+            kind="anneal", seed=seed, time_budget_ms=600000.0, cooling=0.8, iters_per_temp=10
+        )
+        solution = solve_anneal(topology, spec, cfg)
+        # The greedy warm start reports its own evaluations, not anneal's.
+        assert solution.states_examined == len(returned) - sum(warm_starts)
