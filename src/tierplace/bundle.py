@@ -83,10 +83,10 @@ def _node_from_json(data: dict) -> Node:
         id=str(data["id"]),
         layer=Layer.from_label(data["layer"]),
         parent=data.get("parent"),
-        capacity_cpu=float(data.get("capacity_cpu", 0.0)),
-        cpu_cost_rate=float(data.get("cpu_cost_rate", 0.0)),
-        speed=float(data.get("speed", 1.0)),
-        location=(float(location[0]), float(location[1])) if location else None,
+        capacity_cpu=_number(data.get("capacity_cpu", 0.0), "capacity_cpu"),
+        cpu_cost_rate=_number(data.get("cpu_cost_rate", 0.0), "cpu_cost_rate"),
+        speed=_number(data.get("speed", 1.0), "speed"),
+        location=_point(location, "location") if location else None,
     )
 
 
@@ -105,9 +105,9 @@ def _link_from_json(data: dict) -> Link:
     return Link(
         src=str(data["src"]),
         dst=str(data["dst"]),
-        latency_ms=float(data.get("latency_ms", 0.0)),
-        traffic_cost_rate=float(data.get("traffic_cost_rate", 0.0)),
-        bandwidth_mbps=float(bandwidth) if bandwidth is not None else None,
+        latency_ms=_number(data.get("latency_ms", 0.0), "latency_ms"),
+        traffic_cost_rate=_number(data.get("traffic_cost_rate", 0.0), "traffic_cost_rate"),
+        bandwidth_mbps=_number(bandwidth, "bandwidth_mbps") if bandwidth is not None else None,
     )
 
 
@@ -126,12 +126,12 @@ def _stage_to_json(stage: Stage) -> dict:
 def _stage_from_json(data: dict) -> Stage:
     return Stage(
         name=str(data["name"]),
-        cpu_per_unit=float(data["cpu_per_unit"]),
-        reduction=float(data["reduction"]),
-        base_ms=float(data.get("base_ms", 0.0)),
-        deploy_cost=float(data.get("deploy_cost", 0.0)),
-        dispatch_cost=float(data.get("dispatch_cost", 0.0)),
-        dispatch_penalty_ms=float(data.get("dispatch_penalty_ms", 0.0)),
+        cpu_per_unit=_number(data["cpu_per_unit"], "cpu_per_unit"),
+        reduction=_number(data["reduction"], "reduction"),
+        base_ms=_number(data.get("base_ms", 0.0), "base_ms"),
+        deploy_cost=_number(data.get("deploy_cost", 0.0), "deploy_cost"),
+        dispatch_cost=_number(data.get("dispatch_cost", 0.0), "dispatch_cost"),
+        dispatch_penalty_ms=_number(data.get("dispatch_penalty_ms", 0.0), "dispatch_penalty_ms"),
     )
 
 
@@ -140,6 +140,17 @@ def _integer(value, field: str) -> int:
     if type(value) is not int:
         raise BundleError(f"{field} must be an integer, not {value!r}")
     return value
+
+
+def _number(value, field: str) -> float:
+    """A JSON number as a float: float() would also accept true or "3"."""
+    if type(value) not in (int, float):
+        raise BundleError(f"{field} must be a number, not {value!r}")
+    return float(value)
+
+
+def _point(value, field: str) -> tuple[float, float]:
+    return _number(value[0], field), _number(value[1], field)
 
 
 def _slot_to_json(slot: Slot) -> dict:
@@ -155,7 +166,7 @@ def _slot_from_json(data: dict) -> Slot:
         raise BundleError("slot must carry exactly one of 'devices' or 'target'")
     if has_target:
         target = data["target"]
-        return Slot.at(float(target[0]), float(target[1]))
+        return Slot.at(*_point(target, "target"))
     return Slot.explicit(str(d) for d in data["devices"])
 
 
@@ -198,12 +209,12 @@ def bundle_from_json(data: dict) -> ScenarioBundle:
         )
         scen = data["scenario"]
         scenario = Scenario(
-            slot_seconds=float(scen["slot_seconds"]),
+            slot_seconds=_number(scen["slot_seconds"], "slot_seconds"),
             slots=tuple(_slot_from_json(s) for s in scen["slots"]),
-            source_rate_mbps=float(scen["source_rate_mbps"]),
+            source_rate_mbps=_number(scen["source_rate_mbps"], "source_rate_mbps"),
             seed=_integer(scen.get("seed", 0), "seed"),
         )
-        budget = float(data["budget"])
+        budget = _number(data["budget"], "budget")
         solver = data.get("solver")
     except BundleError:
         raise
@@ -272,6 +283,9 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
             value = defaults.get(field, low)
             if type(value) not in types or not low <= value < math.inf:
                 violations.append(("invalid solver value", field))
+        # Keys no solver setting reads would otherwise be dropped without a word.
+        for key in sorted(set(defaults) - set(bounds) - {"kind"}):
+            violations.append(("invalid solver value", key))
     return violations
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 # called here but stay importable: perfbench/tracer.py wraps them in this module.
 from .cost_model import (  # noqa: F401
     CostReport,
-    Instance,
     InvalidPlacement,
     Placement,
     compile_instance,
@@ -97,24 +96,42 @@ def _within(report: CostReport, budget: float) -> bool:
 
 
 class _Best:
-    """Track the best feasible state, the least-violating fallback and the
-    number of evaluations offered."""
+    """Score search states for a solver: `score` is the only place in this module
+    where a state becomes a placement and is evaluated. Keeps the best feasible
+    in-budget state, the least-violating fallback and how many evaluations returned."""
 
-    def __init__(self, budget: float) -> None:
-        self.budget = budget
+    def __init__(self, topology: Topology, spec: ServiceSpec) -> None:
+        self.topology = topology
+        self.spec = spec
+        self.min_reservation = compile_instance(topology, spec).min_reservation
         self.best: tuple | None = None
         self.fallback: tuple | None = None
         self.offers = 0
 
-    def offer(self, placement: Placement, report: CostReport) -> None:
+    def score(
+        self,
+        vector: tuple[Layer, ...],
+        terminus: tuple[str | None, str],
+        predeploy: frozenset[str] = frozenset(),
+    ) -> tuple[Placement, CostReport] | None:
+        """The evaluated placement of one state, or None when it is invalid.
+        The reservation is always the minimal covering value, never searched."""
+        agg_id, sink = terminus
+        alloc = self.min_reservation if agg_id else 0
+        placement = Placement(vector, agg_id, sink, predeploy, alloc)
+        try:
+            report = evaluate(self.topology, self.spec, placement)
+        except InvalidPlacement:
+            return None
         self.offers += 1
-        if _within(report, self.budget):
+        if _within(report, self.spec.budget):
             key = _objective_key((placement, report))
             if self.best is None or key < self.best[0]:
                 self.best = (key, placement, report)
-        score_key = (_violation_score(report, self.budget), placement.encode())
+        score_key = (_violation_score(report, self.spec.budget), placement.encode())
         if self.fallback is None or score_key < self.fallback[0]:
             self.fallback = (score_key, placement, report)
+        return placement, report
 
     def solution(self, kind: str, elapsed_ms: float, states: int) -> Solution:
         if self.best is not None:
@@ -150,19 +167,6 @@ def _top(topology: Topology, agg_id: str | None) -> Layer:
     return topology.node(agg_id).layer if agg_id else Layer.CLOUD
 
 
-def _placement(
-    instance: Instance,
-    vector: tuple[Layer, ...],
-    terminus: tuple[str | None, str],
-    predeploy: frozenset[str] = frozenset(),
-) -> Placement:
-    """The placement of a search state; the reservation is always the minimal
-    covering value, never searched."""
-    agg_id, sink = terminus
-    alloc = instance.min_reservation if agg_id else 0
-    return Placement(vector, agg_id, sink, predeploy, alloc)
-
-
 def _subsets(items: list[str]):
     for size in range(len(items) + 1):
         for combo in itertools.combinations(items, size):
@@ -174,8 +178,9 @@ def solve_exhaustive(
 ) -> Solution:
     """Enumerate every legal placement; the ground-truth oracle.
 
-    No pruning beyond structural legality: infeasible states are rejected by
-    evaluation, never skipped, so the optimum cannot be missed. Raises
+    No pruning beyond structural legality: every state is scored by
+    `_Best.score`, and infeasible ones are rejected there, never skipped, so
+    the optimum cannot be missed. Raises
     SearchSpaceTooLarge when the state count exceeds cfg.max_states.
     """
     cfg = cfg or SolverConfig(kind="exhaustive")
@@ -193,16 +198,11 @@ def solve_exhaustive(
     if size > cfg.max_states:
         raise SearchSpaceTooLarge(f"search space too large ({size} states)")
 
-    tracker = _Best(spec.budget)
+    tracker = _Best(topology, spec)
     for vector, terminus in states:
         predeploys = _subsets(visited) if Layer.GATEWAY in vector else [frozenset()]
         for predeploy in predeploys:
-            placement = _placement(instance, vector, terminus, predeploy)
-            try:
-                report = evaluate(topology, spec, placement)
-            except InvalidPlacement:
-                continue
-            tracker.offer(placement, report)
+            tracker.score(vector, terminus, predeploy)
     elapsed = (time.monotonic() - start) * 1000.0
     return tracker.solution("exhaustive", elapsed, size)
 
@@ -269,32 +269,21 @@ def _greedy_candidate(
     spec: ServiceSpec,
     terminus: tuple[str | None, str],
     tracker: _Best,
-) -> tuple[Placement, CostReport] | None:
-    """Run the layer-lowering scan for one terminus: the best (placement, report)
-    it reaches, or None when nothing there is both feasible and within budget."""
-    instance = compile_instance(topology, spec)
+) -> bool:
+    """Run the layer-lowering scan for one terminus, scoring each state through
+    `tracker.score`; False when the first state is not feasible within budget."""
 
     def complete(vector: tuple[Layer, ...]):
-        base = _placement(instance, vector, terminus)
-        try:
-            base_report = evaluate(topology, spec, base)
-        except InvalidPlacement:
-            return None
-        tracker.offer(base, base_report)
-        if Layer.GATEWAY not in vector:
-            return base, base_report
-        predeploy = choose_predeploy(topology, spec, base, spec.budget - base_report.total_cost)
-        if not predeploy:
-            return base, base_report
-        chosen = _placement(instance, vector, terminus, predeploy)
-        report = evaluate(topology, spec, chosen)
-        tracker.offer(chosen, report)
-        return chosen, report
+        base = tracker.score(vector, terminus)
+        if base is None or Layer.GATEWAY not in vector:
+            return base
+        predeploy = choose_predeploy(topology, spec, base[0], spec.budget - base[1].total_cost)
+        return tracker.score(vector, terminus, predeploy) if predeploy else base
 
     vector = (_top(topology, terminus[0]),) * spec.pipeline.pre_count
     current = complete(vector)
     if current is None or not _within(current[1], spec.budget):
-        return None
+        return False
     # Lower stages from the merge point toward the devices; each step scans
     # every tier at or below the stage's current one (clamping earlier
     # stages down to keep the vector monotone) and keeps the best trial.
@@ -306,9 +295,8 @@ def _greedy_candidate(
             if trial is not None and _within(trial[1], spec.budget):
                 trials.append(trial)
         if trials:
-            current = min(trials, key=_objective_key)
-            vector = current[0].layer_of
-    return current
+            vector = min(trials, key=_objective_key)[0].layer_of
+    return True
 
 
 def solve_greedy(
@@ -316,23 +304,19 @@ def solve_greedy(
 ) -> Solution:
     """Deterministic construction: pick a DC, sink stages toward the devices,
     and pre-install gateway functions on the ranked prefix of
-    `choose_predeploy`, the best predeploy set for each layer vector tried."""
+    `choose_predeploy`, the best predeploy set for each layer vector tried.
+    Each scan ends on the best in-budget state it scored, so the answer is the
+    tracker's best."""
     start = time.monotonic()
-    tracker = _Best(spec.budget)
+    tracker = _Best(topology, spec)
     primary_dc = choose_dc(topology, spec)
     primary = (primary_dc if spec.pipeline.has_aggregation else None, primary_dc)
-    result = _greedy_candidate(topology, spec, primary, tracker)
-    if result is None:
+    if not _greedy_candidate(topology, spec, primary, tracker):
         # Initial all-at-DC placement did not fit; scan every terminus.
-        candidates = [
+        for terminus in candidate_termini(topology, spec):
             _greedy_candidate(topology, spec, terminus, tracker)
-            for terminus in candidate_termini(topology, spec)
-        ]
-        result = min(filter(None, candidates), key=_objective_key, default=None)
     elapsed = (time.monotonic() - start) * 1000.0
-    if result is None:
-        return tracker.solution("greedy", elapsed, tracker.offers)
-    return Solution(*result, "greedy", elapsed, tracker.offers, False)
+    return tracker.solution("greedy", elapsed, tracker.offers)
 
 
 def solve_anneal(
@@ -353,19 +337,16 @@ def solve_anneal(
     start = time.monotonic()
     deadline = start + cfg.time_budget_ms / 1000.0
     rng = random.Random(cfg.seed)
-    tracker = _Best(spec.budget)
+    tracker = _Best(topology, spec)
     instance = compile_instance(topology, spec)
     termini = candidate_termini(topology, spec)
     visited = sorted(instance.first_touch)
 
     def energy(state) -> float:
-        placement = _placement(instance, *state)
-        try:
-            report = evaluate(topology, spec, placement)
-        except InvalidPlacement:
+        scored = tracker.score(*state)
+        if scored is None:
             return math.inf
-        tracker.offer(placement, report)
-        return report.mean_latency_ms + PENALTY * _violation_score(report, spec.budget)
+        return scored[1].mean_latency_ms + PENALTY * _violation_score(scored[1], spec.budget)
 
     def propose(state):
         vector, terminus, predeploy = state

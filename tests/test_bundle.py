@@ -200,6 +200,21 @@ def test_non_finite_numbers_are_rejected_in_every_field(bad):
         assert validate_bundle(bundle), f"{bad} accepted at {path}"
 
 
+@pytest.mark.parametrize("bad", [True, "3"])
+def test_non_numbers_are_rejected_in_every_field(bad):
+    base = bundle_to_json(_every_field_bundle())
+    paths = list(_number_paths(base))
+    assert len(paths) > 40
+    for path in paths:
+        data = json.loads(json.dumps(base))
+        owner = data
+        for key in path[:-1]:
+            owner = owner[key]
+        owner[path[-1]] = bad
+        with pytest.raises(BundleError):
+            bundle_from_json(data)
+
+
 def test_validate_bundle_checks_solver_defaults(mini):
     assert validate_bundle(replace(mini, solver={"kind": "anneal", "time_budget_ms": 500,
                                                  "seed": 0, "max_states": 1})) == []
@@ -215,3 +230,17 @@ def test_validate_bundle_checks_solver_defaults(mini):
     ]
     for defaults, violation in cases:
         assert validate_bundle(replace(mini, solver=defaults)) == [violation]
+
+
+def test_validate_bundle_rejects_unknown_solver_keys(mini):
+    defaults = {"kind": "anneal", "unknown": 1, "iters_per_temp": "x", "cooling": 0.1}
+    assert validate_bundle(replace(mini, solver=defaults)) == [
+        ("invalid solver value", "cooling"),
+        ("invalid solver value", "iters_per_temp"),
+        ("invalid solver value", "unknown"),
+    ]
+    defaults = {"max_states": 0, "time_budget": 500}
+    assert validate_bundle(replace(mini, solver=defaults)) == [
+        ("invalid solver value", "max_states"),
+        ("invalid solver value", "time_budget"),
+    ]

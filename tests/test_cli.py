@@ -275,3 +275,35 @@ def test_non_integer_alloc_exits_3(mini_path, tmp_path, capsys, p1):
         placement_path.write_text(dumps(data), encoding="utf-8")
         assert main(["simulate", mini_path, str(placement_path)]) == 3
         assert "alloc" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("budget",), True),
+        (("scenario", "slot_seconds"), "3600"),
+        (("topology", "nodes", 3, "capacity_cpu"), "2"),
+    ],
+)
+def test_non_number_bundle_field_exits_3(tmp_path, capsys, path, value):
+    data = json.loads(dumps(bundle_to_json(mini_bundle())))
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    bundle_path = tmp_path / "bundle.json"
+    bundle_path.write_text(json.dumps(data), encoding="utf-8")
+    for command in ("validate", "solve"):
+        assert main([command, str(bundle_path)]) == 3
+        assert path[-1] in capsys.readouterr().err
+
+
+def test_unknown_solver_defaults_exit_3(tmp_path, capsys):
+    path = tmp_path / "defaults.json"
+    defaults = {"kind": "anneal", "cooling": 0.1, "iters_per_temp": "x", "unknown": 1}
+    save_bundle(replace(mini_bundle(), solver=defaults), path)
+    assert main(["validate", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert all(key in out for key in ("cooling", "iters_per_temp", "unknown"))
+    assert main(["solve", str(path)]) == 3
+    assert "unknown" in capsys.readouterr().err

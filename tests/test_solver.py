@@ -495,3 +495,35 @@ def test_states_examined_counts_returned_evaluations(monkeypatch):
         solution = solve_anneal(topology, spec, cfg)
         # The greedy warm start reports its own evaluations, not anneal's.
         assert solution.states_examined == len(returned) - sum(warm_starts)
+
+
+def test_greedy_answers_with_the_best_state_it_scored(monkeypatch):
+    real_evaluate = solver_module.evaluate
+    scored = []
+
+    def recording_evaluate(*args):
+        report = real_evaluate(*args)
+        scored.append((args[2], report))
+        return report
+
+    monkeypatch.setattr(solver_module, "evaluate", recording_evaluate)
+    outcomes = set()
+    for seed in range(60):
+        topology, generated = random_instance(seed)
+        for factor in (0.03, 0.2, 0.47, 0.67, 2.0):
+            spec = replace(generated, budget=generated.budget * factor)
+            scored.clear()
+            solution = solve_greedy(topology, spec)
+            answer = (solution.placement, solution.report)
+            fits = [s for s in scored if s[1].feasible and s[1].total_cost <= spec.budget]
+            if fits:
+                assert answer == min(fits, key=solver_module._objective_key)
+            else:
+                def violation(state):
+                    placement, report = state
+                    return solver_module._violation_score(report, spec.budget), placement.encode()
+
+                assert answer == min(scored, key=violation)
+            assert solution.best_effort == (not fits)
+            outcomes.add(solution.best_effort)
+    assert outcomes == {False, True}
