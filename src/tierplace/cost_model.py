@@ -24,15 +24,18 @@ placement-independent counts, and `simulator.simulate` is the slot-by-slot
 replay it is tested against. `compile_instance` derives those counts, the
 routes and the reduction prefix once per problem into an `Instance`, and
 memoizes the last one by the identity of the topology, pipeline and
-scenario, so none of the three may be mutated after first use.
+scenario, so none of the three may be mutated after first use. The Instance
+in turn memoizes each report `evaluate` returns, keyed by validated plan.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 from .topology import Layer, Link, Route, Topology, TopologyError, route
 from .workload import Pipeline, Scenario, ServiceSpec, derive_active_streams, flow_profile
@@ -52,6 +55,7 @@ __all__ = [
 ]
 
 GB_PER_MBPS_SECOND = 1.0 / 8000.0
+REPORT_MEMO_CAP = 8192  # reports an Instance keeps: above anneal's ~6,750 default evaluations
 
 
 class InvalidPlacement(ValueError):
@@ -106,7 +110,7 @@ class CostReport:
     total_cost: float
     mean_latency_ms: float
     max_latency_ms: float
-    peak_cpu: dict[str, float]
+    peak_cpu: Mapping[str, float]  # read-only: evaluate shares one report per plan
     feasible: bool
     violations: tuple[Violation, ...]
 
@@ -268,7 +272,8 @@ class Instance:
     """Placement-independent data of one (topology, pipeline, scenario).
 
     Built by `compile_instance`: the fields set in __init__ on construction,
-    every other one on first use. Treat all of it as read-only.
+    every other one on first use. Treat it as read-only but for the memos:
+    `reports` maps up to REPORT_MEMO_CAP validated plans to `evaluate`'s reports.
     """
 
     def __init__(self, topology: Topology, pipeline: Pipeline, scenario: Scenario) -> None:
@@ -280,6 +285,7 @@ class Instance:
         # device -> number of active slots, in order of first activation
         self.activations = Counter(d for active in self.streams for d in active)
         self._routes: dict[str, dict[str, Route | None]] = {}  # sink -> device -> route
+        self.reports: dict[_Plan, CostReport] = {}
 
     @cached_property
     def peak_streams(self) -> dict[str, int]:
@@ -404,6 +410,22 @@ def check_budget(report: CostReport, budget: float) -> tuple[bool, float]:
 def evaluate(topology: Topology, spec: ServiceSpec, placement: Placement) -> CostReport:
     """Score a placement over the whole scenario in closed form, with no slot loop.
 
+    Every call validates the placement; a valid one's report is memoized in
+    the Instance by plan, not budget, so repeats and budget sweeps share it.
+    """
+    plan = resolve_placement(topology, spec.pipeline, placement)
+    instance = compile_instance(topology, spec)
+    report = instance.reports.get(plan)
+    if report is None:
+        report = _closed_form(instance, plan)
+        if len(instance.reports) < REPORT_MEMO_CAP:
+            instance.reports[plan] = report
+    return report
+
+
+def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
+    """The report of a validated plan, computed with no memo.
+
     Each active device adds its number of active slots times its per-stream
     network cost, usage cost and latency; each dispatching gateway adds the
     dispatch cost once and the penalty on the streams of its first slot. Peaks
@@ -416,12 +438,11 @@ def evaluate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Cos
     host and in its alloc check. Added up in the replay's order, not multiplied,
     they let `simulator.simulate` agree on every field, at a capacity boundary too.
     """
-    plan = resolve_placement(topology, spec.pipeline, placement)
-    instance = compile_instance(topology, spec)
+    topology = instance.topology
     paths = instance.paths(plan)
     prefix = instance.prefix
-    scenario = spec.scenario
-    stages = spec.pipeline.stages
+    scenario = instance.scenario
+    stages = instance.pipeline.stages
     share = scenario.slot_seconds / scenario.period_seconds
     src_rate = scenario.source_rate_mbps
     agg_speed = topology.node(plan.agg_id or plan.sink).speed
@@ -509,7 +530,7 @@ def evaluate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Cos
         total_cost=total_cost,
         mean_latency_ms=latency_sum / streams if streams else 0.0,
         max_latency_ms=max_latency,
-        peak_cpu=peak_cpu,
+        peak_cpu=MappingProxyType(peak_cpu),
         feasible=not violations,
         violations=tuple(violations),
     )

@@ -330,8 +330,9 @@ def solve_anneal(
     feasible in-budget one seen. The walk starts from the greedy
     construction (a deterministic warm start) at a temperature calibrated
     from 16 probe moves, cools geometrically, and stops at the temperature
-    floor or the wall-clock budget. With a fixed seed the run is fully
-    deterministic whenever the schedule completes inside the time budget.
+    floor or the wall-clock budget, which cuts the probes short too. With a
+    fixed seed the run is fully deterministic whenever the schedule completes
+    inside the time budget.
     """
     cfg = cfg or SolverConfig(kind="anneal")
     start = time.monotonic()
@@ -386,6 +387,8 @@ def solve_anneal(
 
     deltas = []
     for _ in range(16):
+        if time.monotonic() >= deadline:
+            break
         probe = propose(state)
         if probe is None:
             continue

@@ -1,5 +1,6 @@
-"""The compiled per-problem Instance: its memo, the sorted nearest-device
-index, and a count-based guard against re-deriving placement-independent data."""
+"""The compiled per-problem Instance: its memo and report memo, the sorted
+nearest-device index, and a count-based guard against re-deriving
+placement-independent data."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import tierplace.cost_model as cost_model
+import tierplace.solver as solver_module
 from tierplace import (
     InvalidPlacement,
     Layer,
@@ -26,12 +28,16 @@ from tierplace import (
     TopologyError,
     derive_active_streams,
     evaluate,
+    mini_bundle,
     nearest_device,
+    save_bundle,
     simulate,
     solve_anneal,
+    solve_exhaustive,
     summarize,
     synth_bundle,
 )
+from tierplace.cli import main
 from tierplace.cost_model import compile_instance
 from tierplace.topology import nearest_device_index
 from _instances import baseline_placement, random_instance, random_placement
@@ -83,6 +89,70 @@ def test_mutating_derived_streams_changes_nothing(cold_memo, mini, mini_spec, p1
     streams.append(["cam3"])
     assert evaluate(mini.topology, mini_spec, p1) == before
     assert derive_active_streams(mini.topology, mini.scenario) == [["cam1"], ["cam3"]]
+
+
+def test_report_memo_still_rejects_an_int_layer_twin(cold_memo, mini, mini_spec, p1):
+    assert evaluate(mini.topology, mini_spec, p1).feasible
+    twin = replace(p1, layer_of=tuple(map(int, p1.layer_of)))
+    assert twin == p1 and hash(twin) == hash(p1)  # a memo keyed by Placement would hit
+    for _ in range(2):
+        with pytest.raises(InvalidPlacement, match="layer_of entries must be layers"):
+            evaluate(mini.topology, mini_spec, twin)
+    # A set predeploy makes the placement unhashable; it is still scored.
+    as_set = replace(p1, predeploy=set(p1.predeploy))
+    assert evaluate(mini.topology, mini_spec, as_set) == evaluate(mini.topology, mini_spec, p1)
+
+
+def test_shared_reports_are_read_only(cold_memo, mini, mini_spec, p1):
+    report = evaluate(mini.topology, mini_spec, p1)
+    expected = dict(report.peak_cpu)
+    with pytest.raises(TypeError):
+        report.peak_cpu["gw1"] = 0.0
+    with pytest.raises(TypeError):
+        del report.peak_cpu["gw1"]
+    again = evaluate(mini.topology, mini_spec, p1)
+    assert again == report and again.peak_cpu == expected
+    cost_model._memo = None
+    assert evaluate(mini.topology, mini_spec, p1) == report
+
+
+def test_report_memo_is_capped_and_changes_no_answer(cold_memo, monkeypatch):
+    topology, spec = random_instance(3)
+    instance = compile_instance(topology, spec)
+    monkeypatch.setattr(cost_model, "REPORT_MEMO_CAP", 10)
+    capped = solve_exhaustive(topology, spec)
+    assert capped.states_examined > 10
+    assert len(instance.reports) == 10
+    again = solve_exhaustive(topology, spec)  # a full memo: hits and misses mixed
+    assert len(instance.reports) == 10
+    cost_model._memo = None
+    monkeypatch.setattr(cost_model, "REPORT_MEMO_CAP", 0)
+    uncached = solve_exhaustive(topology, spec)
+    assert compile_instance(topology, spec).reports == {}
+    for solution in (capped, again):
+        assert replace(solution, elapsed_ms=0.0) == replace(uncached, elapsed_ms=0.0)
+
+
+def test_sweep_scores_each_distinct_placement_once(cold_memo, monkeypatch, tmp_path):
+    bundle_path = tmp_path / "mini.json"
+    save_bundle(mini_bundle(), bundle_path)
+    real_closed_form, real_evaluate = cost_model._closed_form, solver_module.evaluate
+    scored, evaluated = [], []
+
+    def counting_closed_form(instance, plan):
+        scored.append(plan)
+        return real_closed_form(instance, plan)
+
+    def counting_evaluate(*args):
+        evaluated.append(real_evaluate(*args))
+        return evaluated[-1]
+
+    monkeypatch.setattr(cost_model, "_closed_form", counting_closed_form)
+    monkeypatch.setattr(solver_module, "evaluate", counting_evaluate)
+    budgets = ["0.1", "1.95", "2.5"]
+    assert main(["sweep", str(bundle_path), "--solver", "exhaustive", "--budgets", *budgets]) == 0
+    assert len(scored) == len(set(scored)) > 0
+    assert len(evaluated) == len(budgets) * len(scored)
 
 
 @settings(max_examples=300)

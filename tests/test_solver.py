@@ -206,6 +206,18 @@ def test_anneal_is_deterministic(mini, mini_spec):
     assert a.states_examined == b.states_examined
 
 
+def test_anneal_with_no_time_left_returns_its_warm_start(mini, mini_spec):
+    # The deadline has passed once greedy returns: the probes stop too, so only
+    # the warm start's own state is scored.
+    for topology, spec in [(mini.topology, mini_spec), random_instance(4)]:
+        warm = solve_greedy(topology, spec)
+        cfg = SolverConfig(kind="anneal", seed=1, time_budget_ms=0.0)
+        solution = solve_anneal(topology, spec, cfg)
+        assert solution.states_examined == 1
+        assert solution.placement == warm.placement
+        assert solution.report == warm.report
+
+
 def test_anneal_solutions_respect_constraints():
     for seed in (3, 11, 27):
         topology, spec = random_instance(seed, max_gateways=10)
