@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .cost_model import CostReport, Placement
@@ -65,76 +66,6 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _node_to_json(node: Node) -> dict:
-    return {
-        "id": node.id,
-        "layer": node.layer.label,
-        "parent": node.parent,
-        "capacity_cpu": node.capacity_cpu,
-        "cpu_cost_rate": node.cpu_cost_rate,
-        "speed": node.speed,
-        "location": list(node.location) if node.location is not None else None,
-    }
-
-
-def _node_from_json(data: dict) -> Node:
-    location = data.get("location")
-    return Node(
-        id=str(data["id"]),
-        layer=Layer.from_label(data["layer"]),
-        parent=data.get("parent"),
-        capacity_cpu=_number(data.get("capacity_cpu", 0.0), "capacity_cpu"),
-        cpu_cost_rate=_number(data.get("cpu_cost_rate", 0.0), "cpu_cost_rate"),
-        speed=_number(data.get("speed", 1.0), "speed"),
-        location=_point(location, "location") if location else None,
-    )
-
-
-def _link_to_json(link: Link) -> dict:
-    return {
-        "src": link.src,
-        "dst": link.dst,
-        "latency_ms": link.latency_ms,
-        "traffic_cost_rate": link.traffic_cost_rate,
-        "bandwidth_mbps": link.bandwidth_mbps,
-    }
-
-
-def _link_from_json(data: dict) -> Link:
-    bandwidth = data.get("bandwidth_mbps")
-    return Link(
-        src=str(data["src"]),
-        dst=str(data["dst"]),
-        latency_ms=_number(data.get("latency_ms", 0.0), "latency_ms"),
-        traffic_cost_rate=_number(data.get("traffic_cost_rate", 0.0), "traffic_cost_rate"),
-        bandwidth_mbps=_number(bandwidth, "bandwidth_mbps") if bandwidth is not None else None,
-    )
-
-
-def _stage_to_json(stage: Stage) -> dict:
-    return {
-        "name": stage.name,
-        "cpu_per_unit": stage.cpu_per_unit,
-        "reduction": stage.reduction,
-        "base_ms": stage.base_ms,
-        "deploy_cost": stage.deploy_cost,
-        "dispatch_cost": stage.dispatch_cost,
-        "dispatch_penalty_ms": stage.dispatch_penalty_ms,
-    }
-
-
-def _stage_from_json(data: dict) -> Stage:
-    return Stage(
-        name=str(data["name"]),
-        cpu_per_unit=_number(data["cpu_per_unit"], "cpu_per_unit"),
-        reduction=_number(data["reduction"], "reduction"),
-        base_ms=_number(data.get("base_ms", 0.0), "base_ms"),
-        deploy_cost=_number(data.get("deploy_cost", 0.0), "deploy_cost"),
-        dispatch_cost=_number(data.get("dispatch_cost", 0.0), "dispatch_cost"),
-        dispatch_penalty_ms=_number(data.get("dispatch_penalty_ms", 0.0), "dispatch_penalty_ms"),
-    )
-
-
 def _integer(value, field: str) -> int:
     """A JSON integer as is: int() would truncate 2.7 and accept true or "3"."""
     if type(value) is not int:
@@ -150,7 +81,17 @@ def _number(value, field: str) -> float:
 
 
 def _point(value, field: str) -> tuple[float, float]:
+    if type(value) is not list or len(value) != 2:
+        raise BundleError(f"{field} must be two numbers or null, not {value!r}")
     return _number(value[0], field), _number(value[1], field)
+
+
+def _text(value, field: str) -> str:
+    return str(value)
+
+
+def _same(value):
+    return value
 
 
 def _slot_to_json(slot: Slot) -> dict:
@@ -160,33 +101,68 @@ def _slot_to_json(slot: Slot) -> dict:
 
 
 def _slot_from_json(data: dict) -> Slot:
+    if type(data) is not dict:
+        raise BundleError(f"slot must be a JSON object, not {data!r}")
     has_target = data.get("target") is not None
     has_devices = data.get("devices") is not None
     if has_target == has_devices:
         raise BundleError("slot must carry exactly one of 'devices' or 'target'")
     if has_target:
-        target = data["target"]
-        return Slot.at(*_point(target, "target"))
+        return Slot.at(*_point(data["target"], "target"))
     return Slot.explicit(str(d) for d in data["devices"])
+
+
+# Per record field: the JSON type whose values are kept as they are, the
+# loader of any other value, and the dumper. A field not listed is a number.
+_TEXT = (str, _text, _same)
+_INTEGER = (int, _integer, _same)
+_CODECS = {
+    "id": _TEXT,
+    "src": _TEXT,
+    "dst": _TEXT,
+    "name": _TEXT,
+    "parent": _TEXT,
+    "layer": (None, lambda value, field: Layer.from_label(value), lambda layer: layer.label),
+    "location": (None, _point, lambda point: None if point is None else list(point)),
+    "aggregation_index": _INTEGER,
+    "seed": _INTEGER,
+    "stages": (None, lambda value, field: tuple(_load(Stage, s) for s in value),
+               lambda stages: [_dump(s) for s in stages]),
+    "slots": (None, lambda value, field: tuple(_slot_from_json(s) for s in value),
+              lambda slots: [_slot_to_json(s) for s in slots]),
+}
+# Record class -> [(field name, default, kept type, load, dump)] in field order.
+_FIELDS = {
+    cls: [(f.name, f.default, *_CODECS.get(f.name, (float, _number, _same))) for f in fields(cls)]
+    for cls in (Node, Link, Stage, Pipeline, Scenario)
+}
+
+
+def _dump(record) -> dict:
+    return {name: dump(getattr(record, name)) for name, _, _, _, dump in _FIELDS[type(record)]}
+
+
+def _load(cls, data: dict):
+    """One record from its JSON object. A missing key, or the default itself
+    (null for an optional field), takes the field's default."""
+    if type(data) is not dict:
+        raise BundleError(f"{cls.__name__.lower()} must be a JSON object, not {data!r}")
+    args = []
+    for name, default, kept, load, _ in _FIELDS[cls]:
+        value = data[name] if default is MISSING else data.get(name, default)
+        args.append(value if value is default or type(value) is kept else load(value, name))
+    return cls(*args)  # positional: a keyword call from a dict costs more
 
 
 def bundle_to_json(bundle: ScenarioBundle) -> dict:
     out = {
         "topology": {
-            "nodes": [_node_to_json(n) for n in bundle.topology.node_list],
-            "tree_links": [_link_to_json(l) for l in bundle.topology.tree_link_list],
-            "dc_links": [_link_to_json(l) for l in bundle.topology.dc_link_list],
+            "nodes": [_dump(n) for n in bundle.topology.node_list],
+            "tree_links": [_dump(l) for l in bundle.topology.tree_link_list],
+            "dc_links": [_dump(l) for l in bundle.topology.dc_link_list],
         },
-        "pipeline": {
-            "stages": [_stage_to_json(s) for s in bundle.pipeline.stages],
-            "aggregation_index": bundle.pipeline.aggregation_index,
-        },
-        "scenario": {
-            "slot_seconds": bundle.scenario.slot_seconds,
-            "slots": [_slot_to_json(s) for s in bundle.scenario.slots],
-            "source_rate_mbps": bundle.scenario.source_rate_mbps,
-            "seed": bundle.scenario.seed,
-        },
+        "pipeline": _dump(bundle.pipeline),
+        "scenario": _dump(bundle.scenario),
         "budget": bundle.budget,
     }
     if bundle.solver is not None:
@@ -197,36 +173,21 @@ def bundle_to_json(bundle: ScenarioBundle) -> dict:
 def bundle_from_json(data: dict) -> ScenarioBundle:
     try:
         topo = data["topology"]
-        topology = Topology(
-            nodes=[_node_from_json(n) for n in topo["nodes"]],
-            tree_links=[_link_from_json(l) for l in topo.get("tree_links", [])],
-            dc_links=[_link_from_json(l) for l in topo.get("dc_links", [])],
+        return ScenarioBundle(
+            topology=Topology(
+                nodes=[_load(Node, n) for n in topo["nodes"]],
+                tree_links=[_load(Link, l) for l in topo.get("tree_links", [])],
+                dc_links=[_load(Link, l) for l in topo.get("dc_links", [])],
+            ),
+            pipeline=_load(Pipeline, data["pipeline"]),
+            scenario=_load(Scenario, data["scenario"]),
+            budget=_number(data["budget"], "budget"),
+            solver=data.get("solver"),
         )
-        pipe = data["pipeline"]
-        pipeline = Pipeline(
-            stages=tuple(_stage_from_json(s) for s in pipe["stages"]),
-            aggregation_index=_integer(pipe["aggregation_index"], "aggregation_index"),
-        )
-        scen = data["scenario"]
-        scenario = Scenario(
-            slot_seconds=_number(scen["slot_seconds"], "slot_seconds"),
-            slots=tuple(_slot_from_json(s) for s in scen["slots"]),
-            source_rate_mbps=_number(scen["source_rate_mbps"], "source_rate_mbps"),
-            seed=_integer(scen.get("seed", 0), "seed"),
-        )
-        budget = _number(data["budget"], "budget")
-        solver = data.get("solver")
     except BundleError:
         raise
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise BundleError(f"malformed bundle: {exc}") from exc
-    return ScenarioBundle(
-        topology=topology,
-        pipeline=pipeline,
-        scenario=scenario,
-        budget=budget,
-        solver=solver,
-    )
 
 
 def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
@@ -274,14 +235,14 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     elif defaults:
         if "kind" in defaults and defaults["kind"] not in SOLVER_KINDS:
             violations.append(("invalid solver value", "kind"))
-        bounds = {  # field -> (accepted types, lowest value)
-            "time_budget_ms": ((int, float), 0),
-            "seed": ((int,), 0),
-            "max_states": ((int,), 1),
+        bounds = {  # field -> (accepted types, lowest value, highest value)
+            "time_budget_ms": ((int, float), 0, sys.float_info.max),  # solve takes a float
+            "seed": ((int,), 0, math.inf),
+            "max_states": ((int,), 1, math.inf),
         }
-        for field, (types, low) in bounds.items():
+        for field, (types, low, high) in bounds.items():
             value = defaults.get(field, low)
-            if type(value) not in types or not low <= value < math.inf:
+            if type(value) not in types or not low <= value <= high:
                 violations.append(("invalid solver value", field))
         # Keys no solver setting reads would otherwise be dropped without a word.
         for key in sorted(set(defaults) - set(bounds) - {"kind"}):
@@ -289,12 +250,15 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     return violations
 
 
-def load_bundle(path: str | Path) -> ScenarioBundle:
-    raw = Path(path).read_text(encoding="utf-8")
+def _read_json(path: str | Path):
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise BundleError(f"not valid JSON: {path}: {exc}") from exc
+
+
+def load_bundle(path: str | Path) -> ScenarioBundle:
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise BundleError(f"bundle must be a JSON object: {path}")
     return bundle_from_json(data)
@@ -329,11 +293,7 @@ def placement_from_json(data: dict) -> Placement:
 
 def load_placement(path: str | Path) -> Placement:
     """Read a placement file; solution files (with a 'placement' key) also work."""
-    raw = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise BundleError(f"not valid JSON: {path}: {exc}") from exc
+    data = _read_json(path)
     if isinstance(data, dict) and "placement" in data:
         data = data["placement"]
     if not isinstance(data, dict):

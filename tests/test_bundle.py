@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -147,9 +148,9 @@ def test_synth_bundle_rejects_bad_counts():
 
 def test_node_json_keeps_optional_fields():
     node = Node("x", Layer.EDGE, capacity_cpu=1.0)
-    from tierplace.bundle import _node_from_json, _node_to_json
+    from tierplace.bundle import _dump, _load
 
-    assert _node_from_json(_node_to_json(node)) == node
+    assert _load(Node, _dump(node)) == node
 
 
 def _number_paths(value, path=()):
@@ -227,6 +228,7 @@ def test_validate_bundle_checks_solver_defaults(mini):
         ({"seed": -1}, ("invalid solver value", "seed")),
         ({"max_states": 0}, ("invalid solver value", "max_states")),
         ({"max_states": 2.5}, ("invalid solver value", "max_states")),
+        ({"time_budget_ms": 10**400}, ("invalid solver value", "time_budget_ms")),
     ]
     for defaults, violation in cases:
         assert validate_bundle(replace(mini, solver=defaults)) == [violation]
@@ -244,3 +246,91 @@ def test_validate_bundle_rejects_unknown_solver_keys(mini):
         ("invalid solver value", "max_states"),
         ("invalid solver value", "time_budget"),
     ]
+
+
+@pytest.mark.parametrize(
+    "make, digest",
+    [
+        (mini_bundle, "ef30b9f81497887ce575a498ef44d128ef3cc816053d15fe80ce25091befce94"),
+        (
+            lambda: synth_bundle(8, 10, seed=1),
+            "fd55e9de9fbfaddb3f387dc0f35a2fe40bfce64138a3d88d5fa378eb5af02ae0",
+        ),
+        (
+            lambda: synth_bundle(200, 50),
+            "34f7e6950c415c100717c7b52d98b678768d014b71c48c1f9f14f69a1378baa7",
+        ),
+    ],
+)
+def test_bundle_files_are_byte_pinned(make, digest):
+    text = dumps(bundle_to_json(make()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+    assert dumps(bundle_to_json(bundle_from_json(json.loads(text)))) == text
+
+
+def _every_path(value, path=()):
+    """Key paths of value itself and of every object, array and scalar inside it."""
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _every_path(child, path + (key,))
+
+
+def _replaced(data, path, value):
+    """A deep copy of data with the item at path replaced by value."""
+    if not path:
+        return value
+    data = json.loads(json.dumps(data))
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("bad", [None, True, 5, "x", [], {}])
+def test_any_json_value_anywhere_loads_or_is_a_bundle_error(bad):
+    base = bundle_to_json(_every_field_bundle())
+    paths = list(_every_path(base))
+    assert len(paths) > 100
+    for path in paths:
+        try:
+            bundle = bundle_from_json(_replaced(base, path, bad))
+        except BundleError:
+            continue
+        assert isinstance(validate_bundle(bundle), list), path
+
+
+def test_non_object_records_and_parents_are_caught():
+    base = bundle_to_json(mini_bundle())
+    for path in [("topology", "nodes", 0), ("topology", "tree_links", 0),
+                 ("topology", "dc_links", 0), ("pipeline", "stages", 0),
+                 ("scenario", "slots", 0), ("pipeline",), ("scenario",)]:
+        for bad in (5, "x", None, True, []):
+            with pytest.raises(BundleError, match="must be a JSON object"):
+                bundle_from_json(_replaced(base, path, bad))
+    for path in [("topology", "nodes"), ("pipeline", "stages"), ("scenario", "slots")]:
+        with pytest.raises(BundleError, match="must be a JSON object"):
+            bundle_from_json(_replaced(base, path, "abc"))
+    for bad in ([], {}, 5):
+        bundle = bundle_from_json(_replaced(base, ("topology", "nodes", 3, "parent"), bad))
+        assert ("unknown parent", "gw1") in validate_bundle(bundle)
+
+
+@pytest.mark.parametrize(
+    "path", [("topology", "nodes", 0, "location"), ("scenario", "slots", -1, "target")]
+)
+@pytest.mark.parametrize("bad", [[1.0, 2.0, 3.0], [1.0], [], {}, "xy", 0, False])
+def test_coordinates_are_exactly_two_numbers(path, bad):
+    base = bundle_to_json(_every_field_bundle())
+    with pytest.raises(BundleError, match="two numbers"):
+        bundle_from_json(_replaced(base, path, bad))
+
+
+def test_null_location_means_none():
+    base = bundle_to_json(_every_field_bundle())
+    bundle = bundle_from_json(_replaced(base, ("topology", "nodes", 0, "location"), None))
+    assert bundle.topology.nodes["cam1"].location is None
+    del base["topology"]["nodes"][0]["location"]
+    assert bundle_from_json(base).topology.nodes["cam1"].location is None

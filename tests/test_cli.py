@@ -238,6 +238,7 @@ def test_non_finite_gen_step_exits_3(tmp_path):
         ({"kind": "anneal", "time_budget_ms": float("nan")}, "time_budget_ms"),
         ({"seed": "abc"}, "seed"),
         ({"max_states": 0}, "max_states"),
+        ({"kind": "anneal", "time_budget_ms": 10**400}, "time_budget_ms"),
     ],
 )
 def test_invalid_solver_defaults_exit_3(tmp_path, capsys, defaults, field):
@@ -307,3 +308,36 @@ def test_unknown_solver_defaults_exit_3(tmp_path, capsys):
     assert all(key in out for key in ("cooling", "iters_per_temp", "unknown"))
     assert main(["solve", str(path)]) == 3
     assert "unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("topology", "nodes", 0), "x", "node must be a JSON object"),
+        (("topology", "nodes"), "abc", "node must be a JSON object"),
+        (("scenario", "slots", 1), None, "slot must be a JSON object"),
+        (("pipeline", "stages", 0), [], "stage must be a JSON object"),
+        (("topology", "nodes", 3, "parent"), [], "unknown parent"),
+        (("topology", "nodes", 0, "location"), [1, 2, 3], "location"),
+    ],
+)
+def test_malformed_records_exit_3(tmp_path, capsys, path, value, message):
+    data = json.loads(dumps(bundle_to_json(mini_bundle())))
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    bundle_path = tmp_path / "bundle.json"
+    bundle_path.write_text(json.dumps(data), encoding="utf-8")
+    for command in ("validate", "solve"):
+        assert main([command, str(bundle_path)]) == 3
+        assert message in "".join(capsys.readouterr())
+
+
+def test_non_utf8_files_exit_3(mini_path, tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"topology": "\xff"}')
+    assert main(["validate", str(path)]) == 3
+    assert main(["solve", str(path)]) == 3
+    assert main(["simulate", mini_path, str(path)]) == 3
+    assert capsys.readouterr().err.count("not valid JSON") == 3
