@@ -90,52 +90,15 @@ def _text(value, field: str) -> str:
     return str(value)
 
 
-def _same(value):
+def _list(value, field: str) -> list:
+    """A JSON array as is: iterating an object would read its keys, a string its characters."""
+    if type(value) is not list:
+        raise BundleError(f"{field} must be a JSON array, not {value!r}")
     return value
 
 
-def _slot_to_json(slot: Slot) -> dict:
-    if slot.target is not None:
-        return {"target": list(slot.target)}
-    return {"devices": list(slot.devices or ())}
-
-
-def _slot_from_json(data: dict) -> Slot:
-    if type(data) is not dict:
-        raise BundleError(f"slot must be a JSON object, not {data!r}")
-    has_target = data.get("target") is not None
-    has_devices = data.get("devices") is not None
-    if has_target == has_devices:
-        raise BundleError("slot must carry exactly one of 'devices' or 'target'")
-    if has_target:
-        return Slot.at(*_point(data["target"], "target"))
-    return Slot.explicit(str(d) for d in data["devices"])
-
-
-# Per record field: the JSON type whose values are kept as they are, the
-# loader of any other value, and the dumper. A field not listed is a number.
-_TEXT = (str, _text, _same)
-_INTEGER = (int, _integer, _same)
-_CODECS = {
-    "id": _TEXT,
-    "src": _TEXT,
-    "dst": _TEXT,
-    "name": _TEXT,
-    "parent": _TEXT,
-    "layer": (None, lambda value, field: Layer.from_label(value), lambda layer: layer.label),
-    "location": (None, _point, lambda point: None if point is None else list(point)),
-    "aggregation_index": _INTEGER,
-    "seed": _INTEGER,
-    "stages": (None, lambda value, field: tuple(_load(Stage, s) for s in value),
-               lambda stages: [_dump(s) for s in stages]),
-    "slots": (None, lambda value, field: tuple(_slot_from_json(s) for s in value),
-              lambda slots: [_slot_to_json(s) for s in slots]),
-}
-# Record class -> [(field name, default, kept type, load, dump)] in field order.
-_FIELDS = {
-    cls: [(f.name, f.default, *_CODECS.get(f.name, (float, _number, _same))) for f in fields(cls)]
-    for cls in (Node, Link, Stage, Pipeline, Scenario)
-}
+def _same(value):
+    return value
 
 
 def _dump(record) -> dict:
@@ -152,6 +115,60 @@ def _load(cls, data: dict):
         value = data[name] if default is MISSING else data.get(name, default)
         args.append(value if value is default or type(value) is kept else load(value, name))
     return cls(*args)  # positional: a keyword call from a dict costs more
+
+
+def _slot_to_json(slot: Slot) -> dict:
+    if slot.target is not None:
+        return {"target": list(slot.target)}
+    return {"devices": list(slot.devices or ())}
+
+
+def _slot_from_json(data: dict) -> Slot:
+    slot = _load(Slot, data)
+    if (slot.target is None) == (slot.devices is None):
+        raise BundleError("slot must carry exactly one of 'devices' or 'target'")
+    return slot if slot.devices is None else Slot.explicit(slot.devices)
+
+
+def _array(load_item, dump_item=_same):
+    """The codec of a list field: a JSON array loaded item by item into a tuple."""
+    return (None, lambda value, field: tuple(map(load_item, _list(value, field))),
+            lambda items: [dump_item(item) for item in items])
+
+
+# Per record field: the JSON type whose values are kept as they are, the
+# loader of any other value, and the dumper. A field not listed is a number.
+_TEXT = (str, _text, _same)
+_INTEGER = (int, _integer, _same)
+_POINT = (None, _point, lambda point: None if point is None else list(point))
+_CODECS = {
+    "id": _TEXT,
+    "src": _TEXT,
+    "dst": _TEXT,
+    "name": _TEXT,
+    "parent": _TEXT,
+    "agg_node": _TEXT,
+    "sink_dc": _TEXT,
+    "layer": (None, lambda value, field: Layer.from_label(value), lambda layer: layer.label),
+    "location": _POINT,
+    "target": _POINT,
+    "aggregation_index": _INTEGER,
+    "seed": _INTEGER,
+    "alloc": _INTEGER,
+    "stages": _array(lambda stage: _load(Stage, stage), _dump),
+    "slots": _array(_slot_from_json, _slot_to_json),
+    "devices": _array(str),
+    "layer_of": _array(Layer.from_label, lambda layer: layer.label),
+    "predeploy": (None, lambda value, field: frozenset(map(str, _list(value, field))), sorted),
+    "peak_cpu": (None, None, dict),  # report fields are only dumped
+    "violations": (None, None, lambda violations: [
+        {"kind": v.kind, "id": v.ident, "magnitude": v.magnitude} for v in violations]),
+}
+# Record class -> [(field name, default, kept type, load, dump)] in field order.
+_FIELDS = {
+    cls: [(f.name, f.default, *_CODECS.get(f.name, (float, _number, _same))) for f in fields(cls)]
+    for cls in (Node, Link, Stage, Pipeline, Scenario, Slot, Placement, CostReport)
+}
 
 
 def bundle_to_json(bundle: ScenarioBundle) -> dict:
@@ -175,9 +192,10 @@ def bundle_from_json(data: dict) -> ScenarioBundle:
         topo = data["topology"]
         return ScenarioBundle(
             topology=Topology(
-                nodes=[_load(Node, n) for n in topo["nodes"]],
-                tree_links=[_load(Link, l) for l in topo.get("tree_links", [])],
-                dc_links=[_load(Link, l) for l in topo.get("dc_links", [])],
+                nodes=[_load(Node, n) for n in _list(topo["nodes"], "nodes")],
+                tree_links=[_load(Link, l)
+                            for l in _list(topo.get("tree_links", []), "tree_links")],
+                dc_links=[_load(Link, l) for l in _list(topo.get("dc_links", []), "dc_links")],
             ),
             pipeline=_load(Pipeline, data["pipeline"]),
             scenario=_load(Scenario, data["scenario"]),
@@ -269,25 +287,13 @@ def save_bundle(bundle: ScenarioBundle, path: str | Path) -> None:
 
 
 def placement_to_json(placement: Placement) -> dict:
-    return {
-        "layer_of": [layer.label for layer in placement.layer_of],
-        "agg_node": placement.agg_node,
-        "sink_dc": placement.sink_dc,
-        "predeploy": sorted(placement.predeploy),
-        "alloc": placement.alloc,
-    }
+    return _dump(placement)
 
 
 def placement_from_json(data: dict) -> Placement:
     try:
-        return Placement(
-            layer_of=tuple(Layer.from_label(l) for l in data.get("layer_of", [])),
-            agg_node=data.get("agg_node"),
-            sink_dc=data.get("sink_dc"),
-            predeploy=frozenset(str(g) for g in data.get("predeploy", [])),
-            alloc=_integer(data.get("alloc", 0), "alloc"),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
+        return _load(Placement, data)
+    except (KeyError, ValueError) as exc:
         raise BundleError(f"malformed placement: {exc}") from exc
 
 
@@ -296,27 +302,11 @@ def load_placement(path: str | Path) -> Placement:
     data = _read_json(path)
     if isinstance(data, dict) and "placement" in data:
         data = data["placement"]
-    if not isinstance(data, dict):
-        raise BundleError(f"placement must be a JSON object: {path}")
     return placement_from_json(data)
 
 
 def report_to_json(report: CostReport) -> dict:
-    return {
-        "server_cost": report.server_cost,
-        "network_cost": report.network_cost,
-        "deploy_cost": report.deploy_cost,
-        "dispatch_cost": report.dispatch_cost,
-        "total_cost": report.total_cost,
-        "mean_latency_ms": report.mean_latency_ms,
-        "max_latency_ms": report.max_latency_ms,
-        "peak_cpu": dict(sorted(report.peak_cpu.items())),
-        "feasible": report.feasible,
-        "violations": [
-            {"kind": v.kind, "id": v.ident, "magnitude": v.magnitude}
-            for v in report.violations
-        ],
-    }
+    return _dump(report)
 
 
 def solution_to_json(solution: Solution) -> dict:

@@ -229,13 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("bundle")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("solve", help="optimize a placement for a bundle")
+    solver_options = argparse.ArgumentParser(add_help=False)
+    solver_options.add_argument("--solver", choices=SOLVER_KINDS, default=None)
+    solver_options.add_argument("--seed", type=_at_least(int, 0), default=None)
+    solver_options.add_argument("--time-budget-ms", type=_at_least(float, 0), default=None)
+    solver_options.add_argument("--max-states", type=_at_least(int, 1), default=None)
+
+    p = sub.add_parser("solve", help="optimize a placement for a bundle", parents=[solver_options])
     p.add_argument("bundle")
-    p.add_argument("--solver", choices=SOLVER_KINDS, default=None)
     p.add_argument("--budget", type=_at_least(float, 0), default=None)
-    p.add_argument("--seed", type=_at_least(int, 0), default=None)
-    p.add_argument("--time-budget-ms", type=_at_least(float, 0), default=None)
-    p.add_argument("--max-states", type=_at_least(int, 1), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -245,13 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sweep", help="solve across a list of budgets")
+    p = sub.add_parser("sweep", help="solve across a list of budgets", parents=[solver_options])
     p.add_argument("bundle")
     p.add_argument("--budgets", type=_at_least(float, 0), nargs="+", required=True)
-    p.add_argument("--solver", choices=SOLVER_KINDS, default=None)
-    p.add_argument("--seed", type=_at_least(int, 0), default=None)
-    p.add_argument("--time-budget-ms", type=_at_least(float, 0), default=None)
-    p.add_argument("--max-states", type=_at_least(int, 1), default=None)
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_sweep)
 

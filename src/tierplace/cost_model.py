@@ -31,6 +31,7 @@ in turn memoizes each report `evaluate` returns, keyed by validated plan.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -210,8 +211,10 @@ def resolve_placement(
         raise InvalidPlacement(
             "invalid placement: predeploy set requires a gateway-tier stage"
         )
-    if placement.alloc < 0 or int(placement.alloc) != placement.alloc:
-        raise InvalidPlacement("invalid placement: alloc must be a nonnegative integer")
+    # Above the largest float, alloc * cpu_cost_rate cannot be computed.
+    if not 0 <= placement.alloc <= sys.float_info.max or int(placement.alloc) != placement.alloc:
+        raise InvalidPlacement("invalid placement: alloc must be a nonnegative integer "
+                               "no larger than the largest float")
 
     positions = tuple(
         int(layers[k]) if k < pre_count else agg_pos for k in range(len(stages))

@@ -3,21 +3,32 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tierplace import (
     BundleError,
+    CostReport,
+    InvalidPlacement,
     Layer,
+    Link,
     Node,
+    Pipeline,
+    Placement,
+    Scenario,
     Slot,
+    SolverConfig,
+    Stage,
     Topology,
+    evaluate,
     load_bundle,
     load_placement,
     mini_bundle,
     save_bundle,
+    simulate,
+    solve,
     synth_bundle,
     validate_bundle,
 )
@@ -27,6 +38,7 @@ from tierplace.bundle import (
     dumps,
     placement_from_json,
     placement_to_json,
+    solution_to_json,
 )
 
 
@@ -105,6 +117,12 @@ def test_slot_must_have_exactly_one_kind():
                 "budget": 1.0,
             }
         )
+
+
+def test_slot_devices_load_sorted_and_distinct():
+    base = bundle_to_json(mini_bundle())
+    data = _replaced(base, ("scenario", "slots", 0, "devices"), ["cam3", "cam1", "cam3"])
+    assert bundle_from_json(data).scenario.slots[0] == Slot.explicit(["cam1", "cam3"])
 
 
 def test_placement_round_trip(p1):
@@ -311,7 +329,7 @@ def test_non_object_records_and_parents_are_caught():
             with pytest.raises(BundleError, match="must be a JSON object"):
                 bundle_from_json(_replaced(base, path, bad))
     for path in [("topology", "nodes"), ("pipeline", "stages"), ("scenario", "slots")]:
-        with pytest.raises(BundleError, match="must be a JSON object"):
+        with pytest.raises(BundleError, match="must be a JSON array"):
             bundle_from_json(_replaced(base, path, "abc"))
     for bad in ([], {}, 5):
         bundle = bundle_from_json(_replaced(base, ("topology", "nodes", 3, "parent"), bad))
@@ -334,3 +352,64 @@ def test_null_location_means_none():
     assert bundle.topology.nodes["cam1"].location is None
     del base["topology"]["nodes"][0]["location"]
     assert bundle_from_json(base).topology.nodes["cam1"].location is None
+
+
+@pytest.mark.parametrize("bad", [None, True, 5, "x", [], {}, pytest.param(10**400, id="10**400")])
+def test_any_json_value_in_a_placement_file_loads_or_is_rejected(tmp_path, mini, bad):
+    spec = mini.service_spec()
+    solution = solve(mini.topology, spec, SolverConfig(kind="greedy"))
+    path = tmp_path / "placement.json"
+    for base in (solution_to_json(solution), placement_to_json(solution.placement)):
+        for at in _every_path(base):
+            path.write_text(json.dumps(_replaced(base, at, bad)), encoding="utf-8")
+            try:
+                placement = load_placement(path)
+            except BundleError:
+                continue
+            assert isinstance(placement, Placement), at
+            for score in (evaluate, simulate):
+                try:
+                    score(mini.topology, spec, placement)
+                except InvalidPlacement:
+                    pass
+
+
+def test_list_fields_must_be_json_arrays(p1):
+    """An object would read as its keys and a string as its characters."""
+    base = bundle_to_json(mini_bundle())
+    paths = [("topology", "nodes"), ("topology", "tree_links"), ("topology", "dc_links"),
+             ("pipeline", "stages"), ("scenario", "slots"), ("scenario", "slots", 0, "devices")]
+    for bad in ({"gw1": 1}, "gw1"):
+        for path in paths:
+            with pytest.raises(BundleError, match=f"{path[-1]} must be a JSON array"):
+                bundle_from_json(_replaced(base, path, bad))
+        for field in ("layer_of", "predeploy"):
+            with pytest.raises(BundleError, match=f"{field} must be a JSON array"):
+                placement_from_json(_replaced(placement_to_json(p1), (field,), bad))
+
+
+def test_every_codec_names_a_field_and_every_record_round_trips():
+    from tierplace.bundle import _CODECS, _FIELDS, _dump, _load
+
+    # _CODECS is keyed by field name alone: a renamed field would fall back to a number.
+    assert set(_CODECS) <= {name for table in _FIELDS.values() for name, *_ in table}
+    stage = Stage("s", cpu_per_unit=0.1, reduction=0.5, base_ms=1.0, deploy_cost=2.0,
+                  dispatch_cost=3.0, dispatch_penalty_ms=4.0)
+    records = [
+        Node("gw1", Layer.GATEWAY, parent="edge1", capacity_cpu=2.0, cpu_cost_rate=1.5,
+             speed=0.5, location=(1.0, 2.0)),
+        Link("gw1", "edge1", latency_ms=5.0, traffic_cost_rate=0.1, bandwidth_mbps=100.0),
+        stage,
+        Pipeline(stages=(stage,), aggregation_index=2),
+        Scenario(slot_seconds=60.0, slots=(Slot.explicit(["cam1"]), Slot.at(1.0, 2.0)),
+                 source_rate_mbps=8.0, seed=7),
+        Slot(devices=("cam1", "cam2"), target=(1.0, 2.0)),
+        Placement((Layer.GATEWAY,), agg_node="edge1", sink_dc="dc1",
+                  predeploy=frozenset({"gw1", "gw2"}), alloc=2),
+    ]
+    assert {type(record) for record in records} == set(_FIELDS) - {CostReport}
+    for record in records:
+        assert all(getattr(record, f.name) != f.default for f in fields(record)), record
+        text = dumps(_dump(record))
+        loaded = _load(type(record), json.loads(text))
+        assert loaded == record and dumps(_dump(loaded)) == text  # 2.0 == 2, "2.0" != "2"

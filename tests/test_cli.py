@@ -270,7 +270,7 @@ def test_non_integer_bundle_field_exits_3(tmp_path, capsys, section, field, valu
 
 def test_non_integer_alloc_exits_3(mini_path, tmp_path, capsys, p1):
     placement_path = tmp_path / "p1.json"
-    for value in (1.5, False, "1"):
+    for value in (1.5, False, "1", 10**400):
         data = placement_to_json(p1)
         data["alloc"] = value
         placement_path.write_text(dumps(data), encoding="utf-8")
@@ -314,7 +314,7 @@ def test_unknown_solver_defaults_exit_3(tmp_path, capsys):
     "path, value, message",
     [
         (("topology", "nodes", 0), "x", "node must be a JSON object"),
-        (("topology", "nodes"), "abc", "node must be a JSON object"),
+        (("topology", "nodes"), "abc", "nodes must be a JSON array"),
         (("scenario", "slots", 1), None, "slot must be a JSON object"),
         (("pipeline", "stages", 0), [], "stage must be a JSON object"),
         (("topology", "nodes", 3, "parent"), [], "unknown parent"),

@@ -21,6 +21,7 @@ from tierplace import (
     check_budget,
     evaluate,
     min_alloc,
+    simulate,
 )
 from _instances import random_instance, random_placement, reports_close, scale_costs
 
@@ -245,6 +246,13 @@ def test_invalid_placements_are_rejected(mini, mini_spec):
             mini_spec,
             Placement(layer_of=(), agg_node="dc1", sink_dc="dc1", alloc=1),
         )
+
+
+def test_alloc_no_float_can_hold_is_rejected(mini, mini_spec, p1):
+    """alloc * cpu_cost_rate would overflow, so both scorers refuse such a placement."""
+    for score in (evaluate, simulate):
+        with pytest.raises(InvalidPlacement, match="alloc"):
+            score(mini.topology, mini_spec, replace(p1, alloc=10**400))
 
 
 def test_non_monotone_layers_are_rejected(mini, mini_spec):
