@@ -131,9 +131,10 @@ def _slot_from_json(data: dict) -> Slot:
 
 
 def _array(load_item, dump_item=_same):
-    """The codec of a list field: a JSON array loaded item by item into a tuple."""
+    """The codec of a list field: a JSON array loaded item by item into a tuple.
+    An absent list (a target slot's devices) dumps as null."""
     return (None, lambda value, field: tuple(map(load_item, _list(value, field))),
-            lambda items: [dump_item(item) for item in items])
+            lambda items: None if items is None else [dump_item(item) for item in items])
 
 
 # Per record field: the JSON type whose values are kept as they are, the
@@ -271,7 +272,7 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
 def _read_json(path: str | Path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # also not UTF-8, or an integer too long to convert
         raise BundleError(f"not valid JSON: {path}: {exc}") from exc
 
 

@@ -25,7 +25,7 @@ replay it is tested against. `compile_instance` derives those counts, the
 routes and the reduction prefix once per problem into an `Instance`, and
 memoizes the last one by the identity of the topology, pipeline and
 scenario, so none of the three may be mutated after first use. The Instance
-in turn memoizes each report `evaluate` returns, keyed by validated plan.
+also keeps the outcome of each search state the solvers score, for every solve.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 GB_PER_MBPS_SECOND = 1.0 / 8000.0
-REPORT_MEMO_CAP = 8192  # reports an Instance keeps: above anneal's ~6,750 default evaluations
+REPORT_MEMO_CAP = 8192  # states an Instance keeps, invalid ones too; anneal scores ~6,750
 
 
 class InvalidPlacement(ValueError):
@@ -111,7 +111,7 @@ class CostReport:
     total_cost: float
     mean_latency_ms: float
     max_latency_ms: float
-    peak_cpu: Mapping[str, float]  # read-only: evaluate shares one report per plan
+    peak_cpu: Mapping[str, float]  # read-only: solutions share the reports an Instance keeps
     feasible: bool
     violations: tuple[Violation, ...]
 
@@ -276,7 +276,8 @@ class Instance:
 
     Built by `compile_instance`: the fields set in __init__ on construction,
     every other one on first use. Treat it as read-only but for the memos:
-    `reports` maps up to REPORT_MEMO_CAP validated plans to `evaluate`'s reports.
+    `scored` maps up to REPORT_MEMO_CAP solver states (layer vector, terminus,
+    predeploy set) to their evaluated (placement, report), or None if invalid.
     """
 
     def __init__(self, topology: Topology, pipeline: Pipeline, scenario: Scenario) -> None:
@@ -288,7 +289,7 @@ class Instance:
         # device -> number of active slots, in order of first activation
         self.activations = Counter(d for active in self.streams for d in active)
         self._routes: dict[str, dict[str, Route | None]] = {}  # sink -> device -> route
-        self.reports: dict[_Plan, CostReport] = {}
+        self.scored: dict[tuple, tuple[Placement, CostReport] | None] = {}
 
     @cached_property
     def peak_streams(self) -> dict[str, int]:
@@ -413,21 +414,15 @@ def check_budget(report: CostReport, budget: float) -> tuple[bool, float]:
 def evaluate(topology: Topology, spec: ServiceSpec, placement: Placement) -> CostReport:
     """Score a placement over the whole scenario in closed form, with no slot loop.
 
-    Every call validates the placement; a valid one's report is memoized in
-    the Instance by plan, not budget, so repeats and budget sweeps share it.
+    Every call validates the placement and computes its report afresh; the
+    solvers keep the reports of the states they score in `Instance.scored`.
     """
     plan = resolve_placement(topology, spec.pipeline, placement)
-    instance = compile_instance(topology, spec)
-    report = instance.reports.get(plan)
-    if report is None:
-        report = _closed_form(instance, plan)
-        if len(instance.reports) < REPORT_MEMO_CAP:
-            instance.reports[plan] = report
-    return report
+    return _closed_form(compile_instance(topology, spec), plan)
 
 
 def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
-    """The report of a validated plan, computed with no memo.
+    """The report of a validated plan.
 
     Each active device adds its number of active slots times its per-stream
     network cost, usage cost and latency; each dispatching gateway adds the

@@ -15,6 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 
+from . import cost_model
 # first_touch_slots, peak_aggregated_demand and derive_active_streams are not
 # called here but stay importable: perfbench/tracer.py wraps them in this module.
 from .cost_model import (  # noqa: F401
@@ -98,12 +99,13 @@ def _within(report: CostReport, budget: float) -> bool:
 class _Best:
     """Score search states for a solver: `score` is the only place in this module
     where a state becomes a placement and is evaluated. Keeps the best feasible
-    in-budget state, the least-violating fallback and how many evaluations returned."""
+    in-budget state, the least-violating fallback and how many valid states it scored."""
 
     def __init__(self, topology: Topology, spec: ServiceSpec) -> None:
         self.topology = topology
         self.spec = spec
-        self.min_reservation = compile_instance(topology, spec).min_reservation
+        self.instance = compile_instance(topology, spec)
+        self.min_reservation = self.instance.min_reservation
         self.best: tuple | None = None
         self.fallback: tuple | None = None
         self.offers = 0
@@ -115,23 +117,35 @@ class _Best:
         predeploy: frozenset[str] = frozenset(),
     ) -> tuple[Placement, CostReport] | None:
         """The evaluated placement of one state, or None when it is invalid.
-        The reservation is always the minimal covering value, never searched."""
-        agg_id, sink = terminus
-        alloc = self.min_reservation if agg_id else 0
-        placement = Placement(vector, agg_id, sink, predeploy, alloc)
-        try:
-            report = evaluate(self.topology, self.spec, placement)
-        except InvalidPlacement:
+        The reservation is always the minimal covering value, never searched.
+        The first solve of an instance to score a state keeps its outcome in
+        `Instance.scored` for every later one: a report does not depend on the
+        budget, and the solvers key states by Layer tuples and frozensets only."""
+        state, table = (vector, terminus, predeploy), self.instance.scored
+        outcome = table.get(state, False)
+        if outcome is False:
+            agg_id, sink = terminus
+            alloc = self.min_reservation if agg_id else 0
+            placement = Placement(vector, agg_id, sink, predeploy, alloc)
+            try:
+                outcome = placement, evaluate(self.topology, self.spec, placement)
+            except InvalidPlacement:
+                outcome = None
+            if len(table) < cost_model.REPORT_MEMO_CAP:
+                table[state] = outcome
+        if outcome is None:
             return None
+        placement, report = outcome
         self.offers += 1
+        encoding = placement.encode()
         if _within(report, self.spec.budget):
-            key = _objective_key((placement, report))
+            key = (report.mean_latency_ms, report.total_cost, encoding)  # _objective_key
             if self.best is None or key < self.best[0]:
                 self.best = (key, placement, report)
-        score_key = (_violation_score(report, self.spec.budget), placement.encode())
+        score_key = (_violation_score(report, self.spec.budget), encoding)
         if self.fallback is None or score_key < self.fallback[0]:
             self.fallback = (score_key, placement, report)
-        return placement, report
+        return outcome
 
     def solution(self, kind: str, elapsed_ms: float, states: int) -> Solution:
         if self.best is not None:

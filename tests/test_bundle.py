@@ -388,6 +388,14 @@ def test_list_fields_must_be_json_arrays(p1):
                 placement_from_json(_replaced(placement_to_json(p1), (field,), bad))
 
 
+def test_a_target_slot_dumps_and_loads_back():
+    from tierplace.bundle import _dump, _load
+
+    slot = Slot.at(1, 2)
+    assert _dump(slot) == {"devices": None, "target": [1.0, 2.0]}
+    assert _load(Slot, json.loads(dumps(_dump(slot)))) == slot
+
+
 def test_every_codec_names_a_field_and_every_record_round_trips():
     from tierplace.bundle import _CODECS, _FIELDS, _dump, _load
 

@@ -341,3 +341,19 @@ def test_non_utf8_files_exit_3(mini_path, tmp_path, capsys):
     assert main(["solve", str(path)]) == 3
     assert main(["simulate", mini_path, str(path)]) == 3
     assert capsys.readouterr().err.count("not valid JSON") == 3
+
+
+def test_integers_too_long_to_convert_exit_3(mini_path, tmp_path, capsys, p1):
+    # json.loads refuses an integer of more than 4300 digits with a bare ValueError.
+    huge = "9" * 5001
+    bundle_path, placement_path = tmp_path / "bundle.json", tmp_path / "placement.json"
+    data = bundle_to_json(mini_bundle())
+    data["budget"] = "HUGE"
+    bundle_path.write_text(dumps(data).replace('"HUGE"', huge), encoding="utf-8")
+    placement = placement_to_json(p1)
+    placement["alloc"] = "HUGE"
+    placement_path.write_text(dumps(placement).replace('"HUGE"', huge), encoding="utf-8")
+    assert main(["validate", str(bundle_path)]) == 3
+    assert main(["solve", str(bundle_path)]) == 3
+    assert main(["simulate", mini_path, str(placement_path)]) == 3
+    assert capsys.readouterr().err.count("not valid JSON") == 3

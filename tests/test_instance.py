@@ -32,11 +32,13 @@ from tierplace import (
     nearest_device,
     save_bundle,
     simulate,
+    solve,
     solve_anneal,
     solve_exhaustive,
     summarize,
     synth_bundle,
 )
+from tierplace.bundle import dumps, solution_to_json
 from tierplace.cli import main
 from tierplace.cost_model import compile_instance
 from tierplace.topology import nearest_device_index
@@ -122,15 +124,58 @@ def test_report_memo_is_capped_and_changes_no_answer(cold_memo, monkeypatch):
     monkeypatch.setattr(cost_model, "REPORT_MEMO_CAP", 10)
     capped = solve_exhaustive(topology, spec)
     assert capped.states_examined > 10
-    assert len(instance.reports) == 10
+    assert len(instance.scored) == 10
     again = solve_exhaustive(topology, spec)  # a full memo: hits and misses mixed
-    assert len(instance.reports) == 10
+    assert len(instance.scored) == 10
     cost_model._memo = None
     monkeypatch.setattr(cost_model, "REPORT_MEMO_CAP", 0)
     uncached = solve_exhaustive(topology, spec)
-    assert compile_instance(topology, spec).reports == {}
+    assert compile_instance(topology, spec).scored == {}
     for solution in (capped, again):
         assert replace(solution, elapsed_ms=0.0) == replace(uncached, elapsed_ms=0.0)
+
+
+def test_scored_states_change_no_answer(cold_memo, monkeypatch):
+    """Each solver writes the same solution file, states_examined included, on a
+    cold instance, on one the other two solvers warmed, and with no table at
+    all; a cold solve evaluates each distinct state at most once."""
+    configs = {
+        "exhaustive": SolverConfig(kind="exhaustive"),
+        "greedy": SolverConfig(kind="greedy"),
+        "anneal": SolverConfig(
+            kind="anneal", seed=5, time_budget_ms=1e9, cooling=0.8, iters_per_temp=10
+        ),
+    }
+    real_evaluate = solver_module.evaluate
+    evaluated = []
+
+    def recording_evaluate(topology, spec, placement):
+        evaluated.append(placement)
+        return real_evaluate(topology, spec, placement)
+
+    monkeypatch.setattr(solver_module, "evaluate", recording_evaluate)
+
+    def solution_file(topology, spec, kind):
+        return dumps(solution_to_json(solve(topology, spec, configs[kind])))
+
+    for seed in range(20):
+        topology, generated = random_instance(seed)
+        for factor in (0.2, 0.67, 2.0):
+            spec = replace(generated, budget=generated.budget * factor)
+            with monkeypatch.context() as uncached:
+                uncached.setattr(cost_model, "REPORT_MEMO_CAP", 0)
+                cost_model._memo = None
+                expected = {kind: solution_file(topology, spec, kind) for kind in configs}
+            for kind in configs:
+                cost_model._memo = None
+                evaluated.clear()
+                assert solution_file(topology, spec, kind) == expected[kind], (seed, factor, kind)
+                assert len(evaluated) == len(set(evaluated)), (seed, factor, kind)
+                cost_model._memo = None
+                for other in configs:
+                    if other != kind:
+                        solution_file(topology, spec, other)
+                assert solution_file(topology, spec, kind) == expected[kind], (seed, factor, kind)
 
 
 def test_sweep_scores_each_distinct_placement_once(cold_memo, monkeypatch, tmp_path):
@@ -152,7 +197,7 @@ def test_sweep_scores_each_distinct_placement_once(cold_memo, monkeypatch, tmp_p
     budgets = ["0.1", "1.95", "2.5"]
     assert main(["sweep", str(bundle_path), "--solver", "exhaustive", "--budgets", *budgets]) == 0
     assert len(scored) == len(set(scored)) > 0
-    assert len(evaluated) == len(budgets) * len(scored)
+    assert len(evaluated) == len(scored)
 
 
 @settings(max_examples=300)

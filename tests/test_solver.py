@@ -479,20 +479,21 @@ def test_choose_predeploy_is_the_per_vector_optimum():
 
 
 def test_states_examined_counts_returned_evaluations(monkeypatch):
-    real_evaluate, real_greedy = solver_module.evaluate, solver_module.solve_greedy
+    real_score, real_greedy = solver_module._Best.score, solver_module.solve_greedy
     returned, warm_starts = [], []
 
-    def counting_evaluate(*args):
-        report = real_evaluate(*args)
-        returned.append(report)
-        return report
+    def counting_score(self, *args):
+        scored = real_score(self, *args)
+        if scored is not None:
+            returned.append(scored)
+        return scored
 
     def recording_greedy(*args):
         solution = real_greedy(*args)
         warm_starts.append(solution.states_examined)
         return solution
 
-    monkeypatch.setattr(solver_module, "evaluate", counting_evaluate)
+    monkeypatch.setattr(solver_module._Best, "score", counting_score)
     monkeypatch.setattr(solver_module, "solve_greedy", recording_greedy)
     for seed in range(6):
         topology, spec = random_instance(seed)
@@ -510,15 +511,16 @@ def test_states_examined_counts_returned_evaluations(monkeypatch):
 
 
 def test_greedy_answers_with_the_best_state_it_scored(monkeypatch):
-    real_evaluate = solver_module.evaluate
+    real_score = solver_module._Best.score
     scored = []
 
-    def recording_evaluate(*args):
-        report = real_evaluate(*args)
-        scored.append((args[2], report))
-        return report
+    def recording_score(self, *args):
+        state = real_score(self, *args)
+        if state is not None:
+            scored.append(state)
+        return state
 
-    monkeypatch.setattr(solver_module, "evaluate", recording_evaluate)
+    monkeypatch.setattr(solver_module._Best, "score", recording_score)
     outcomes = set()
     for seed in range(60):
         topology, generated = random_instance(seed)
