@@ -2,22 +2,28 @@
 
 `golden_solutions.json` holds the sha256 of `dumps(solution_to_json(...))`
 for each solver on `mini_bundle` and `random_instance(0..9)`. Anneal runs a
-short schedule (cooling 0.8, 10 iterations per temperature) under a time
-budget it never reaches, so its walk, and with it its file, depends only on
-the seed. When a change is meant to alter answers, rewrite the digests with
+short schedule (cooling 0.8, 10 iterations per temperature) and the default
+one (cooling 0.95, 50 iterations) under a time budget it never reaches, so
+its walk, and with it its file, depends only on the seed. One more digest
+covers the report of every state exhaustive scores on `mini_bundle` and
+`random_instance(0..4)`, in enumeration order and on cold instances, so a
+change to the scorer cannot hide behind the winners. When a change is meant
+to alter answers, rewrite the digests with
 `python tests/test_golden_solutions.py` and say why in the change.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
 from tierplace import SolverConfig, mini_bundle, solve
-from tierplace.bundle import dumps, solution_to_json
+from tierplace import solver as solver_module
+from tierplace.bundle import dumps, report_to_json, solution_to_json
 from _instances import random_instance
 
 DIGESTS = Path(__file__).with_name("golden_solutions.json")
@@ -27,6 +33,7 @@ CONFIGS = {
     "anneal": SolverConfig(
         kind="anneal", seed=3, time_budget_ms=600000.0, cooling=0.8, iters_per_temp=10
     ),
+    "anneal-default": SolverConfig(kind="anneal", seed=3, time_budget_ms=600000.0),
 }
 
 
@@ -43,7 +50,29 @@ def _digests() -> dict[str, str]:
         for kind, cfg in CONFIGS.items():
             text = dumps(solution_to_json(solve(topology, spec, cfg)))
             out[f"{name} {kind}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    out["exhaustive reports"] = _exhaustive_reports()
     return out
+
+
+def _exhaustive_reports() -> str:
+    """sha256 over the report (null for an invalid state) of every state
+    `_Best.score` is handed by exhaustive on the first six instances."""
+    digest = hashlib.sha256()
+    real_score = solver_module._Best.score
+
+    def recording_score(self, *state):
+        outcome = real_score(self, *state)
+        record = report_to_json(outcome[1]) if outcome is not None else None
+        digest.update(dumps(record).encode("utf-8"))
+        return outcome
+
+    solver_module._Best.score = recording_score
+    try:
+        for _, topology, spec in itertools.islice(_instances(), 6):
+            solve(topology, spec, CONFIGS["exact"])
+    finally:
+        solver_module._Best.score = real_score
+    return digest.hexdigest()
 
 
 def test_solution_files_match_golden_digests():
