@@ -35,10 +35,10 @@ import sys
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from types import MappingProxyType
 
-from .topology import Layer, Link, Route, Topology, TopologyError, route
+from .topology import Layer, Link, Node, Route, Topology, TopologyError, route
 from .workload import Pipeline, Scenario, ServiceSpec, derive_active_streams, flow_profile
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 GB_PER_MBPS_SECOND = 1.0 / 8000.0
-REPORT_MEMO_CAP = 8192  # states an Instance keeps, invalid ones too; anneal scores ~6,750
+REPORT_MEMO_CAP = 8192  # states an Instance keeps, invalid ones too; an anneal solve finds ~70
 
 
 class InvalidPlacement(ValueError):
@@ -277,7 +277,8 @@ class Instance:
     Built by `compile_instance`: the fields set in __init__ on construction,
     every other one on first use. Treat it as read-only but for the memos:
     `scored` maps up to REPORT_MEMO_CAP solver states (layer vector, terminus,
-    predeploy set) to their evaluated (placement, report), or None if invalid.
+    predeploy set) to their evaluated (placement, report), or None if invalid;
+    `paths` fills the routes once per sink, and `_closed_form` their Node objects in `hosts`.
     """
 
     def __init__(self, topology: Topology, pipeline: Pipeline, scenario: Scenario) -> None:
@@ -289,6 +290,8 @@ class Instance:
         # device -> number of active slots, in order of first activation
         self.activations = Counter(d for active in self.streams for d in active)
         self._routes: dict[str, dict[str, Route | None]] = {}  # sink -> device -> route
+        self.hosts: dict[str, dict[str, tuple[Node, ...]]] = {}  # sink -> device -> route nodes
+        self._on_every_route: set[tuple[str, str | None]] = set()  # (sink, agg host) checked
         self.scored: dict[tuple, tuple[Placement, CostReport] | None] = {}
 
     @cached_property
@@ -362,9 +365,11 @@ class Instance:
                 except TopologyError:
                     table[device_id] = None
             self._routes[plan.sink] = table
-        for device_id, path in table.items():
-            if path is None or (plan.agg_id is not None and plan.agg_id not in path.nodes):
-                stream_route(self.topology, device_id, plan)  # raises InvalidPlacement
+        if (plan.sink, plan.agg_id) not in self._on_every_route:
+            for device_id, path in table.items():
+                if path is None or (plan.agg_id is not None and plan.agg_id not in path.nodes):
+                    stream_route(self.topology, device_id, plan)  # raises InvalidPlacement
+            self._on_every_route.add((plan.sink, plan.agg_id))
         return table  # type: ignore[return-value]  # no None left once checked
 
 
@@ -451,6 +456,15 @@ def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
         if load != 0.0:
             tier_loads[plan.positions[k]] += (load,)
     loaded_tiers = [i for i, loads in enumerate(tier_loads) if loads]
+    # The device loop's device-independent terms, each with the loop's operation order.
+    link_rates = [src_rate * prefix[below] for below in plan.hosted_below]
+    link_factors = [rate * scenario.slot_seconds * GB_PER_MBPS_SECOND for rate in link_rates]
+    rows = [(plan.positions[k], used[k], stages[k].base_ms) for k in range(plan.pre_count)]
+    merged_ms = [stage.base_ms / agg_speed for stage in stages[plan.pre_count:]]
+    hosts = instance.hosts.get(plan.sink)
+    if hosts is None:  # built here, not in `paths`: the replay reads no Node objects
+        hosts = {device: tuple(map(topology.node, p.nodes)) for device, p in paths.items()}
+        instance.hosts[plan.sink] = hosts
 
     usage_cost = 0.0
     network_cost = 0.0
@@ -459,21 +473,20 @@ def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
     loaded: dict[str, int] = {}  # node id -> path index of a tier with CPU load
     capped: dict[str, tuple[Link, float]] = {}  # link key -> (link, per-stream rate)
     for device_id, count in instance.activations.items():
-        path = paths[device_id]
+        path, nodes = paths[device_id], hosts[device_id]
         network = 0.0
         for li, link in enumerate(path.links):
-            rate = src_rate * prefix[plan.hosted_below[li]]
-            network += rate * scenario.slot_seconds * GB_PER_MBPS_SECOND * link.traffic_cost_rate
+            network += link_factors[li] * link.traffic_cost_rate
             if link.bandwidth_mbps is not None:
-                capped[link.key] = (link, rate)
+                capped[link.key] = (link, link_rates[li])
         usage = 0.0
         stream_latency = path.latency_ms
-        for k in range(plan.pre_count):
-            host = topology.node(path.nodes[plan.positions[k]])
-            usage += used[k] * host.cpu_cost_rate * share
-            stream_latency += stages[k].base_ms / host.speed
-        for k in range(plan.pre_count, len(stages)):
-            stream_latency += stages[k].base_ms / agg_speed
+        for position, load, base_ms in rows:
+            host = nodes[position]
+            usage += load * host.cpu_cost_rate * share
+            stream_latency += base_ms / host.speed
+        for merged in merged_ms:
+            stream_latency += merged
         network_cost += count * network
         usage_cost += count * usage
         latency_sum += count * stream_latency
@@ -492,10 +505,9 @@ def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
                 latency_sum += len(devices) * penalty_ms
                 max_latency = max(max_latency, max(map(latency.get, devices)) + penalty_ms)
 
-    peak_cpu = {
-        node_id: _repeated_sum(tier_loads[i], instance.peak_streams[node_id])
-        for node_id, i in loaded.items()
-    }
+    peak_of = cache(lambda i, streams: _repeated_sum(tier_loads[i], streams))
+    peak_streams = instance.peak_streams
+    peak_cpu = {node_id: peak_of(i, peak_streams[node_id]) for node_id, i in loaded.items()}
     violations: list[Violation] = []
     if plan.agg_id is not None:
         demand = instance.peak_demand

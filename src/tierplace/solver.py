@@ -97,35 +97,32 @@ def _within(report: CostReport, budget: float) -> bool:
 
 
 class _Best:
-    """Score search states for a solver: `score` is the only place in this module
+    """Score search states for a solver: `outcome` is the only place in this module
     where a state becomes a placement and is evaluated. Keeps the best feasible
-    in-budget state, the least-violating fallback and how many valid states it scored."""
+    in-budget state, the least-violating fallback and how many valid states it was offered."""
 
-    def __init__(self, topology: Topology, spec: ServiceSpec) -> None:
+    def __init__(self, topology: Topology, spec: ServiceSpec, deadline: float = math.inf) -> None:
         self.topology = topology
         self.spec = spec
         self.instance = compile_instance(topology, spec)
-        self.min_reservation = self.instance.min_reservation
+        self.deadline = deadline
         self.best: tuple | None = None
         self.fallback: tuple | None = None
         self.offers = 0
+        self.energies: dict[tuple, float | None] = {}  # state -> energy, None if invalid
 
-    def score(
-        self,
-        vector: tuple[Layer, ...],
-        terminus: tuple[str | None, str],
-        predeploy: frozenset[str] = frozenset(),
-    ) -> tuple[Placement, CostReport] | None:
-        """The evaluated placement of one state, or None when it is invalid.
-        The reservation is always the minimal covering value, never searched.
-        The first solve of an instance to score a state keeps its outcome in
-        `Instance.scored` for every later one: a report does not depend on the
-        budget, and the solvers key states by Layer tuples and frozensets only."""
-        state, table = (vector, terminus, predeploy), self.instance.scored
+    def outcome(self, state: tuple) -> tuple[Placement, CostReport] | None:
+        """The evaluated placement of a (vector, terminus, predeploy) state with the
+        minimal reservation; None if invalid, or if new once a state was valid and the
+        deadline has passed. `Instance.scored` keeps it for every later solve: a report
+        does not depend on the budget, and states hold only Layer tuples and frozensets."""
+        table = self.instance.scored
         outcome = table.get(state, False)
         if outcome is False:
-            agg_id, sink = terminus
-            alloc = self.min_reservation if agg_id else 0
+            if self.offers and time.monotonic() >= self.deadline:
+                return None
+            vector, (agg_id, sink), predeploy = state
+            alloc = self.instance.min_reservation if agg_id else 0
             placement = Placement(vector, agg_id, sink, predeploy, alloc)
             try:
                 outcome = placement, evaluate(self.topology, self.spec, placement)
@@ -133,19 +130,51 @@ class _Best:
                 outcome = None
             if len(table) < cost_model.REPORT_MEMO_CAP:
                 table[state] = outcome
-        if outcome is None:
-            return None
-        placement, report = outcome
+        return outcome
+
+    def offer(self, placement: Placement, report: CostReport, violation=None) -> None:
+        """Count a valid state and keep it if it beats best or fallback. Once there
+        is a best, the fallback is never used, so it is no longer updated."""
         self.offers += 1
         encoding = placement.encode()
         if _within(report, self.spec.budget):
             key = (report.mean_latency_ms, report.total_cost, encoding)  # _objective_key
             if self.best is None or key < self.best[0]:
                 self.best = (key, placement, report)
-        score_key = (_violation_score(report, self.spec.budget), encoding)
-        if self.fallback is None or score_key < self.fallback[0]:
-            self.fallback = (score_key, placement, report)
+        elif self.best is None:
+            if violation is None:
+                violation = _violation_score(report, self.spec.budget)
+            if self.fallback is None or (violation, encoding) < self.fallback[0]:
+                self.fallback = ((violation, encoding), placement, report)
+
+    def score(
+        self,
+        vector: tuple[Layer, ...],
+        terminus: tuple[str | None, str],
+        predeploy: frozenset[str] = frozenset(),
+    ) -> tuple[Placement, CostReport] | None:
+        """`outcome` of the state, offered when valid."""
+        outcome = self.outcome((vector, terminus, predeploy))
+        if outcome is not None:
+            self.offer(*outcome)
         return outcome
+
+    def energy(self, state: tuple) -> float:
+        """Anneal's energy of a state: mean latency plus PENALTY times the budget excess
+        and violations, inf when invalid. A state this tracker has scored before costs a
+        lookup in `energies` and one more offer, which cannot change best or fallback."""
+        known = self.energies.get(state, False)
+        if known is False:
+            outcome, known = self.outcome(state), None
+            if outcome is not None:
+                placement, report = outcome
+                violation = _violation_score(report, self.spec.budget)
+                self.offer(placement, report, violation)
+                known = report.mean_latency_ms + PENALTY * violation
+            self.energies[state] = known
+        elif known is not None:
+            self.offers += 1
+        return math.inf if known is None else known
 
     def solution(self, kind: str, elapsed_ms: float, states: int) -> Solution:
         if self.best is not None:
@@ -314,15 +343,16 @@ def _greedy_candidate(
 
 
 def solve_greedy(
-    topology: Topology, spec: ServiceSpec, cfg: SolverConfig | None = None
+    topology: Topology, spec: ServiceSpec, cfg: SolverConfig | None = None, deadline=math.inf
 ) -> Solution:
     """Deterministic construction: pick a DC, sink stages toward the devices,
     and pre-install gateway functions on the ranked prefix of
     `choose_predeploy`, the best predeploy set for each layer vector tried.
     Each scan ends on the best in-budget state it scored, so the answer is the
-    tracker's best."""
+    tracker's best. Past `deadline` (anneal's warm start), the scans evaluate
+    no new state once one is valid: they only look up what the instance holds."""
     start = time.monotonic()
-    tracker = _Best(topology, spec)
+    tracker = _Best(topology, spec, deadline)
     primary_dc = choose_dc(topology, spec)
     primary = (primary_dc if spec.pipeline.has_aggregation else None, primary_dc)
     if not _greedy_candidate(topology, spec, primary, tracker):
@@ -331,6 +361,16 @@ def solve_greedy(
             _greedy_candidate(topology, spec, terminus, tracker)
     elapsed = (time.monotonic() - start) * 1000.0
     return tracker.solution("greedy", elapsed, tracker.offers)
+
+
+def _below(getrandbits, n: int) -> int:
+    """`rng.randrange(n)` for n >= 1 from `rng.getrandbits`, drawing the same bits as
+    CPython does (n.bit_length() at a time, rejecting values >= n) without its checks."""
+    bits = n.bit_length()
+    value = getrandbits(bits)
+    while value >= n:
+        value = getrandbits(bits)
+    return value
 
 
 def solve_anneal(
@@ -344,60 +384,50 @@ def solve_anneal(
     feasible in-budget one seen. The walk starts from the greedy
     construction (a deterministic warm start) at a temperature calibrated
     from 16 probe moves, cools geometrically, and stops at the temperature
-    floor or the wall-clock budget, which cuts the probes short too. With a
-    fixed seed the run is fully deterministic whenever the schedule completes
-    inside the time budget.
+    floor or the wall-clock budget, which cuts the warm start and the probes
+    short too. A revisited state costs a lookup of its energy in this solve's
+    tracker and one more offer. With a fixed seed the run is fully
+    deterministic whenever the schedule completes inside the time budget.
     """
     cfg = cfg or SolverConfig(kind="anneal")
     start = time.monotonic()
     deadline = start + cfg.time_budget_ms / 1000.0
     rng = random.Random(cfg.seed)
+    draw = rng.getrandbits
     tracker = _Best(topology, spec)
-    instance = compile_instance(topology, spec)
     termini = candidate_termini(topology, spec)
-    visited = sorted(instance.first_touch)
-
-    def energy(state) -> float:
-        scored = tracker.score(*state)
-        if scored is None:
-            return math.inf
-        return scored[1].mean_latency_ms + PENALTY * _violation_score(scored[1], spec.budget)
+    tops = {terminus: _top(topology, terminus[0]) for terminus in termini}
+    layers = tuple(Layer)  # Layer(level), by index
+    visited = sorted(tracker.instance.first_touch)
 
     def propose(state):
         vector, terminus, predeploy = state
         for _ in range(8):
-            move = rng.randrange(3)
+            move = _below(draw, 3)
             if move == 0 and vector:
-                k = rng.randrange(len(vector))
-                step = rng.choice((-1, 1))
-                level = int(vector[k]) + step
-                low = int(vector[k - 1]) if k else 0
-                high = vector[k + 1] if k + 1 < len(vector) else _top(topology, terminus[0])
-                if not low <= level <= high:
+                k = _below(draw, len(vector))
+                level = vector[k] + (-1, 1)[_below(draw, 2)]
+                high = vector[k + 1] if k + 1 < len(vector) else tops[terminus]
+                if not (vector[k - 1] if k else 0) <= level <= high:
                     continue
-                new_vector = vector[:k] + (Layer(level),) + vector[k + 1:]
-                new_predeploy = predeploy if Layer.GATEWAY in new_vector else frozenset()
-                return new_vector, terminus, new_predeploy
-            if move == 1 and len(termini) > 1:
-                candidate = termini[rng.randrange(len(termini))]
-                if candidate == terminus:
+                new_vector, new_terminus = vector[:k] + (layers[level],) + vector[k + 1:], terminus
+            elif move == 1 and len(termini) > 1:
+                new_terminus = termini[_below(draw, len(termini))]
+                if new_terminus == terminus:
                     continue
-                top = _top(topology, candidate[0])
-                new_vector = tuple(min(layer, top) for layer in vector)
-                new_predeploy = predeploy if Layer.GATEWAY in new_vector else frozenset()
-                return new_vector, candidate, new_predeploy
-            if move == 2 and visited and Layer.GATEWAY in vector:
-                gateway = visited[rng.randrange(len(visited))]
+                new_vector = tuple(min(layer, tops[new_terminus]) for layer in vector)
+            elif move == 2 and visited and Layer.GATEWAY in vector:
+                gateway = visited[_below(draw, len(visited))]
                 return vector, terminus, frozenset(predeploy ^ {gateway})
+            else:
+                continue
+            new_predeploy = predeploy if Layer.GATEWAY in new_vector else frozenset()
+            return new_vector, new_terminus, new_predeploy
         return None
 
-    warm = solve_greedy(topology, spec)
-    state = (
-        warm.placement.layer_of,
-        (warm.placement.agg_node, warm.placement.sink_dc),
-        warm.placement.predeploy,
-    )
-    current_energy = energy(state)
+    warm = solve_greedy(topology, spec, deadline=deadline).placement
+    state = (warm.layer_of, (warm.agg_node, warm.sink_dc), warm.predeploy)
+    current_energy = tracker.energy(state)
 
     deltas = []
     for _ in range(16):
@@ -406,12 +436,10 @@ def solve_anneal(
         probe = propose(state)
         if probe is None:
             continue
-        probe_energy = energy(probe)
+        probe_energy = tracker.energy(probe)
         if math.isfinite(probe_energy):
             deltas.append(abs(probe_energy - current_energy))
-    mean_delta = sum(deltas) / len(deltas) if deltas else 0.0
-    peak_delta = max(deltas) if deltas else 0.0
-    temperature = max(2.0 * mean_delta, peak_delta, 1.0)
+    temperature = max(2.0 * (sum(deltas) / len(deltas)), max(deltas), 1.0) if deltas else 1.0
     floor = max(temperature * 1e-3, 1e-9)
 
     while temperature > floor and time.monotonic() < deadline:
@@ -421,7 +449,7 @@ def solve_anneal(
             candidate = propose(state)
             if candidate is None:
                 continue
-            candidate_energy = energy(candidate)
+            candidate_energy = tracker.energy(candidate)
             delta = candidate_energy - current_energy
             if delta <= 0 or (
                 math.isfinite(delta)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -216,6 +217,74 @@ def test_anneal_with_no_time_left_returns_its_warm_start(mini, mini_spec):
         assert solution.states_examined == 1
         assert solution.placement == warm.placement
         assert solution.report == warm.report
+
+
+def test_anneal_with_no_time_left_scores_no_new_state_after_the_first(monkeypatch):
+    # On a cold instance the warm start evaluates its first state and then only
+    # looks states up, so the solve stops at once with a valid answer.
+    evaluated = []
+    real_evaluate = solver_module.evaluate
+
+    def counting_evaluate(topology, spec, placement):
+        evaluated.append(placement)
+        return real_evaluate(topology, spec, placement)
+
+    monkeypatch.setattr(solver_module, "evaluate", counting_evaluate)
+    for seed in range(6):
+        topology, spec = random_instance(seed)
+        evaluated.clear()
+        cfg = SolverConfig(kind="anneal", seed=seed, time_budget_ms=0.0)
+        solution = solve_anneal(topology, spec, cfg)
+        assert solution.states_examined <= 2
+        assert len(evaluated) <= 2
+        assert real_evaluate(topology, spec, solution.placement) == solution.report
+
+
+def test_draws_match_randrange_and_choice():
+    for seed in (0, 1, 7, 201, 2**40 + 3):
+        for n in range(1, 71):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert solver_module._below(ours.getrandbits, n) == theirs.randrange(n)
+            assert (-1, 1)[solver_module._below(ours.getrandbits, 2)] == theirs.choice((-1, 1))
+            assert ours.random() == theirs.random()
+
+
+def test_cold_anneal_scores_each_distinct_state_once(monkeypatch):
+    real_outcome, real_evaluate = solver_module._Best.outcome, solver_module.evaluate
+    real_violation = solver_module._violation_score
+    states, valid, evaluated, violation_of = set(), set(), [], []
+
+    def recording_outcome(self, state):
+        outcome = real_outcome(self, state)
+        states.add(state)
+        if outcome is not None:
+            valid.add(state)
+        return outcome
+
+    def counting_evaluate(topology, spec, placement):
+        evaluated.append(placement)
+        return real_evaluate(topology, spec, placement)
+
+    def counting_violation(report, budget):
+        violation_of.append(report)
+        return real_violation(report, budget)
+
+    monkeypatch.setattr(solver_module._Best, "outcome", recording_outcome)
+    monkeypatch.setattr(solver_module, "evaluate", counting_evaluate)
+    monkeypatch.setattr(solver_module, "_violation_score", counting_violation)
+    for seed in range(6):
+        topology, spec = random_instance(seed)
+        for collected in (states, valid, evaluated, violation_of):
+            collected.clear()
+        cfg = SolverConfig(kind="anneal", seed=seed, time_budget_ms=600000.0)
+        solution = solve_anneal(topology, spec, cfg)
+        assert solution.states_examined > 10 * len(valid)  # the walk revisits states
+        assert len(evaluated) <= len(states)
+        assert len({placement.encode() for placement in evaluated}) == len(evaluated)
+        # Greedy's first state fits the budget here, so the warm start needs no
+        # fallback and every violation score is the walk's, one per valid state.
+        assert len({id(report) for report in violation_of}) == len(violation_of)
+        assert len(violation_of) <= len(valid)
 
 
 def test_anneal_solutions_respect_constraints():
@@ -479,8 +548,8 @@ def test_choose_predeploy_is_the_per_vector_optimum():
 
 
 def test_states_examined_counts_returned_evaluations(monkeypatch):
-    real_score, real_greedy = solver_module._Best.score, solver_module.solve_greedy
-    returned, warm_starts = [], []
+    real_score, real_energy = solver_module._Best.score, solver_module._Best.energy
+    returned, walked = [], []
 
     def counting_score(self, *args):
         scored = real_score(self, *args)
@@ -488,26 +557,27 @@ def test_states_examined_counts_returned_evaluations(monkeypatch):
             returned.append(scored)
         return scored
 
-    def recording_greedy(*args):
-        solution = real_greedy(*args)
-        warm_starts.append(solution.states_examined)
-        return solution
+    def counting_energy(self, state):
+        value = real_energy(self, state)
+        if math.isfinite(value):
+            walked.append(state)
+        return value
 
     monkeypatch.setattr(solver_module._Best, "score", counting_score)
-    monkeypatch.setattr(solver_module, "solve_greedy", recording_greedy)
+    monkeypatch.setattr(solver_module._Best, "energy", counting_energy)
     for seed in range(6):
         topology, spec = random_instance(seed)
         returned.clear()
         assert solve_greedy(topology, spec).states_examined == len(returned)
 
-        returned.clear()
-        warm_starts.clear()
+        walked.clear()
         cfg = SolverConfig(
             kind="anneal", seed=seed, time_budget_ms=600000.0, cooling=0.8, iters_per_temp=10
         )
         solution = solve_anneal(topology, spec, cfg)
-        # The greedy warm start reports its own evaluations, not anneal's.
-        assert solution.states_examined == len(returned) - sum(warm_starts)
+        # Every valid state of the walk counts, revisits included; the greedy
+        # warm start's states, scored through `score`, do not.
+        assert solution.states_examined == len(walked)
 
 
 def test_greedy_answers_with_the_best_state_it_scored(monkeypatch):
