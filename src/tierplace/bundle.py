@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-from .cost_model import CostReport, Placement
-from .solver import SOLVER_KINDS, Solution
-from .topology import Layer, Link, Node, Topology, validate_topology
+from .cost_model import CostReport, Placement, compile_instance
+from .solver import SETTING_RANGES, SOLVER_KINDS, Solution
+from .topology import Layer, Link, Node, Topology, TopologyError, validate_topology
 from .workload import (
     Pipeline,
     Scenario,
@@ -210,7 +209,8 @@ def bundle_from_json(data: dict) -> ScenarioBundle:
 
 
 def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
-    """Topology invariants plus pipeline/scenario/budget/solver sanity, all collected.
+    """Topology invariants plus pipeline/scenario/budget/solver sanity, all collected;
+    when those all pass, whether the scenario resolves and some DC serves every stream.
 
     Every number must be finite: NaN and +-inf are reported like any other
     out-of-range value (the chained bounds below are false for them).
@@ -254,18 +254,24 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     elif defaults:
         if "kind" in defaults and defaults["kind"] not in SOLVER_KINDS:
             violations.append(("invalid solver value", "kind"))
-        bounds = {  # field -> (accepted types, lowest value, highest value)
-            "time_budget_ms": ((int, float), 0, sys.float_info.max),  # solve takes a float
-            "seed": ((int,), 0, math.inf),
-            "max_states": ((int,), 1, math.inf),
-        }
-        for field, (types, low, high) in bounds.items():
+        for field, (types, low, high) in SETTING_RANGES.items():
             value = defaults.get(field, low)
             if type(value) not in types or not low <= value <= high:
                 violations.append(("invalid solver value", field))
         # Keys no solver setting reads would otherwise be dropped without a word.
-        for key in sorted(set(defaults) - set(bounds) - {"kind"}):
+        for key in sorted(set(defaults) - set(SETTING_RANGES) - {"kind"}):
             violations.append(("invalid solver value", key))
+    if violations:
+        return violations
+    # With every check above passed the instance compiles, memoized for the command.
+    try:
+        edges = compile_instance(bundle.topology, bundle.service_spec()).edge_weights
+    except TopologyError as exc:  # a target slot with no located device
+        return [("unresolvable slot", str(exc))]
+    # A sink DC must be linked from every edge a stream passes through.
+    clouds, dc_link = bundle.topology.clouds(), bundle.topology.dc_link
+    if not any(all(dc_link(edge, dc.id) is not None for edge in edges) for dc in clouds):
+        violations.append(("no common DC", "dc_links"))
     return violations
 
 
@@ -322,59 +328,70 @@ def solution_to_json(solution: Solution) -> dict:
     }
 
 
+def _line_topology(devices: int, digits: int) -> Topology:
+    """Cameras 10 apart on a line, fan-in 2 gateways and edges, two DCs; each
+    id is numbered from 1 with at least `digits` digits (cam1 or cam001)."""
+    gateways = (devices + 1) // 2
+    edges = (gateways + 1) // 2
+
+    nodes: list[Node] = []
+    tree_links: list[Link] = []
+    for i in range(devices):
+        cam = f"cam{i + 1:0{digits}d}"
+        gw = f"gw{i // 2 + 1:0{digits}d}"
+        nodes.append(
+            Node(cam, Layer.DEVICE, parent=gw, capacity_cpu=0.0, location=(10.0 * i, 0.0))
+        )
+        tree_links.append(Link(cam, gw, latency_ms=2.0, traffic_cost_rate=0.0))
+    for j in range(gateways):
+        gw = f"gw{j + 1:0{digits}d}"
+        edge = f"edge{j // 2 + 1:0{digits}d}"
+        nodes.append(
+            Node(gw, Layer.GATEWAY, parent=edge, capacity_cpu=2.0, cpu_cost_rate=1.0, speed=1.0)
+        )
+        tree_links.append(Link(gw, edge, latency_ms=5.0, traffic_cost_rate=0.1))
+    dc_links: list[Link] = []
+    for e in range(edges):
+        edge = f"edge{e + 1:0{digits}d}"
+        nodes.append(Node(edge, Layer.EDGE, capacity_cpu=8.0, cpu_cost_rate=0.5, speed=0.5))
+        dc_links.append(Link(edge, "dc1", latency_ms=15.0, traffic_cost_rate=0.2))
+        dc_links.append(Link(edge, "dc2", latency_ms=40.0, traffic_cost_rate=0.2))
+    nodes.append(Node("dc1", Layer.CLOUD, capacity_cpu=1000.0, cpu_cost_rate=0.25, speed=1.0))
+    nodes.append(Node("dc2", Layer.CLOUD, capacity_cpu=1000.0, cpu_cost_rate=0.25, speed=1.0))
+    return Topology(nodes, tree_links, dc_links)
+
+
 def mini_bundle() -> ScenarioBundle:
     """The canonical hand-sized instance shipped with the repo.
 
-    Three cameras on a line feed two gateways under one edge with two DCs;
-    the pipeline is a heavy per-stream analyze step (100x data reduction)
+    Its topology is the 3-camera instance of the line builder that
+    `synth_bundle` also uses: two gateways under one edge with two DCs. The
+    pipeline is a heavy per-stream analyze step (100x data reduction)
     followed by a merged detect step.
     """
-    nodes = [
-        Node("cam1", Layer.DEVICE, parent="gw1", capacity_cpu=0.0, location=(0.0, 0.0)),
-        Node("cam2", Layer.DEVICE, parent="gw1", capacity_cpu=0.0, location=(10.0, 0.0)),
-        Node("cam3", Layer.DEVICE, parent="gw2", capacity_cpu=0.0, location=(20.0, 0.0)),
-        Node("gw1", Layer.GATEWAY, parent="edge1", capacity_cpu=2.0, cpu_cost_rate=1.0, speed=1.0),
-        Node("gw2", Layer.GATEWAY, parent="edge1", capacity_cpu=2.0, cpu_cost_rate=1.0, speed=1.0),
-        Node("edge1", Layer.EDGE, capacity_cpu=8.0, cpu_cost_rate=0.5, speed=0.5),
-        Node("dc1", Layer.CLOUD, capacity_cpu=1000.0, cpu_cost_rate=0.25, speed=1.0),
-        Node("dc2", Layer.CLOUD, capacity_cpu=1000.0, cpu_cost_rate=0.25, speed=1.0),
-    ]
-    tree_links = [
-        Link("cam1", "gw1", latency_ms=2.0, traffic_cost_rate=0.0),
-        Link("cam2", "gw1", latency_ms=2.0, traffic_cost_rate=0.0),
-        Link("cam3", "gw2", latency_ms=2.0, traffic_cost_rate=0.0),
-        Link("gw1", "edge1", latency_ms=5.0, traffic_cost_rate=0.1),
-        Link("gw2", "edge1", latency_ms=5.0, traffic_cost_rate=0.1),
-    ]
-    dc_links = [
-        Link("edge1", "dc1", latency_ms=15.0, traffic_cost_rate=0.2),
-        Link("edge1", "dc2", latency_ms=40.0, traffic_cost_rate=0.2),
-    ]
-    pipeline = Pipeline(
-        stages=(
-            Stage(
-                name="analyze",
-                cpu_per_unit=0.2,
-                reduction=0.01,
-                base_ms=50.0,
-                deploy_cost=0.05,
-                dispatch_cost=0.02,
-                dispatch_penalty_ms=500.0,
-            ),
-            Stage(name="detect", cpu_per_unit=0.1, reduction=1.0, base_ms=20.0),
-        ),
-        aggregation_index=2,
-    )
-    scenario = Scenario(
-        slot_seconds=3600.0,
-        slots=(Slot.explicit(["cam1"]), Slot.explicit(["cam3"])),
-        source_rate_mbps=8.0,
-        seed=0,
-    )
     return ScenarioBundle(
-        topology=Topology(nodes, tree_links, dc_links),
-        pipeline=pipeline,
-        scenario=scenario,
+        topology=_line_topology(3, digits=1),
+        pipeline=Pipeline(
+            stages=(
+                Stage(
+                    name="analyze",
+                    cpu_per_unit=0.2,
+                    reduction=0.01,
+                    base_ms=50.0,
+                    deploy_cost=0.05,
+                    dispatch_cost=0.02,
+                    dispatch_penalty_ms=500.0,
+                ),
+                Stage(name="detect", cpu_per_unit=0.1, reduction=1.0, base_ms=20.0),
+            ),
+            aggregation_index=2,
+        ),
+        scenario=Scenario(
+            slot_seconds=3600.0,
+            slots=(Slot.explicit(["cam1"]), Slot.explicit(["cam3"])),
+            source_rate_mbps=8.0,
+            seed=0,
+        ),
         budget=5.0,
     )
 
@@ -386,8 +403,8 @@ def synth_bundle(
     seed: int = 0,
     budget: float | None = None,
 ) -> ScenarioBundle:
-    """Synthetic instance: a line of cameras, fan-in 2 gateways and edges,
-    two DCs, the canonical pipeline, and a random-walk scenario.
+    """Synthetic instance: the line topology of `devices` cameras, the
+    canonical pipeline, and a random-walk scenario.
 
     When budget is None it is set to twice the cost of the everything-in-
     the-cloud placement, which keeps the instance solvable by construction.
@@ -395,35 +412,7 @@ def synth_bundle(
     if devices < 1 or slots < 1:
         raise BundleError("devices and slots must both be at least 1")
     mini = mini_bundle()
-    gateways = (devices + 1) // 2
-    edges = (gateways + 1) // 2
-
-    nodes: list[Node] = []
-    tree_links: list[Link] = []
-    for i in range(devices):
-        cam = f"cam{i + 1:03d}"
-        gw = f"gw{i // 2 + 1:03d}"
-        nodes.append(
-            Node(cam, Layer.DEVICE, parent=gw, capacity_cpu=0.0, location=(10.0 * i, 0.0))
-        )
-        tree_links.append(Link(cam, gw, latency_ms=2.0, traffic_cost_rate=0.0))
-    for j in range(gateways):
-        gw = f"gw{j + 1:03d}"
-        edge = f"edge{j // 2 + 1:03d}"
-        nodes.append(
-            Node(gw, Layer.GATEWAY, parent=edge, capacity_cpu=2.0, cpu_cost_rate=1.0, speed=1.0)
-        )
-        tree_links.append(Link(gw, edge, latency_ms=5.0, traffic_cost_rate=0.1))
-    dc_links: list[Link] = []
-    for e in range(edges):
-        edge = f"edge{e + 1:03d}"
-        nodes.append(Node(edge, Layer.EDGE, capacity_cpu=8.0, cpu_cost_rate=0.5, speed=0.5))
-        dc_links.append(Link(edge, "dc1", latency_ms=15.0, traffic_cost_rate=0.2))
-        dc_links.append(Link(edge, "dc2", latency_ms=40.0, traffic_cost_rate=0.2))
-    nodes.append(Node("dc1", Layer.CLOUD, capacity_cpu=1000.0, cpu_cost_rate=0.25, speed=1.0))
-    nodes.append(Node("dc2", Layer.CLOUD, capacity_cpu=1000.0, cpu_cost_rate=0.25, speed=1.0))
-
-    topology = Topology(nodes, tree_links, dc_links)
+    topology = _line_topology(devices, digits=3)
     scenario = gen_random_walk(topology, num_slots=slots, step=step, seed=seed)
 
     if budget is None:

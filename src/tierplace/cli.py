@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from dataclasses import replace
@@ -27,7 +26,14 @@ from .bundle import (
 )
 from .cost_model import CostReport, InvalidPlacement, check_budget
 from .simulator import simulate, summarize
-from .solver import SOLVER_KINDS, SearchSpaceTooLarge, Solution, SolverConfig, solve
+from .solver import (
+    SETTING_RANGES,
+    SOLVER_KINDS,
+    SearchSpaceTooLarge,
+    Solution,
+    SolverConfig,
+    solve,
+)
 from .topology import TopologyError
 from .workload import UnknownDevice
 
@@ -49,18 +55,10 @@ def _load_valid_bundle(path: str) -> ScenarioBundle:
 def _solver_config(args, bundle: ScenarioBundle) -> SolverConfig:
     """Command-line options over the bundle's solver defaults (already validated)
     over SolverConfig's own defaults."""
-    defaults = bundle.solver or {}
-    options = {
-        "kind": args.solver,
-        "time_budget_ms": args.time_budget_ms,
-        "seed": args.seed,
-        "max_states": args.max_states,
-    }
-    settings = {
-        key: defaults[key] if option is None else option
-        for key, option in options.items()
-        if option is not None or key in defaults
-    }
+    settings = dict(bundle.solver or {})
+    for key in ("kind", *SETTING_RANGES):
+        if getattr(args, key) is not None:
+            settings[key] = getattr(args, key)
     return SolverConfig(**settings)
 
 
@@ -94,12 +92,7 @@ def _print_solution(solution: Solution, budget: float) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        bundle = load_bundle(args.bundle)
-    except (BundleError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    violations = validate_bundle(bundle)
+    violations = validate_bundle(load_bundle(args.bundle))
     if violations:
         for kind, ident in violations:
             print(f"violation: {kind}: {ident}")
@@ -205,12 +198,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _at_least(convert, low):
-    """argparse type: convert, then require a finite value >= low (exit 3 otherwise)."""
+def _at_least(convert, low, high=math.inf):
+    """argparse type: convert, then require a finite value in [low, high] (exit 3 otherwise)."""
 
     def parse(text: str):
         value = convert(text)
-        if not low <= value < math.inf:
+        if not (low <= value < math.inf and value <= high):
             raise argparse.ArgumentTypeError(f"must be finite and >= {low}: {text!r}")
         return value
 
@@ -230,10 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     solver_options = argparse.ArgumentParser(add_help=False)
-    solver_options.add_argument("--solver", choices=SOLVER_KINDS, default=None)
-    solver_options.add_argument("--seed", type=_at_least(int, 0), default=None)
-    solver_options.add_argument("--time-budget-ms", type=_at_least(float, 0), default=None)
-    solver_options.add_argument("--max-states", type=_at_least(int, 1), default=None)
+    solver_options.add_argument("--solver", dest="kind", choices=SOLVER_KINDS, default=None)
+    for field, (types, low, high) in SETTING_RANGES.items():
+        flag = "--" + field.replace("_", "-")
+        solver_options.add_argument(flag, type=_at_least(types[-1], low, high), default=None)
 
     p = sub.add_parser("solve", help="optimize a placement for a bundle", parents=[solver_options])
     p.add_argument("bundle")
@@ -282,7 +275,6 @@ def main(argv=None) -> int:
         TopologyError,
         UnknownDevice,
         OSError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

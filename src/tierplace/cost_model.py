@@ -56,7 +56,9 @@ __all__ = [
 ]
 
 GB_PER_MBPS_SECOND = 1.0 / 8000.0
-REPORT_MEMO_CAP = 8192  # states an Instance keeps, invalid ones too; an anneal solve finds ~70
+# States an Instance keeps, invalid ones too. The default anneal schedule stores
+# 2,542 on the multi_stream benchmark bundle (seed 1); exhaustive fills all 8,192.
+REPORT_MEMO_CAP = 8192
 
 
 class InvalidPlacement(ValueError):
@@ -122,7 +124,6 @@ class _Plan:
 
     sink: str
     agg_id: str | None
-    agg_pos: int  # path index (0..3) of the merged-stage host
     positions: tuple[int, ...]  # path index per pipeline stage
     hosted_below: tuple[int, ...]  # stages hosted at or below each link's child
     pre_count: int
@@ -222,7 +223,6 @@ def resolve_placement(
     return _Plan(
         sink=sink,
         agg_id=agg_id,
-        agg_pos=agg_pos,
         positions=positions,
         hosted_below=tuple(sum(1 for p in positions if p <= i) for i in range(3)),
         pre_count=pre_count,

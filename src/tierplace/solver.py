@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass
 
@@ -62,6 +63,15 @@ class SolverConfig:
     max_states: int = 200_000
     cooling: float = 0.95
     iters_per_temp: int = 50
+
+
+# Settings that bundle defaults and command-line options may give SolverConfig:
+# field -> (accepted types, lowest, highest value); options are read as the last type.
+SETTING_RANGES = {
+    "time_budget_ms": ((int, float), 0, sys.float_info.max),  # solve takes a float
+    "seed": ((int,), 0, math.inf),
+    "max_states": ((int,), 1, math.inf),
+}
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ import math
 import random
 from dataclasses import dataclass
 
+from .topology import Layer, Topology, TopologyError, nearest_device_index
 # nearest_device is not called here but stays importable for perfbench/tracer.py.
-from .topology import Topology, TopologyError, nearest_device, nearest_device_index  # noqa: F401
+from .topology import nearest_device  # noqa: F401
 
 __all__ = [
     "Pipeline",
@@ -136,7 +137,7 @@ def derive_active_streams(topology: Topology, scenario: Scenario) -> list[list[s
         active: set[str] = set()
         for device_id in slot.devices or ():
             node = topology.nodes.get(device_id)
-            if node is None or node.layer.label != "Device":
+            if node is None or node.layer != Layer.DEVICE:
                 raise UnknownDevice(f"unknown device: {device_id}")
             active.add(device_id)
         out.append(sorted(active))

@@ -21,6 +21,7 @@ from tierplace import (
     derive_active_streams,
     evaluate,
     min_alloc,
+    mini_bundle,
 )
 from tierplace.cost_model import first_touch_slots
 
@@ -201,3 +202,27 @@ def reports_close(a, b, rel: float = 1e-9) -> bool:
         if (va.kind, va.ident) != (vb.kind, vb.ident) or not close(va.magnitude, vb.magnitude, rel):
             return False
     return True
+
+
+def split_dc_bundle(*extra_dc_links: Link):
+    """mini_bundle with gw2 (cam3's gateway) moved under a new edge2. edge1 links
+    only to dc1 and edge2 only to dc2, so no sink DC reaches both streams."""
+    mini = mini_bundle()
+    t = mini.topology
+    nodes = [replace(n, parent="edge2") if n.id == "gw2" else n for n in t.node_list]
+    nodes.append(Node("edge2", Layer.EDGE, capacity_cpu=8.0, cpu_cost_rate=0.5, speed=0.5))
+    tree_links = [replace(l, dst="edge2") if l.src == "gw2" else l for l in t.tree_link_list]
+    dc_links = [t.dc_link("edge1", "dc1"), Link("edge2", "dc2", latency_ms=40.0),
+                *extra_dc_links]
+    return replace(mini, topology=Topology(nodes, tree_links, dc_links))
+
+
+def unlocated_bundle():
+    """mini_bundle with no device located and one target slot, which no device
+    can serve."""
+    mini = mini_bundle()
+    t = mini.topology
+    nodes = [replace(n, location=None) for n in t.node_list]
+    slots = mini.scenario.slots + (Slot.at(1, 2),)
+    return replace(mini, topology=Topology(nodes, t.tree_link_list, t.dc_link_list),
+                   scenario=replace(mini.scenario, slots=slots))

@@ -40,6 +40,7 @@ from tierplace.bundle import (
     placement_to_json,
     solution_to_json,
 )
+from _instances import split_dc_bundle, unlocated_bundle
 
 
 def test_round_trip_preserves_semantics(tmp_path, mini):
@@ -91,6 +92,19 @@ def test_validate_bundle_checks_slot_devices(mini):
         mini, scenario=replace(mini.scenario, slots=(Slot.explicit(["nope"]),))
     )
     assert ("unknown device", "nope") in validate_bundle(bundle)
+
+
+def test_validate_bundle_needs_a_resolvable_scenario_and_a_common_dc():
+    assert validate_bundle(split_dc_bundle()) == [("no common DC", "dc_links")]
+    linked = split_dc_bundle(Link("edge2", "dc1", latency_ms=15.0))
+    assert validate_bundle(linked) == []
+    assert validate_bundle(unlocated_bundle()) == [
+        ("unresolvable slot", "no candidate device")
+    ]
+    # Only a bundle that passes every other check is compiled.
+    assert validate_bundle(replace(split_dc_bundle(), budget=-1.0)) == [
+        ("invalid budget", "-1.0")
+    ]
 
 
 def test_malformed_files_raise_bundle_error(tmp_path):
@@ -277,6 +291,10 @@ def test_validate_bundle_rejects_unknown_solver_keys(mini):
         (
             lambda: synth_bundle(200, 50),
             "34f7e6950c415c100717c7b52d98b678768d014b71c48c1f9f14f69a1378baa7",
+        ),
+        (  # odd sizes: a gateway with one camera, an edge with one gateway
+            lambda: synth_bundle(5, 4, seed=2),
+            "7ac1cf0f9b2e81aee7851dd014909d5605ad83b14b72e18dd61ba7e4ca19d76e",
         ),
     ],
 )

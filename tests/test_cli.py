@@ -6,9 +6,11 @@ from dataclasses import replace
 
 import pytest
 
+import tierplace.cost_model as cost_model
 from tierplace import mini_bundle, save_bundle
 from tierplace.bundle import bundle_to_json, dumps, placement_to_json
 from tierplace.cli import main
+from _instances import split_dc_bundle, unlocated_bundle
 
 
 @pytest.fixture
@@ -43,6 +45,45 @@ def test_validate_flags_broken_bundle(tmp_path, capsys):
 
 def test_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 3
+
+
+@pytest.mark.parametrize(
+    "make, violation",
+    [
+        (split_dc_bundle, "no common DC: dc_links"),
+        (unlocated_bundle, "unresolvable slot: no candidate device"),
+    ],
+)
+def test_bundles_no_solver_can_place_exit_3(tmp_path, capsys, make, violation):
+    path = str(tmp_path / "bundle.json")
+    save_bundle(make(), path)
+    assert main(["validate", path]) == 3
+    assert f"violation: {violation}" in capsys.readouterr().out
+    for kind in ("exact", "greedy", "anneal"):
+        assert main(["solve", path, "--solver", kind]) == 3
+        assert violation in capsys.readouterr().err
+    assert main(["sweep", path, "--solver", "greedy", "--budgets", "5.0"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--solver", "anneal"],
+        ["sweep", "--solver", "greedy", "--budgets", "0.1", "5.0"],
+    ],
+)
+def test_a_command_derives_the_streams_once(mini_path, monkeypatch, argv):
+    calls = []
+    real_derive = cost_model.derive_active_streams
+
+    def counting_derive(*args):
+        calls.append(args)
+        return real_derive(*args)
+
+    monkeypatch.setattr(cost_model, "_memo", None)
+    monkeypatch.setattr(cost_model, "derive_active_streams", counting_derive)
+    assert main([argv[0], mini_path, *argv[1:]]) == 0
+    assert len(calls) == 1
 
 
 def test_solve_exact_writes_p1(mini_path, tmp_path, capsys):
