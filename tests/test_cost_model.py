@@ -23,7 +23,13 @@ from tierplace import (
     min_alloc,
     simulate,
 )
-from _instances import random_instance, random_placement, reports_close, scale_costs
+from _instances import (
+    random_instance,
+    random_placement,
+    reports_close,
+    scale_costs,
+    split_dc_bundle,
+)
 
 
 # Expected values below were frozen from an independent hand recomputation
@@ -216,36 +222,64 @@ def test_flow_conservation_rates(mini, mini_spec, p1):
 
 
 def test_invalid_placements_are_rejected(mini, mini_spec):
-    with pytest.raises(InvalidPlacement, match="stage layers"):
-        evaluate(
-            mini.topology,
-            mini_spec,
-            Placement(layer_of=(Layer.CLOUD,), agg_node="edge1", sink_dc="dc1", alloc=1),
-        )
-    with pytest.raises(InvalidPlacement, match="unknown node"):
-        evaluate(
-            mini.topology,
-            mini_spec,
-            Placement(layer_of=(Layer.CLOUD,), agg_node="dc9", sink_dc="dc9", alloc=1),
-        )
-    with pytest.raises(InvalidPlacement, match="predeploy"):
-        evaluate(
-            mini.topology,
-            mini_spec,
-            Placement(
-                layer_of=(Layer.CLOUD,),
-                agg_node="dc1",
-                sink_dc="dc1",
-                predeploy=frozenset({"gw1"}),
-                alloc=1,
-            ),
-        )
-    with pytest.raises(InvalidPlacement, match="expected 1 stage layers"):
-        evaluate(
-            mini.topology,
-            mini_spec,
-            Placement(layer_of=(), agg_node="dc1", sink_dc="dc1", alloc=1),
-        )
+    """Each way a placement is refused, with its exact message, by both scorers.
+
+    Every row breaks one rule; the last link row also breaks the tier rule and
+    shows the link is checked first."""
+    t, pipe = mini.topology, mini.pipeline
+    no_merged = replace(pipe, aggregation_index=3)
+    two_pre = replace(pipe, stages=pipe.stages[:1] + pipe.stages, aggregation_index=3)
+    split = split_dc_bundle().topology
+    G, E, C, P = Layer.GATEWAY, Layer.EDGE, Layer.CLOUD, Placement
+    dc1 = dict(agg_node="dc1", sink_dc="dc1", alloc=1)
+    edge1 = dict(agg_node="edge1", alloc=1)
+    alloc_reason = "alloc must be a nonnegative integer no larger than the largest float"
+    cases = [
+        (replace(pipe, stages=()), t, P((), **dc1), "malformed pipeline"),
+        (replace(pipe, aggregation_index=0), t, P((), **dc1), "malformed pipeline"),
+        (replace(pipe, aggregation_index=4), t, P((G, C, C), **dc1), "malformed pipeline"),
+        (pipe, t, P((), **dc1), "expected 1 stage layers, got 0"),
+        (pipe, t, P((1,), **dc1), "layer_of entries must be layers"),
+        (two_pre, t, P((E, G), **dc1), "stage layers must be monotone"),
+        (pipe, t, P((G,), sink_dc="dc1", alloc=1), "aggregation host required"),
+        (pipe, t, P((G,), agg_node="dc9", sink_dc="dc9", alloc=1), "unknown node: dc9"),
+        (pipe, t, P((G,), agg_node="gw1", sink_dc="dc1", alloc=1),
+         "aggregation host must sit on the Edge or Cloud tier"),
+        (pipe, t, P((G,), agg_node="dc1", sink_dc="dc2", alloc=1),
+         "sink must equal a cloud aggregation host"),
+        (pipe, t, P((G,), **edge1), "edge aggregation requires a sink DC"),
+        (pipe, t, P((G,), sink_dc="dc9", **edge1), "invalid sink DC: dc9"),
+        (pipe, t, P((G,), sink_dc="edge1", **edge1), "invalid sink DC: edge1"),
+        (pipe, t, P((G,), sink_dc="", **edge1), "invalid sink DC: "),
+        (pipe, split, P((G,), sink_dc="dc2", **edge1), "edge1 is not linked to dc2"),
+        (pipe, split, P((C,), sink_dc="dc2", **edge1), "edge1 is not linked to dc2"),
+        (pipe, t, P((C,), sink_dc="dc1", **edge1),
+         "stage layers must not exceed the aggregation tier"),
+        (no_merged, t, P((G, C), agg_node="dc1", sink_dc="dc1"),
+         "no merged stage, aggregation host must be absent"),
+        (no_merged, t, P((G, C), sink_dc="dc1", alloc=1), "no merged stage, alloc must be 0"),
+        (no_merged, t, P((G, C)), "invalid sink DC: ''"),
+        (no_merged, t, P((G, C), sink_dc="dc9"), "invalid sink DC: 'dc9'"),
+        (no_merged, t, P((G, C), sink_dc="edge1"), "invalid sink DC: 'edge1'"),
+        (pipe, t, P((G,), predeploy=frozenset({"gw9"}), **dc1), "invalid predeploy gateway: gw9"),
+        (pipe, t, P((G,), predeploy=frozenset({"edge1"}), **dc1),
+         "invalid predeploy gateway: edge1"),
+        (pipe, t, P((C,), predeploy=frozenset({"gw1"}), **dc1),
+         "predeploy set requires a gateway-tier stage"),
+        (pipe, t, P((G,), agg_node="dc1", sink_dc="dc1", alloc=-1), alloc_reason),
+        (pipe, t, P((G,), agg_node="dc1", sink_dc="dc1", alloc=1.5), alloc_reason),
+        (pipe, t, P((G,), agg_node="dc1", sink_dc="dc1", alloc=10**400), alloc_reason),
+    ]
+    for pipeline, topology, placement, reason in cases:
+        spec = replace(mini_spec, pipeline=pipeline)
+        for score in (evaluate, simulate):
+            with pytest.raises(InvalidPlacement) as caught:
+                score(topology, spec, placement)
+            assert str(caught.value) == f"invalid placement: {reason}", placement
+    # An empty sink_dc with a cloud host means the host itself.
+    assert evaluate(t, mini_spec, P((G,), agg_node="dc1", sink_dc="", alloc=1)) == evaluate(
+        t, mini_spec, P((G,), **dc1)
+    )
 
 
 def test_alloc_no_float_can_hold_is_rejected(mini, mini_spec, p1):
