@@ -137,10 +137,11 @@ def resolve_placement(
 ) -> _Plan:
     """Validate a placement and precompute stage hosting positions.
 
-    Raises InvalidPlacement with a human-readable reason on any breach.
+    The first failed check raises InvalidPlacement. The checks, in order: pipeline;
+    stage layer count, type and order; aggregation host and sink; sink DC; edge-host
+    link to the sink; stage layers within the aggregation tier; predeploy; alloc.
     """
-    stages = pipeline.stages
-    if not stages or not 1 <= pipeline.aggregation_index <= len(stages) + 1:
+    if not pipeline.stages or not 1 <= pipeline.aggregation_index <= len(pipeline.stages) + 1:
         raise InvalidPlacement("invalid placement: malformed pipeline")
     pre_count = pipeline.pre_count
     layers = tuple(placement.layer_of)
@@ -153,58 +154,46 @@ def resolve_placement(
     if any(layers[i] > layers[i + 1] for i in range(len(layers) - 1)):
         raise InvalidPlacement("invalid placement: stage layers must be monotone")
 
+    agg_id, top, sink = placement.agg_node, Layer.CLOUD, placement.sink_dc or ""
     if pipeline.has_aggregation:
-        if placement.agg_node is None:
+        if agg_id is None:
             raise InvalidPlacement("invalid placement: aggregation host required")
-        if not topology.has_node(placement.agg_node):
-            raise InvalidPlacement(f"invalid placement: unknown node: {placement.agg_node}")
-        agg = topology.node(placement.agg_node)
-        if agg.layer not in (Layer.EDGE, Layer.CLOUD):
+        if not topology.has_node(agg_id):
+            raise InvalidPlacement(f"invalid placement: unknown node: {agg_id}")
+        top = topology.node(agg_id).layer
+        if top not in (Layer.EDGE, Layer.CLOUD):
             raise InvalidPlacement(
                 "invalid placement: aggregation host must sit on the Edge or Cloud tier"
             )
-        if agg.layer == Layer.CLOUD:
-            sink = placement.sink_dc or agg.id
-            if sink != agg.id:
-                raise InvalidPlacement(
-                    "invalid placement: sink must equal a cloud aggregation host"
-                )
-        else:
-            if placement.sink_dc is None:
-                raise InvalidPlacement(
-                    "invalid placement: edge aggregation requires a sink DC"
-                )
-            sink = placement.sink_dc
-            if not topology.has_node(sink) or topology.node(sink).layer != Layer.CLOUD:
-                raise InvalidPlacement(f"invalid placement: invalid sink DC: {sink}")
-            if topology.dc_link(agg.id, sink) is None:
-                raise InvalidPlacement(
-                    f"invalid placement: {agg.id} is not linked to {sink}"
-                )
-        if layers and layers[-1] > agg.layer:
+        sink = (placement.sink_dc or agg_id) if top == Layer.CLOUD else placement.sink_dc
+        if top == Layer.CLOUD and sink != agg_id:
             raise InvalidPlacement(
-                "invalid placement: stage layers must not exceed the aggregation tier"
+                "invalid placement: sink must equal a cloud aggregation host"
             )
-        agg_id: str | None = agg.id
-        agg_pos = int(agg.layer)
-    else:
-        if placement.agg_node is not None:
+        if sink is None:
             raise InvalidPlacement(
-                "invalid placement: no merged stage, aggregation host must be absent"
+                "invalid placement: edge aggregation requires a sink DC"
             )
-        if placement.alloc != 0:
-            raise InvalidPlacement(
-                "invalid placement: no merged stage, alloc must be 0"
-            )
-        sink = placement.sink_dc or ""
-        if not topology.has_node(sink) or topology.node(sink).layer != Layer.CLOUD:
-            raise InvalidPlacement(f"invalid placement: invalid sink DC: {sink!r}")
-        agg_id = None
-        agg_pos = int(Layer.CLOUD)
+    elif agg_id is not None:
+        raise InvalidPlacement(
+            "invalid placement: no merged stage, aggregation host must be absent"
+        )
+    elif placement.alloc != 0:
+        raise InvalidPlacement(
+            "invalid placement: no merged stage, alloc must be 0"
+        )
+    if not topology.has_node(sink) or topology.node(sink).layer != Layer.CLOUD:
+        raise InvalidPlacement(f"invalid placement: invalid sink DC: {sink!r}")
+    if top == Layer.EDGE and topology.dc_link(agg_id, sink) is None:
+        raise InvalidPlacement(
+            f"invalid placement: {agg_id} is not linked to {sink}"
+        )
+    if layers and layers[-1] > top:
+        raise InvalidPlacement(
+            "invalid placement: stage layers must not exceed the aggregation tier"
+        )
 
-    gateway_stages = tuple(
-        k for k in range(pre_count) if layers[k] == Layer.GATEWAY
-    )
+    gateway_stages = tuple(k for k, layer in enumerate(layers) if layer == Layer.GATEWAY)
     for gw in placement.predeploy:
         if not topology.has_node(gw) or topology.node(gw).layer != Layer.GATEWAY:
             raise InvalidPlacement(f"invalid placement: invalid predeploy gateway: {gw}")
@@ -217,9 +206,7 @@ def resolve_placement(
         raise InvalidPlacement("invalid placement: alloc must be a nonnegative integer "
                                "no larger than the largest float")
 
-    positions = tuple(
-        int(layers[k]) if k < pre_count else agg_pos for k in range(len(stages))
-    )
+    positions = tuple(map(int, layers)) + (int(top),) * (len(pipeline.stages) - pre_count)
     return _Plan(
         sink=sink,
         agg_id=agg_id,

@@ -248,9 +248,9 @@ def test_invalid_placements_are_rejected(mini, mini_spec):
         (pipe, t, P((G,), agg_node="dc1", sink_dc="dc2", alloc=1),
          "sink must equal a cloud aggregation host"),
         (pipe, t, P((G,), **edge1), "edge aggregation requires a sink DC"),
-        (pipe, t, P((G,), sink_dc="dc9", **edge1), "invalid sink DC: dc9"),
-        (pipe, t, P((G,), sink_dc="edge1", **edge1), "invalid sink DC: edge1"),
-        (pipe, t, P((G,), sink_dc="", **edge1), "invalid sink DC: "),
+        (pipe, t, P((G,), sink_dc="dc9", **edge1), "invalid sink DC: 'dc9'"),
+        (pipe, t, P((G,), sink_dc="edge1", **edge1), "invalid sink DC: 'edge1'"),
+        (pipe, t, P((G,), sink_dc="", **edge1), "invalid sink DC: ''"),
         (pipe, split, P((G,), sink_dc="dc2", **edge1), "edge1 is not linked to dc2"),
         (pipe, split, P((C,), sink_dc="dc2", **edge1), "edge1 is not linked to dc2"),
         (pipe, t, P((C,), sink_dc="dc1", **edge1),
