@@ -190,20 +190,14 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for float options: NaN and +-inf are usage errors (exit 3)."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
-
-
 def _at_least(convert, low, high=math.inf):
     """argparse type: convert, then require a finite value in [low, high] (exit 3 otherwise)."""
 
     def parse(text: str):
         value = convert(text)
-        if not (low <= value < math.inf and value <= high):
+        if not abs(value) < math.inf:  # NaN too; unlike math.isfinite, exact for any int
+            raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        if not low <= value <= high:
             raise argparse.ArgumentTypeError(f"must be finite and >= {low}: {text!r}")
         return value
 
@@ -249,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a synthetic bundle")
     p.add_argument("--devices", type=_at_least(int, 1), required=True)
     p.add_argument("--slots", type=_at_least(int, 1), required=True)
-    p.add_argument("--step", type=_finite_float, default=10.0)
+    p.add_argument("--step", type=_at_least(float, -math.inf), default=10.0)
     p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.add_argument("--budget", type=_at_least(float, 0), default=None)
     p.add_argument("--out", required=True)

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 import tierplace.cost_model as cost_model
-from tierplace import mini_bundle, save_bundle
+from tierplace import mini_bundle, save_bundle, synth_bundle
 from tierplace.bundle import bundle_to_json, dumps, placement_to_json
 from tierplace.cli import main
 from _instances import split_dc_bundle, unlocated_bundle
@@ -266,9 +266,22 @@ def test_out_of_range_solver_flags_exit_3(mini_path, tmp_path):
 
 def test_non_finite_gen_step_exits_3(tmp_path):
     out = tmp_path / "gen.json"
-    for value in ("nan", "inf"):
-        assert main(["gen", "--devices", "4", "--slots", "3", "--step", value, "--out", str(out)]) == 3
+    for value in ("nan", "inf", "-inf"):
+        args = ["gen", "--devices", "4", "--slots", "3", f"--step={value}", "--out", str(out)]
+        assert main(args) == 3
     assert not out.exists()
+
+
+def test_gen_step_is_passed_to_the_generator(tmp_path):
+    out, expected = tmp_path / "gen.json", tmp_path / "expected.json"
+    assert main(["gen", "--devices", "4", "--slots", "3", "--step", "2.5", "--out", str(out)]) == 0
+    save_bundle(synth_bundle(devices=4, slots=3, step=2.5), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+def test_integer_options_take_any_size(mini_path):
+    # An int too large for a float is still finite: the range check must not convert it.
+    assert main(["solve", mini_path, "--solver", "anneal", "--seed", "9" * 401]) == 0
 
 
 @pytest.mark.parametrize(
