@@ -149,8 +149,6 @@ def gen_random_walk(
     num_slots: int,
     step: float,
     seed: int,
-    slot_seconds: float = 3600.0,
-    source_rate_mbps: float = 8.0,
 ) -> Scenario:
     """Random-walk target scenario starting at the first device's location.
 
@@ -171,8 +169,8 @@ def gen_random_walk(
         y += length * math.sin(angle)
         slots.append(Slot.at(x, y))
     return Scenario(
-        slot_seconds=slot_seconds,
+        slot_seconds=3600.0,
         slots=tuple(slots),
-        source_rate_mbps=source_rate_mbps,
+        source_rate_mbps=8.0,
         seed=seed,
     )
