@@ -84,6 +84,9 @@ def test_validate_bundle_flags_problems(mini):
     bad_index = replace(mini, pipeline=replace(mini.pipeline, aggregation_index=9))
     assert any(kind == "invalid aggregation index" for kind, _ in validate_bundle(bad_index))
 
+    bad_seed = replace(mini, scenario=replace(mini.scenario, seed=-1))
+    assert ("invalid scenario value", "seed") in validate_bundle(bad_seed)
+
 
 def test_validate_bundle_checks_slot_devices(mini):
     from tierplace import Slot

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 import tierplace.cost_model as cost_model
-from tierplace import mini_bundle, save_bundle, synth_bundle
+from tierplace import Slot, mini_bundle, save_bundle, synth_bundle
 from tierplace.bundle import bundle_to_json, dumps, placement_to_json
 from tierplace.cli import main
 from _instances import split_dc_bundle, unlocated_bundle
@@ -122,6 +122,22 @@ def test_simulate_matches_solver_report(mini_path, tmp_path):
     assert float(rows[0]["mean_latency_ms"]) == pytest.approx(92.0)
     total_network = sum(float(row["network_cost"]) for row in rows)
     assert total_network == pytest.approx(0.0216, rel=1e-9)
+
+
+def test_simulate_replays_an_empty_slot_at_zero_latency(tmp_path):
+    mini = mini_bundle()
+    slots = mini.scenario.slots + (Slot.explicit([]),)
+    bundle_path = tmp_path / "bundle.json"
+    save_bundle(replace(mini, scenario=replace(mini.scenario, slots=slots)), bundle_path)
+    assert '"devices": []' in bundle_path.read_text(encoding="utf-8")
+    assert main(["validate", str(bundle_path)]) == 0
+    solution_path, csv_path = tmp_path / "solution.json", tmp_path / "slots.csv"
+    for solver in ("exact", "greedy", "anneal"):
+        assert main(["solve", str(bundle_path), "--solver", solver, "--out", str(solution_path)]) == 0
+        assert main(["simulate", str(bundle_path), str(solution_path), "--csv", str(csv_path)]) == 0
+        rows = list(csv.DictReader(csv_path.open()))
+        assert [row["active_devices"] for row in rows] == ["cam1", "cam3", ""]
+        assert float(rows[2]["mean_latency_ms"]) == 0.0
 
 
 def test_simulate_overload_exits_2(tmp_path, p1):

@@ -124,6 +124,13 @@ def test_min_alloc_rejects_oversized_demand():
         min_alloc(topology, spec, placement)
 
 
+def test_min_alloc_needs_a_merged_stage(mini, mini_spec):
+    spec = replace(mini_spec, pipeline=replace(mini_spec.pipeline, aggregation_index=3))
+    placement = Placement(layer_of=(Layer.GATEWAY, Layer.CLOUD), sink_dc="dc1")
+    with pytest.raises(InvalidPlacement, match="^invalid placement: no merged stage to size$"):
+        min_alloc(mini.topology, spec, placement)
+
+
 def test_min_alloc_makes_evaluate_alloc_clean():
     topology, spec = _single_node_instance(25.0, 0.1)
     placement = Placement(layer_of=(), agg_node="dc1", sink_dc="dc1")

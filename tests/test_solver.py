@@ -377,6 +377,9 @@ def test_choose_dc_weighted_edges(mini):
     spec = ServiceSpec(pipeline=mini.pipeline, scenario=scenario, budget=1000.0)
     # dc1: 3*10 + 1*50 = 80; dc2: 3*30 + 1*5 = 95.
     assert choose_dc(topology, spec) == "dc1"
+    # A DC that a used edge does not reach cannot be the sink.
+    links = [l for l in topology.dc_link_list if l.key != "edgeB->dc1"]
+    assert choose_dc(Topology(topology.node_list, topology.tree_link_list, links), spec) == "dc2"
 
 
 def test_choose_dc_tie_breaks_by_id(mini):
@@ -393,11 +396,13 @@ def test_choose_predeploy_ample_budget(mini, mini_spec, p3):
     assert chosen == frozenset({"gw1", "gw2"})
 
 
-def test_choose_predeploy_zero_benefit(mini, mini_spec, p3):
+def test_choose_predeploy_zero_benefit(mini, mini_spec, p2, p3):
     stages = list(mini_spec.pipeline.stages)
     stages[0] = replace(stages[0], dispatch_penalty_ms=0.0, deploy_cost=0.5, dispatch_cost=0.01)
     spec = replace(mini_spec, pipeline=replace(mini_spec.pipeline, stages=tuple(stages)))
     assert choose_predeploy(mini.topology, spec, p3, remaining_budget=10.0) == frozenset()
+    # A vector with no gateway-tier stage has nothing to pre-install.
+    assert choose_predeploy(mini.topology, mini_spec, p2, remaining_budget=10.0) == frozenset()
 
 
 def test_choose_predeploy_free_deploy_takes_all(mini, mini_spec, p3):

@@ -43,11 +43,12 @@ def test_edge_without_dc_is_flagged():
 def test_duplicate_ids_and_unknown_endpoints_flagged():
     t = Topology(
         nodes=[Node("dc1", Layer.CLOUD), Node("dc1", Layer.CLOUD)],
-        tree_links=[Link("ghost", "dc1")],
+        tree_links=[Link("ghost", "dc1"), Link("ghost", "dc1")],
     )
     kinds = [kind for kind, _ in validate_topology(t)]
     assert "duplicate id" in kinds
     assert "unknown endpoint" in kinds
+    assert ("duplicate link", "ghost->dc1") in validate_topology(t)
 
 
 def test_missing_parent_and_bad_values_flagged():
@@ -57,10 +58,11 @@ def test_missing_parent_and_bad_values_flagged():
             Node("edge1", Layer.EDGE, capacity_cpu=-1.0),
             Node("dc1", Layer.CLOUD, speed=0.0),
         ],
-        dc_links=[Link("edge1", "dc1", latency_ms=-1.0)],
+        dc_links=[Link("edge1", "dc1", latency_ms=-1.0), Link("gw1", "dc1")],
     )
     kinds = {kind for kind, _ in validate_topology(t)}
     assert {"missing parent", "invalid capacity", "invalid speed", "invalid link value"} <= kinds
+    assert ("invalid dc link", "gw1->dc1") in validate_topology(t)
 
 
 def test_route_to_each_dc(mini):
