@@ -141,7 +141,8 @@ def resolve_placement(
     stage layer count, type and order; aggregation host and sink; sink DC; edge-host
     link to the sink; stage layers within the aggregation tier; predeploy; alloc.
     """
-    if not pipeline.stages or not 1 <= pipeline.aggregation_index <= len(pipeline.stages) + 1:
+    stages = pipeline.stages
+    if not stages or not 1 <= pipeline.aggregation_index <= len(stages) + 1:
         raise InvalidPlacement("invalid placement: malformed pipeline")
     pre_count = pipeline.pre_count
     layers = tuple(placement.layer_of)
@@ -193,7 +194,9 @@ def resolve_placement(
             "invalid placement: stage layers must not exceed the aggregation tier"
         )
 
-    gateway_stages = tuple(k for k, layer in enumerate(layers) if layer == Layer.GATEWAY)
+    gateway_stages = tuple(
+        k for k in range(pre_count) if layers[k] == Layer.GATEWAY
+    )
     for gw in placement.predeploy:
         if not topology.has_node(gw) or topology.node(gw).layer != Layer.GATEWAY:
             raise InvalidPlacement(f"invalid placement: invalid predeploy gateway: {gw}")
@@ -206,7 +209,7 @@ def resolve_placement(
         raise InvalidPlacement("invalid placement: alloc must be a nonnegative integer "
                                "no larger than the largest float")
 
-    positions = tuple(map(int, layers)) + (int(top),) * (len(pipeline.stages) - pre_count)
+    positions = tuple(map(int, layers)) + (int(top),) * (len(stages) - pre_count)
     return _Plan(
         sink=sink,
         agg_id=agg_id,
