@@ -25,7 +25,8 @@ replay it is tested against. `compile_instance` derives those counts, the
 routes and the reduction prefix once per problem into an `Instance`, and
 memoizes the last one by the identity of the topology, pipeline and
 scenario, so none of the three may be mutated after first use. The Instance
-also keeps the outcome of each search state the solvers score, for every solve.
+also keeps, for every later call and solve, the terms of a report that all predeploy
+sets and allocs share, and the outcome of each search state the solvers score.
 """
 
 from __future__ import annotations
@@ -56,8 +57,9 @@ __all__ = [
 ]
 
 GB_PER_MBPS_SECOND = 1.0 / 8000.0
-# States an Instance keeps, invalid ones too. The default anneal schedule stores
-# 2,542 on the multi_stream benchmark bundle (seed 1); exhaustive fills all 8,192.
+# Entries an Instance keeps in `scored` (states, invalid ones too) and in `terms`. The
+# default anneal schedule (seed 1) stores 2,821 states and 30 terms on the multi_stream
+# benchmark bundle (seed 1); exhaustive fills all 8,192 states.
 REPORT_MEMO_CAP = 8192
 
 
@@ -268,7 +270,8 @@ class Instance:
     every other one on first use. Treat it as read-only but for the memos:
     `scored` maps up to REPORT_MEMO_CAP solver states (layer vector, terminus,
     predeploy set) to their evaluated (placement, report), or None if invalid;
-    `paths` fills the routes once per sink, and `_closed_form` their Node objects in `hosts`.
+    `terms` maps up to as many valid (sink, agg host, positions) to their `_shared_terms`;
+    `paths` fills the routes once per sink, and `_shared_terms` their Node objects in `hosts`.
     """
 
     def __init__(self, topology: Topology, pipeline: Pipeline, scenario: Scenario) -> None:
@@ -283,6 +286,7 @@ class Instance:
         self.hosts: dict[str, dict[str, tuple[Node, ...]]] = {}  # sink -> device -> route nodes
         self._on_every_route: set[tuple[str, str | None]] = set()  # (sink, agg host) checked
         self.scored: dict[tuple, tuple[Placement, CostReport] | None] = {}
+        self.terms: dict[tuple, tuple] = {}
 
     @cached_property
     def peak_streams(self) -> dict[str, int]:
@@ -409,27 +413,75 @@ def check_budget(report: CostReport, budget: float) -> tuple[bool, float]:
 def evaluate(topology: Topology, spec: ServiceSpec, placement: Placement) -> CostReport:
     """Score a placement over the whole scenario in closed form, with no slot loop.
 
-    Every call validates the placement and computes its report afresh; the
-    solvers keep the reports of the states they score in `Instance.scored`.
+    Every call validates the placement; the terms that its predeploy set and alloc leave
+    unchanged come from `Instance.terms` after the first call. The solvers keep the
+    reports of the states they score in `Instance.scored`.
     """
     plan = resolve_placement(topology, spec.pipeline, placement)
     return _closed_form(compile_instance(topology, spec), plan)
 
 
 def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
-    """The report of a validated plan.
+    """A validated plan's report: its `_shared_terms`, plus the reservation, deploy and
+    dispatch costs, dispatch penalties and `alloc` violation of its predeploy set and alloc."""
+    key = (plan.sink, plan.agg_id, plan.positions)
+    terms = instance.terms.get(key)
+    if terms is None:  # a hit skips `paths`: only (sink, agg host) pairs it passed are stored
+        terms = _shared_terms(instance, plan)
+        if len(instance.terms) < REPORT_MEMO_CAP:
+            instance.terms[key] = terms
+    usage_cost, network_cost, latency_sum, latency, max_latency, peak_cpu, violations = terms
+    stages = instance.pipeline.stages
+    dispatch_cost = 0.0
+    if plan.gateway_stages:
+        penalty_ms = sum(stages[k].dispatch_penalty_ms for k in plan.gateway_stages)
+        cost_per_dispatch = sum(stages[k].dispatch_cost for k in plan.gateway_stages)
+        for gateway, devices in instance.first_touch.items():
+            if gateway not in plan.predeploy:
+                dispatch_cost += cost_per_dispatch
+                latency_sum += len(devices) * penalty_ms
+                max_latency = max(max_latency, max(map(latency.get, devices)) + penalty_ms)
+    demand = instance.peak_demand
+    if plan.agg_id is not None and demand > plan.alloc:  # "alloc" sorts before the rest
+        violations = (Violation("alloc", plan.agg_id, demand - plan.alloc),) + violations
+
+    per_gateway_deploy = sum(stages[k].deploy_cost for k in plan.gateway_stages)
+    deploy_cost = _repeated_sum((per_gateway_deploy,), len(plan.predeploy))
+
+    topology = instance.topology
+    reservation = plan.alloc * topology.node(plan.agg_id).cpu_cost_rate if plan.agg_id else 0.0
+    streams = sum(instance.activations.values())
+    server_cost = usage_cost + reservation
+    total_cost = server_cost + network_cost + deploy_cost + dispatch_cost
+    return CostReport(
+        server_cost=server_cost,
+        network_cost=network_cost,
+        deploy_cost=deploy_cost,
+        dispatch_cost=dispatch_cost,
+        total_cost=total_cost,
+        mean_latency_ms=latency_sum / streams if streams else 0.0,
+        max_latency_ms=max_latency,
+        peak_cpu=peak_cpu,
+        feasible=not violations,
+        violations=violations,
+    )
+
+
+def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
+    """What a plan's report takes from its sink, agg host and positions alone: usage and
+    network cost, latency sum, per-device and max latency (no dispatch penalties), read-only
+    peak CPU, and the sorted CPU and bandwidth violations.
 
     Each active device adds its number of active slots times its per-stream
-    network cost, usage cost and latency; each dispatching gateway adds the
-    dispatch cost once and the penalty on the streams of its first slot. Peaks
-    need the precondition `validate_bundle` enforces, that every rate, CPU
-    demand and reduction is finite and nonnegative: a slot's load, added up
-    stream by stream, then never shrinks as the streams through its node or
-    link grow, nor merged demand as the streams in the slot grow. So a peak is
-    the per-stream loads added up for the most streams through the node (or the
-    link's child side) in one slot, plus peak merged demand on the aggregation
-    host and in its alloc check. Added up in the replay's order, not multiplied,
-    they let `simulator.simulate` agree on every field, at a capacity boundary too.
+    network cost, usage cost and latency. Peaks need the precondition that
+    `validate_bundle` enforces, that every rate, CPU demand and reduction is
+    finite and nonnegative: a slot's load, added up stream by stream, then never
+    shrinks as the streams through its node or link grow, nor merged demand as
+    the streams in the slot grow. So a peak is the per-stream loads added up for
+    the most streams through the node (or the link's child side) in one slot,
+    plus peak merged demand on the aggregation host, which alloc must cover too.
+    Added up in the replay's order, not multiplied, they let `simulator.simulate`
+    agree on every field, at a capacity boundary too.
     """
     topology = instance.topology
     paths = instance.paths(plan)
@@ -484,53 +536,20 @@ def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
         for i in loaded_tiers:
             loaded[path.nodes[i]] = i
 
-    dispatch_cost = 0.0
-    max_latency = max(latency.values(), default=0.0)
-    if plan.gateway_stages:
-        penalty_ms = sum(stages[k].dispatch_penalty_ms for k in plan.gateway_stages)
-        cost_per_dispatch = sum(stages[k].dispatch_cost for k in plan.gateway_stages)
-        for gateway, devices in instance.first_touch.items():
-            if gateway not in plan.predeploy:
-                dispatch_cost += cost_per_dispatch
-                latency_sum += len(devices) * penalty_ms
-                max_latency = max(max_latency, max(map(latency.get, devices)) + penalty_ms)
-
     peak_of = cache(lambda i, streams: _repeated_sum(tier_loads[i], streams))
     peak_streams = instance.peak_streams
     peak_cpu = {node_id: peak_of(i, peak_streams[node_id]) for node_id, i in loaded.items()}
+    if plan.agg_id is not None and instance.peak_demand != 0.0:
+        peak_cpu[plan.agg_id] = peak_cpu.get(plan.agg_id, 0.0) + instance.peak_demand
     violations: list[Violation] = []
-    if plan.agg_id is not None:
-        demand = instance.peak_demand
-        if demand != 0.0:
-            peak_cpu[plan.agg_id] = peak_cpu.get(plan.agg_id, 0.0) + demand
-        if demand > plan.alloc:
-            violations.append(Violation("alloc", plan.agg_id, demand - plan.alloc))
     for node_id, peak in peak_cpu.items():
         capacity = topology.node(node_id).capacity_cpu
         if peak > capacity:
             violations.append(Violation("cpu_capacity", node_id, peak - capacity))
     for key, (link, rate) in capped.items():
-        load = _repeated_sum((rate,), instance.peak_streams[link.src])
+        load = _repeated_sum((rate,), peak_streams[link.src])
         if load > link.bandwidth_mbps:
             violations.append(Violation("bandwidth", key, load - link.bandwidth_mbps))
     violations.sort(key=lambda v: (v.kind, v.ident))
-
-    per_gateway_deploy = sum(stages[k].deploy_cost for k in plan.gateway_stages)
-    deploy_cost = _repeated_sum((per_gateway_deploy,), len(plan.predeploy))
-
-    reservation = plan.alloc * topology.node(plan.agg_id).cpu_cost_rate if plan.agg_id else 0.0
-    streams = sum(instance.activations.values())
-    server_cost = usage_cost + reservation
-    total_cost = server_cost + network_cost + deploy_cost + dispatch_cost
-    return CostReport(
-        server_cost=server_cost,
-        network_cost=network_cost,
-        deploy_cost=deploy_cost,
-        dispatch_cost=dispatch_cost,
-        total_cost=total_cost,
-        mean_latency_ms=latency_sum / streams if streams else 0.0,
-        max_latency_ms=max_latency,
-        peak_cpu=MappingProxyType(peak_cpu),
-        feasible=not violations,
-        violations=tuple(violations),
-    )
+    return (usage_cost, network_cost, latency_sum, latency, max(latency.values(), default=0.0),
+            MappingProxyType(peak_cpu), tuple(violations))

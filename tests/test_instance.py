@@ -1,11 +1,12 @@
-"""The compiled per-problem Instance: its memo and report memo, the sorted
-nearest-device index, and a count-based guard against re-deriving
-placement-independent data."""
+"""The compiled per-problem Instance: its memo, report memo and table of shared
+report terms, the sorted nearest-device index, and a count-based guard against
+re-deriving placement-independent data."""
 
 from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +27,7 @@ from tierplace import (
     SolverConfig,
     Topology,
     TopologyError,
+    candidate_termini,
     derive_active_streams,
     evaluate,
     mini_bundle,
@@ -40,7 +42,7 @@ from tierplace import (
 )
 from tierplace.bundle import dumps, solution_to_json
 from tierplace.cli import main
-from tierplace.cost_model import compile_instance
+from tierplace.cost_model import compile_instance, resolve_placement
 from tierplace.topology import nearest_device_index
 from _instances import baseline_placement, random_instance, random_placement
 
@@ -124,13 +126,13 @@ def test_report_memo_is_capped_and_changes_no_answer(cold_memo, monkeypatch):
     monkeypatch.setattr(cost_model, "REPORT_MEMO_CAP", 10)
     capped = solve_exhaustive(topology, spec)
     assert capped.states_examined > 10
-    assert len(instance.scored) == 10
+    assert len(instance.scored) == len(instance.terms) == 10  # of 46 states and 32 terms
     again = solve_exhaustive(topology, spec)  # a full memo: hits and misses mixed
-    assert len(instance.scored) == 10
+    assert len(instance.scored) == len(instance.terms) == 10
     cost_model._memo = None
     monkeypatch.setattr(cost_model, "REPORT_MEMO_CAP", 0)
     uncached = solve_exhaustive(topology, spec)
-    assert compile_instance(topology, spec).scored == {}
+    assert compile_instance(topology, spec).scored == compile_instance(topology, spec).terms == {}
     for solution in (capped, again):
         assert replace(solution, elapsed_ms=0.0) == replace(uncached, elapsed_ms=0.0)
 
@@ -198,6 +200,104 @@ def test_sweep_scores_each_distinct_placement_once(cold_memo, monkeypatch, tmp_p
     assert main(["sweep", str(bundle_path), "--solver", "exhaustive", "--budgets", *budgets]) == 0
     assert len(scored) == len(set(scored)) > 0
     assert len(evaluated) == len(scored)
+
+
+def _sibling_placements(topology, spec):
+    """Every terminus and monotone layer vector with a gateway-tier stage, under each
+    predeploy subset of up to three visited gateways and one unvisited gateway, at alloc 0
+    (no merged stage) or min - 1, min and min + 1."""
+    instance = compile_instance(topology, spec)
+    unvisited = [g.id for g in topology.gateways() if g.id not in instance.first_touch]
+    gateways = sorted(instance.first_touch)[:3] + unvisited[:1]
+    subsets = [frozenset(c) for n in range(len(gateways) + 1) for c in combinations(gateways, n)]
+    least = instance.min_reservation
+    for agg, sink in candidate_termini(topology, spec):
+        top = topology.node(agg).layer if agg else Layer.CLOUD
+        for vector in product(Layer, repeat=spec.pipeline.pre_count):
+            if list(vector) != sorted(vector) or vector[-1] > top or Layer.GATEWAY not in vector:
+                continue
+            for predeploy, alloc in product(subsets, sorted({least - 1, least, least + 1})):
+                yield Placement(vector, agg, sink, predeploy, alloc if agg else 0)
+
+
+def _kind_ident(violation):
+    return violation.kind, violation.ident
+
+
+def test_sibling_states_share_terms_and_match_cold_reports(cold_memo, monkeypatch):
+    """States that differ only in predeploy set and alloc share one `Instance.terms`
+    entry and its peak_cpu mapping, and each report equals a cold one computed with no
+    table: fields, peak_cpu item order and violation order. An edge aggregation host and
+    a DC one with the same sink and stage layers get different reports."""
+    edge_vs_dc = 0
+    for seed in range(8):
+        topology, spec = random_instance(seed)
+        placements = list(_sibling_placements(topology, spec))
+        with monkeypatch.context() as uncached:
+            uncached.setattr(cost_model, "REPORT_MEMO_CAP", 0)
+            cost_model._memo = None
+            cold = [evaluate(topology, spec, p) for p in placements]
+            assert compile_instance(topology, spec).terms == {}
+        cost_model._memo = None
+        warm = [evaluate(topology, spec, p) for p in placements]
+        shared = {}
+        for placement, w, c in zip(placements, warm, cold):
+            assert w == c, (seed, placement)
+            assert list(w.peak_cpu.items()) == list(c.peak_cpu.items())
+            assert w.violations == c.violations == tuple(sorted(c.violations, key=_kind_ident))
+            key = (placement.agg_node, placement.sink_dc, placement.layer_of)
+            assert shared.setdefault(key, w.peak_cpu) is w.peak_cpu
+        assert len(compile_instance(topology, spec).terms) == len(shared)
+        reports = dict(zip(placements, warm))
+        for placement, report in reports.items():
+            if placement.agg_node and placement.agg_node.startswith("edge"):
+                at_dc = replace(placement, agg_node=placement.sink_dc)
+                assert reports[at_dc] != report, (seed, placement)
+                edge_vs_dc += 1
+    assert edge_vs_dc > 0
+
+
+def test_off_route_aggregation_host_raises_after_a_valid_sibling(cold_memo):
+    # random_instance(11): every active stream runs through edge2; edge1 links to dc1 too.
+    topology, spec = random_instance(11)
+    assert ("edge2", "dc1") in candidate_termini(topology, spec)
+    vector = (Layer.GATEWAY,) * spec.pipeline.pre_count
+    alloc = compile_instance(topology, spec).min_reservation
+    valid = Placement(vector, "edge2", "dc1", alloc=alloc)
+    evaluate(topology, spec, valid)
+    for predeploy in (frozenset(), frozenset({"gw02"}), frozenset()):
+        with pytest.raises(InvalidPlacement, match="edge1 is off the path"):
+            evaluate(topology, spec, Placement(vector, "edge1", "dc1", predeploy, alloc))
+        evaluate(topology, spec, replace(valid, predeploy=predeploy))
+    terms = compile_instance(topology, spec).terms
+    assert ("dc1", "edge2", (1, 1, 2)) in terms and all(key[1] != "edge1" for key in terms)
+
+
+def test_cold_solves_compute_shared_terms_once_per_key(cold_memo, monkeypatch):
+    """A cold anneal and a cold exhaustive solve compute the terms of each distinct
+    (sink, aggregation host, stage positions) once, for the keys of the valid states
+    they scored."""
+    real_shared_terms, computed = cost_model._shared_terms, []
+
+    def counting_shared_terms(instance, plan):
+        terms = real_shared_terms(instance, plan)
+        computed.append((plan.sink, plan.agg_id, plan.positions))
+        return terms
+
+    monkeypatch.setattr(cost_model, "_shared_terms", counting_shared_terms)
+    anneal = SolverConfig(
+        kind="anneal", seed=5, time_budget_ms=1e9, cooling=0.8, iters_per_temp=10
+    )
+    for seed in range(6):
+        topology, spec = random_instance(seed)
+        for config in (anneal, SolverConfig(kind="exhaustive")):
+            cost_model._memo = None
+            computed.clear()
+            solve(topology, spec, config)
+            valid = filter(None, compile_instance(topology, spec).scored.values())
+            plans = (resolve_placement(topology, spec.pipeline, p) for p, _ in valid)
+            assert len(computed) == len(set(computed)) > 0, (seed, config.kind)
+            assert set(computed) == {(p.sink, p.agg_id, p.positions) for p in plans}
 
 
 @settings(max_examples=300)
