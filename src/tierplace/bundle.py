@@ -265,13 +265,22 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
         return violations
     # With every check above passed the instance compiles, memoized for the command.
     try:
-        edges = compile_instance(bundle.topology, bundle.service_spec()).edge_weights
+        instance = compile_instance(bundle.topology, bundle.service_spec())
+        edges = instance.edge_weights
     except TopologyError as exc:  # a target slot with no located device
         return [("unresolvable slot", str(exc))]
     # A sink DC must be linked from every edge a stream passes through.
     clouds, dc_link = bundle.topology.clouds(), bundle.topology.dc_link
     if not any(all(dc_link(edge, dc.id) is not None for edge in edges) for dc in clouds):
         violations.append(("no common DC", "dc_links"))
+    # Finite inputs can still overflow once multiplied out, into inf or NaN costs.
+    rates = [scenario.source_rate_mbps * p for p in instance.prefix]
+    loads = [stage.cpu_per_unit * rate for stage, rate in zip(pipeline.stages, rates)]
+    volumes = [rate * scenario.slot_seconds for rate in rates]
+    for ident, values in (("stream rate", rates + volumes), ("stage load", loads),
+                          ("peak demand", [instance.peak_demand])):
+        if not all(map(math.isfinite, values)):
+            violations.append(("value overflow", ident))
     return violations
 
 

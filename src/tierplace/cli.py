@@ -91,6 +91,14 @@ def _print_solution(solution: Solution, budget: float) -> None:
     )
 
 
+def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    print(f"wrote {path}")
+
+
 def cmd_validate(args) -> int:
     violations = validate_bundle(load_bundle(args.bundle))
     if violations:
@@ -120,20 +128,10 @@ def cmd_simulate(args) -> int:
     report = simulate(bundle.topology, bundle.service_spec(), placement)
     summary = summarize(report)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            fields = [
-                "traffic_gb",
-                "server_cost",
-                "network_cost",
-                "dispatch_cost",
-                "mean_latency_ms",
-            ]
-            writer.writerow(["slot", "active_devices"] + fields)
-            for record in report.records:
-                values = [getattr(record, field) for field in fields]
-                writer.writerow([record.index, ";".join(record.active)] + values)
-        print(f"wrote {args.csv}")
+        fields = ["traffic_gb", "server_cost", "network_cost", "dispatch_cost", "mean_latency_ms"]
+        rows = [[record.index, ";".join(record.active)] + [getattr(record, f) for f in fields]
+                for record in report.records]
+        _write_csv(args.csv, ["slot", "active_devices"] + fields, rows)
     print(
         f"slots: {len(report.records)}   mean latency: {summary.mean_latency_ms:.6g} ms"
     )
@@ -166,11 +164,7 @@ def cmd_sweep(args) -> int:
         else:
             rows.append([budget, "false"] + [""] * len(header[2:]))
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-        print(f"wrote {args.csv}")
+        _write_csv(args.csv, header, rows)
     print(",".join(header))
     for row in rows:
         print(",".join(str(cell) for cell in row))

@@ -21,12 +21,12 @@ The model a placement is scored under:
 Every cost term and the latency sum are linear in how many slots each
 device is active, so `evaluate` scores a placement in closed form from
 placement-independent counts, and `simulator.simulate` is the slot-by-slot
-replay it is tested against. `compile_instance` derives those counts, the
-routes and the reduction prefix once per problem into an `Instance`, and
-memoizes the last one by the identity of the topology, pipeline and
-scenario, so none of the three may be mutated after first use. The Instance
-also keeps, for every later call and solve, the terms of a report that all predeploy
-sets and allocs share, and the outcome of each search state the solvers score.
+replay it is tested against. `compile_instance` derives those counts and the
+reduction prefix once per problem into an `Instance`, and memoizes the last
+one by the identity of the topology, pipeline and scenario, so none of the
+three may be mutated after first use. The Instance keeps one route table per
+sink, which both read, and for the evaluator alone the terms of a report that
+all predeploy sets and allocs share and the outcome of each scored state.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ class Instance:
     `scored` maps up to REPORT_MEMO_CAP solver states (layer vector, terminus,
     predeploy set) to their evaluated (placement, report), or None if invalid;
     `terms` maps up to as many valid (sink, agg host, positions) to their `_shared_terms`;
-    `paths` fills the routes once per sink, and `_shared_terms` their Node objects in `hosts`.
+    `paths` fills one table per sink with each active device's route and its Node objects.
     """
 
     def __init__(self, topology: Topology, pipeline: Pipeline, scenario: Scenario) -> None:
@@ -282,9 +282,8 @@ class Instance:
         self.prefix = flow_profile(pipeline, 1.0)  # products of the first k reductions
         # device -> number of active slots, in order of first activation
         self.activations = Counter(d for active in self.streams for d in active)
-        self._routes: dict[str, dict[str, Route | None]] = {}  # sink -> device -> route
-        self.hosts: dict[str, dict[str, tuple[Node, ...]]] = {}  # sink -> device -> route nodes
-        self._on_every_route: set[tuple[str, str | None]] = set()  # (sink, agg host) checked
+        # sink -> device -> (route, the route's Node objects), or None if it has no route
+        self._routes: dict[str, dict[str, tuple[Route, tuple[Node, ...]] | None]] = {}
         self.scored: dict[tuple, tuple[Placement, CostReport] | None] = {}
         self.terms: dict[tuple, tuple] = {}
 
@@ -344,26 +343,24 @@ class Instance:
         demand = self.peak_demand
         return max(1, math.ceil(demand - 1e-12 * max(1.0, abs(demand))))
 
-    def paths(self, plan: _Plan) -> dict[str, Route]:
-        """Every active device's route to the plan's sink, built once per sink.
-
-        For the first device, in scenario order, that has no route or whose
-        route misses the aggregation host, stream_route raises the reason.
+    def paths(self, plan: _Plan) -> dict[str, tuple[Route, tuple[Node, ...]]]:
+        """Every active device's route to the plan's sink and the route's Node objects,
+        built once per sink. On every call, for the first device in scenario order that
+        has no route or whose route misses the aggregation host, stream_route raises why.
         """
         table = self._routes.get(plan.sink)
         if table is None:
-            table = {}
+            table = self._routes[plan.sink] = {}
             for device_id in self.activations:
                 try:
-                    table[device_id] = route(self.topology, device_id, plan.sink)
+                    path = route(self.topology, device_id, plan.sink)
+                    table[device_id] = path, tuple(map(self.topology.node, path.nodes))
                 except TopologyError:
                     table[device_id] = None
-            self._routes[plan.sink] = table
-        if (plan.sink, plan.agg_id) not in self._on_every_route:
-            for device_id, path in table.items():
-                if path is None or (plan.agg_id is not None and plan.agg_id not in path.nodes):
-                    stream_route(self.topology, device_id, plan)  # raises InvalidPlacement
-            self._on_every_route.add((plan.sink, plan.agg_id))
+        edge_host = plan.agg_id if plan.agg_id != plan.sink else None  # the sink ends each route
+        for device_id, entry in table.items():
+            if entry is None or (edge_host is not None and edge_host not in entry[0].nodes):
+                stream_route(self.topology, device_id, plan)  # raises InvalidPlacement
         return table  # type: ignore[return-value]  # no None left once checked
 
 
@@ -503,10 +500,6 @@ def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
     link_factors = [rate * scenario.slot_seconds * GB_PER_MBPS_SECOND for rate in link_rates]
     rows = [(plan.positions[k], used[k], stages[k].base_ms) for k in range(plan.pre_count)]
     merged_ms = [stage.base_ms / agg_speed for stage in stages[plan.pre_count:]]
-    hosts = instance.hosts.get(plan.sink)
-    if hosts is None:  # built here, not in `paths`: the replay reads no Node objects
-        hosts = {device: tuple(map(topology.node, p.nodes)) for device, p in paths.items()}
-        instance.hosts[plan.sink] = hosts
 
     usage_cost = 0.0
     network_cost = 0.0
@@ -515,7 +508,7 @@ def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
     loaded: dict[str, int] = {}  # node id -> path index of a tier with CPU load
     capped: dict[str, tuple[Link, float]] = {}  # link key -> (link, per-stream rate)
     for device_id, count in instance.activations.items():
-        path, nodes = paths[device_id], hosts[device_id]
+        path, nodes = paths[device_id]
         network = 0.0
         for li, link in enumerate(path.links):
             network += link_factors[li] * link.traffic_cost_rate

@@ -91,7 +91,7 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
     dispatch_total = 0.0
 
     for slot_index, active in enumerate(instance.streams):
-        touched = sorted({routes[d].nodes[1] for d in active})
+        touched = sorted({routes[d][0].nodes[1] for d in active})
         dispatch_now = []
         if plan.gateway_stages:
             dispatch_now = [
@@ -108,7 +108,7 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
         slot_server = 0.0
         merged = 0.0
         for device_id in active:
-            path = routes[device_id]
+            path, nodes = routes[device_id]
             for li, link in enumerate(path.links):
                 rate = src_rate * prefix[hosted_below[li]]
                 gb = rate * scenario.slot_seconds * GB_PER_MBPS_SECOND
@@ -118,7 +118,7 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
                 link_by_key[link.key] = link
             latency = path.latency_ms
             for k in range(plan.pre_count):
-                host = topology.node(path.nodes[plan.positions[k]])
+                host = nodes[plan.positions[k]]
                 used = stages[k].cpu_per_unit * (src_rate * prefix[k])
                 if used != 0.0:
                     node_cpu[host.id] = node_cpu.get(host.id, 0.0) + used

@@ -269,7 +269,7 @@ def test_criterion_9_budget_sweep_sanity(tmp_path):
             str(csv_path),
         ]
     )
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = list(csv.DictReader(csv_path.read_text(encoding="utf-8").splitlines()))
     latencies = [
         float(row["mean_latency_ms"]) for row in rows if row["feasible"] == "true"
     ]

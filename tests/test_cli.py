@@ -116,7 +116,7 @@ def test_simulate_matches_solver_report(mini_path, tmp_path):
     main(["solve", mini_path, "--solver", "exact", "--out", str(solution_path)])
     csv_path = tmp_path / "slots.csv"
     assert main(["simulate", mini_path, str(solution_path), "--csv", str(csv_path)]) == 0
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = list(csv.DictReader(csv_path.read_text(encoding="utf-8").splitlines()))
     assert [row["slot"] for row in rows] == ["0", "1"]
     assert [row["active_devices"] for row in rows] == ["cam1", "cam3"]
     assert float(rows[0]["mean_latency_ms"]) == pytest.approx(92.0)
@@ -135,7 +135,7 @@ def test_simulate_replays_an_empty_slot_at_zero_latency(tmp_path):
     for solver in ("exact", "greedy", "anneal"):
         assert main(["solve", str(bundle_path), "--solver", solver, "--out", str(solution_path)]) == 0
         assert main(["simulate", str(bundle_path), str(solution_path), "--csv", str(csv_path)]) == 0
-        rows = list(csv.DictReader(csv_path.open()))
+        rows = list(csv.DictReader(csv_path.read_text(encoding="utf-8").splitlines()))
         assert [row["active_devices"] for row in rows] == ["cam1", "cam3", ""]
         assert float(rows[2]["mean_latency_ms"]) == 0.0
 
@@ -167,7 +167,7 @@ def test_sweep_rows_and_exit(mini_path, tmp_path):
         ["sweep", mini_path, "--budgets", "0.1", "2.0", "5.0", "--csv", str(csv_path)]
     )
     assert code == 0
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = list(csv.DictReader(csv_path.read_text(encoding="utf-8").splitlines()))
     assert [row["budget"] for row in rows] == ["0.1", "2.0", "5.0"]
     assert [row["feasible"] for row in rows] == ["false", "true", "true"]
     feasible_latencies = [
@@ -180,7 +180,7 @@ def test_sweep_rows_and_exit(mini_path, tmp_path):
 def test_sweep_single_budget(mini_path, tmp_path):
     csv_path = tmp_path / "one.csv"
     assert main(["sweep", mini_path, "--budgets", "5.0", "--csv", str(csv_path)]) == 0
-    rows = list(csv.DictReader(csv_path.open()))
+    rows = list(csv.DictReader(csv_path.read_text(encoding="utf-8").splitlines()))
     assert len(rows) == 1
 
 
@@ -255,6 +255,31 @@ def test_infinite_source_rate_exits_3(tmp_path, capsys):
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["solve", str(path), "--solver", "greedy"]) == 3
     assert "source_rate_mbps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rate, detect_cpu, violations",
+    [
+        (1e306, None, ["stream rate"]),  # rate x slot_seconds overflows: NaN costs
+        (1e10, 1e308, ["stage load", "peak demand"]),  # NaN reservation: a raw ValueError
+    ],
+)
+def test_finite_values_that_overflow_exit_3(tmp_path, capsys, p1, rate, detect_cpu, violations):
+    data = json.loads(dumps(bundle_to_json(mini_bundle())))
+    data["scenario"]["source_rate_mbps"] = rate
+    for stage in data["pipeline"]["stages"]:
+        if detect_cpu is not None and stage["name"] == "detect":
+            stage["cpu_per_unit"] = detect_cpu
+    path, placement_path = tmp_path / "big.json", tmp_path / "p1.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    placement_path.write_text(dumps(placement_to_json(p1)), encoding="utf-8")
+    assert main(["validate", str(path)]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        f"violation: value overflow: {ident}" for ident in violations
+    ]
+    for argv in (["solve", "--solver", "exhaustive"], ["simulate", str(placement_path)]):
+        assert main([argv[0], str(path), *argv[1:]]) == 3
+        assert "value overflow" in capsys.readouterr().err
 
 
 def test_non_finite_time_budget_exits_3(mini_path):

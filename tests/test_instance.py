@@ -5,6 +5,7 @@ re-deriving placement-independent data."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -386,3 +387,66 @@ def test_route_errors_name_the_first_offending_device_on_every_call(cold_memo):
             with pytest.raises(InvalidPlacement, match=reason):
                 replay(topology, spec, placement)
     assert evaluate(topology, spec, Placement((), agg_node="dc1", sink_dc="dc1", alloc=1)).feasible
+
+
+def test_route_runs_once_per_sink_and_active_device(cold_memo, monkeypatch):
+    """A cold exhaustive solve, a replay of its answer and a sweep route each active
+    device to each DC once: `paths` keeps one table per sink, whose Node objects are
+    the route's own."""
+    real_route, routed = cost_model.route, Counter()
+
+    def counting_route(topology, device_id, dc_id):
+        routed[device_id, dc_id] += 1
+        return real_route(topology, device_id, dc_id)
+
+    monkeypatch.setattr(cost_model, "route", counting_route)
+    for seed in range(4):
+        topology, spec = random_instance(seed)
+        cost_model._memo = None
+        routed.clear()
+        solution = solve(topology, spec, SolverConfig(kind="exhaustive"))
+        simulate(topology, spec, solution.placement)
+        for factor in (0.1, 0.5, 2.0):
+            solve(topology, replace(spec, budget=factor * spec.budget), SolverConfig(kind="greedy"))
+        instance = compile_instance(topology, spec)
+        dcs = [dc.id for dc in topology.clouds()]
+        assert len(dcs) == 2
+        base = baseline_placement(topology, spec)
+        for dc in dcs:
+            at_dc = replace(base, agg_node=dc if base.agg_node else None, sink_dc=dc)
+            table = instance.paths(resolve_placement(topology, spec.pipeline, at_dc))
+            assert list(table) == list(instance.activations)
+            for path, nodes in table.values():
+                assert path.nodes[-1] == dc and nodes == tuple(map(topology.node, path.nodes))
+        assert routed == Counter({(d, dc): 1 for d in instance.activations for dc in dcs}), seed
+
+
+def test_missing_route_to_a_dc_host_raises_on_every_call(cold_memo):
+    """A DC-aggregated placement whose sink some device cannot reach is rejected on
+    every call, naming the first such device in scenario order, before and after a
+    valid solve on the other DC has filled that sink's table."""
+    nodes = [Node(dc, Layer.CLOUD, capacity_cpu=100.0) for dc in ("dc1", "dc2")]
+    tree = []
+    for i in (1, 2, 3):
+        nodes += [
+            Node(f"cam{i}", Layer.DEVICE, parent=f"gw{i}"),
+            Node(f"gw{i}", Layer.GATEWAY, parent=f"edge{i}", capacity_cpu=1.0),
+            Node(f"edge{i}", Layer.EDGE, capacity_cpu=10.0),
+        ]
+        tree += [Link(f"cam{i}", f"gw{i}"), Link(f"gw{i}", f"edge{i}")]
+    # Only edge1 reaches dc2. cam3 (edge3) is active before cam2 (edge2).
+    dc_links = [Link("edge1", "dc2")] + [Link(f"edge{i}", "dc1") for i in (1, 2, 3)]
+    topology = Topology(nodes, tree, dc_links)
+    pipeline = Pipeline((Stage("merge", cpu_per_unit=0.1, reduction=1.0),), aggregation_index=1)
+    slots = (Slot.explicit(["cam1"]), Slot.explicit(["cam3"]), Slot.explicit(["cam2", "cam3"]))
+    spec = ServiceSpec(pipeline, Scenario(1.0, slots, 1.0), budget=10.0)
+    at_dc2 = Placement((), agg_node="dc2", sink_dc="dc2", alloc=1)
+    for solved in (False, True):
+        if solved:
+            solution = solve(topology, spec, SolverConfig(kind="exhaustive"))
+            assert solution.placement.sink_dc == "dc1" and not solution.best_effort
+        for _ in range(2):
+            for replay in (evaluate, simulate):
+                with pytest.raises(InvalidPlacement, match="edge3 is not linked to dc2"):
+                    replay(topology, spec, at_dc2)
+    assert all(key[0] == "dc1" for key in compile_instance(topology, spec).terms)
