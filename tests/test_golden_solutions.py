@@ -7,9 +7,17 @@ one (cooling 0.95, 50 iterations) under a time budget it never reaches, so
 its walk, and with it its file, depends only on the seed. One more digest
 covers the report of every state exhaustive scores on `mini_bundle` and
 `random_instance(0..4)`, in enumeration order and on cold instances, so a
-change to the scorer cannot hide behind the winners. When a change is meant
-to alter answers, rewrite the digests with
-`python tests/test_golden_solutions.py` and say why in the change.
+change to the scorer cannot hide behind the winners.
+
+The replay is pinned bit for bit the same way: one digest per instance over
+the `simulate` report of each solver's answer, and one over the replay of
+every valid state exhaustive scores on the first six instances. Each covers
+every slot record, with its order-dependent `traffic_gb` and
+`mean_latency_ms`, and the report's totals, peak CPU and violations.
+
+When a change is meant to alter answers, rewrite the solution and replay
+digests together with `PYTHONPATH=src python tests/test_golden_solutions.py`
+and say why in the change.
 """
 
 from __future__ import annotations
@@ -17,11 +25,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from tierplace import SolverConfig, mini_bundle, solve
+from tierplace import SolverConfig, mini_bundle, simulate, solve
 from tierplace import solver as solver_module
 from tierplace.bundle import dumps, report_to_json, solution_to_json
 from _instances import random_instance
@@ -44,26 +53,46 @@ def _instances():
         yield (f"random_instance({seed})", *random_instance(seed))
 
 
-def _digests() -> dict[str, str]:
-    out = {}
-    for name, topology, spec in _instances():
-        for kind, cfg in CONFIGS.items():
-            text = dumps(solution_to_json(solve(topology, spec, cfg)))
-            out[f"{name} {kind}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    out["exhaustive reports"] = _exhaustive_reports()
+def _replay_json(topology, spec, placement) -> dict:
+    """Every field of the `simulate` report, plus each record's sums, which
+    depend on the insertion order of its dicts (dumps sorts their keys)."""
+    report = simulate(topology, spec, placement)
+    out = asdict(report)
+    for record, fields in zip(report.records, out["records"]):
+        fields["traffic_gb"] = record.traffic_gb
+        fields["mean_latency_ms"] = record.mean_latency_ms
     return out
 
 
-def _exhaustive_reports() -> str:
+def _digests() -> dict[str, str]:
+    out = {}
+    for name, topology, spec in _instances():
+        replays = hashlib.sha256()
+        for kind, cfg in CONFIGS.items():
+            solution = solve(topology, spec, cfg)
+            text = dumps(solution_to_json(solution))
+            out[f"{name} {kind}"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            replays.update(dumps(_replay_json(topology, spec, solution.placement)).encode("utf-8"))
+        out[f"{name} replays"] = replays.hexdigest()
+    out["exhaustive reports"], out["exhaustive replays"] = _exhaustive_reports()
+    return out
+
+
+def _exhaustive_reports() -> tuple[str, str]:
     """sha256 over the report (null for an invalid state) of every state
-    `_Best.score` is handed by exhaustive on the first six instances."""
+    `_Best.score` is handed by exhaustive on the first six instances, and
+    sha256 over the replay of every valid one of those states."""
     digest = hashlib.sha256()
+    replays = hashlib.sha256()
     real_score = solver_module._Best.score
 
     def recording_score(self, *state):
         outcome = real_score(self, *state)
         record = report_to_json(outcome[1]) if outcome is not None else None
         digest.update(dumps(record).encode("utf-8"))
+        if outcome is not None:
+            replay = _replay_json(self.topology, self.spec, outcome[0])
+            replays.update(dumps(replay).encode("utf-8"))
         return outcome
 
     solver_module._Best.score = recording_score
@@ -72,7 +101,7 @@ def _exhaustive_reports() -> str:
             solve(topology, spec, CONFIGS["exact"])
     finally:
         solver_module._Best.score = real_score
-    return digest.hexdigest()
+    return digest.hexdigest(), replays.hexdigest()
 
 
 def test_solution_files_match_golden_digests():
