@@ -5,7 +5,10 @@ slot in which a non-pre-installed gateway serves a stream triggers one
 dispatch per gateway-tier stage (cost plus latency penalty on that slot's
 streams through it), after which the function stays cached for the rest of
 the period. `summarize` collapses the time series into a report that must
-match `cost_model.evaluate` field for field.
+match `cost_model.evaluate` field for field. So that this check means something,
+the replay adds up every slot stream by stream from per-device terms computed
+once per call, where `evaluate` multiplies by activation counts; it reads no memo
+of the evaluator (`Instance.terms`, `Instance.scored`), only the route table.
 """
 
 from __future__ import annotations
@@ -67,12 +70,16 @@ class TimeSeriesReport:
 
 
 def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> TimeSeriesReport:
-    """Replay every slot in order, accruing realized costs and latencies."""
+    """Replay every slot in order, accruing realized costs and latencies.
+
+    What one stream of each active device adds in any slot (per-link GB, load and
+    network cost, per-host CPU and usage cost, latency before dispatch penalties) is
+    computed once per call; each slot then adds those terms stream by stream.
+    """
     plan = resolve_placement(topology, spec.pipeline, placement)
     instance = compile_instance(topology, spec)
     routes = instance.paths(plan)
     prefix = instance.prefix
-    hosted_below = plan.hosted_below
     scenario = spec.scenario
     stages = spec.pipeline.stages
     share = scenario.slot_seconds / scenario.period_seconds
@@ -80,6 +87,26 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
 
     penalty_ms = sum(stages[k].dispatch_penalty_ms for k in plan.gateway_stages)
     agg_speed = topology.node(plan.agg_id or plan.sink).speed
+    link_rates = [src_rate * prefix[below] for below in plan.hosted_below]
+    link_gbs = [rate * scenario.slot_seconds * GB_PER_MBPS_SECOND for rate in link_rates]
+    stage_rows = [(plan.positions[k], stages[k].cpu_per_unit * (src_rate * prefix[k]),
+                   stages[k].base_ms) for k in range(plan.pre_count)]
+    merged_ms = [stage.base_ms / agg_speed for stage in stages[plan.pre_count:]]
+    merged_rate = src_rate * prefix[plan.pre_count]
+
+    caps = {link.key: link.bandwidth_mbps for path, _ in routes.values() for link in path.links}
+    terms = {}  # device -> (gateway, latency without penalty, link terms, host terms)
+    for device_id, (path, nodes) in routes.items():
+        links = [(link.key, gb, rate, gb * link.traffic_cost_rate)
+                 for link, gb, rate in zip(path.links, link_gbs, link_rates)]
+        hosts = [(nodes[position].id, used, used * nodes[position].cpu_cost_rate * share)
+                 for position, used, _ in stage_rows if used != 0.0]
+        latency = path.latency_ms
+        for position, _, base_ms in stage_rows:
+            latency += base_ms / nodes[position].speed
+        for ms in merged_ms:
+            latency += ms
+        terms[device_id] = path.nodes[1], latency, links, hosts
 
     dispatched: set[str] = set()
     records: list[SlotRecord] = []
@@ -91,46 +118,31 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
     dispatch_total = 0.0
 
     for slot_index, active in enumerate(instance.streams):
-        touched = sorted({routes[d][0].nodes[1] for d in active})
-        dispatch_now = []
-        if plan.gateway_stages:
-            dispatch_now = [
-                g for g in touched if g not in plan.predeploy and g not in dispatched
-            ]
-            dispatched.update(dispatch_now)
+        dispatching = ({terms[d][0] for d in active} - plan.predeploy - dispatched
+                       if plan.gateway_stages else set())
+        dispatched |= dispatching
 
         link_gb: dict[str, float] = {}
         link_load: dict[str, float] = {}
-        link_by_key: dict[str, object] = {}
         node_cpu: dict[str, float] = {}
         stream_latency: dict[str, float] = {}
         slot_network = 0.0
         slot_server = 0.0
         merged = 0.0
         for device_id in active:
-            path, nodes = routes[device_id]
-            for li, link in enumerate(path.links):
-                rate = src_rate * prefix[hosted_below[li]]
-                gb = rate * scenario.slot_seconds * GB_PER_MBPS_SECOND
-                slot_network += gb * link.traffic_cost_rate
-                link_gb[link.key] = link_gb.get(link.key, 0.0) + gb
-                link_load[link.key] = link_load.get(link.key, 0.0) + rate
-                link_by_key[link.key] = link
-            latency = path.latency_ms
-            for k in range(plan.pre_count):
-                host = nodes[plan.positions[k]]
-                used = stages[k].cpu_per_unit * (src_rate * prefix[k])
-                if used != 0.0:
-                    node_cpu[host.id] = node_cpu.get(host.id, 0.0) + used
-                    slot_server += used * host.cpu_cost_rate * share
-                latency += stages[k].base_ms / host.speed
-            for k in range(plan.pre_count, len(stages)):
-                latency += stages[k].base_ms / agg_speed
-            if path.nodes[1] in dispatch_now:
+            gateway, latency, links, hosts = terms[device_id]
+            for key, gb, rate, cost in links:
+                slot_network += cost
+                link_gb[key] = link_gb.get(key, 0.0) + gb
+                link_load[key] = link_load.get(key, 0.0) + rate
+            for host_id, used, cost in hosts:
+                node_cpu[host_id] = node_cpu.get(host_id, 0.0) + used
+                slot_server += cost
+            if gateway in dispatching:
                 latency += penalty_ms
             stream_latency[device_id] = latency
             latencies.append(latency)
-            merged += src_rate * prefix[plan.pre_count]
+            merged += merged_rate
 
         agg_usage = 0.0
         if plan.agg_id is not None and active:
@@ -142,10 +154,10 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
                 node_cpu[plan.agg_id] = node_cpu.get(plan.agg_id, 0.0) + agg_usage
 
         events = tuple(
-            (g, stages[k].name) for g in dispatch_now for k in plan.gateway_stages
+            (g, stages[k].name) for g in sorted(dispatching) for k in plan.gateway_stages
         )
         slot_dispatch = 0.0
-        for g in dispatch_now:
+        for _ in dispatching:  # the same costs for each gateway, so any order adds up alike
             for k in plan.gateway_stages:
                 slot_dispatch += stages[k].dispatch_cost
 
@@ -160,7 +172,7 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
             key = ("alloc", plan.agg_id)
             worst[key] = max(worst.get(key, 0.0), agg_usage - plan.alloc)
         for link_key in sorted(link_load):
-            bandwidth = link_by_key[link_key].bandwidth_mbps
+            bandwidth = caps[link_key]
             if bandwidth is not None and link_load[link_key] > bandwidth:
                 key = ("bandwidth", link_key)
                 worst[key] = max(worst.get(key, 0.0), link_load[link_key] - bandwidth)

@@ -22,6 +22,7 @@ from tierplace import (
     simulate,
     summarize,
 )
+from tierplace import cost_model
 from tierplace.cost_model import compile_instance
 from _instances import random_instance, random_placement, reports_close
 
@@ -117,6 +118,32 @@ def test_agreement_on_random_pairs():
         summary = summarize(simulate(topology, spec, placement))
         direct = evaluate(topology, spec, placement)
         assert reports_close(summary, direct)
+
+
+def test_replay_uses_neither_the_closed_form_nor_its_memos(monkeypatch):
+    """On a cold instance the replay gives the same report with the evaluator's
+    closed form made to raise, and leaves the evaluator's memos empty."""
+
+    def refuse(*args):
+        raise AssertionError("the replay called the closed-form evaluator")
+
+    rng = random.Random(5)
+    dispatched = violated = 0
+    for seed in range(12):
+        topology, spec = random_instance(seed)
+        placement = random_placement(topology, spec, rng)
+        expected = simulate(topology, spec, placement)
+        cold_spec = replace(spec, scenario=replace(spec.scenario))  # compiles a new Instance
+        with monkeypatch.context() as patch:
+            patch.setattr(cost_model, "_shared_terms", refuse)
+            patch.setattr(cost_model, "_closed_form", refuse)
+            report = simulate(topology, cold_spec, placement)
+        instance = compile_instance(topology, cold_spec)
+        assert instance.terms == {} and instance.scored == {}
+        assert report == expected
+        dispatched += any(record.dispatches for record in report.records)
+        violated += bool(report.violations)
+    assert dispatched and violated
 
 
 def _crowded_instance(seed: int) -> tuple[Topology, ServiceSpec]:
