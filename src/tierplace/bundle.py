@@ -12,7 +12,7 @@ import math
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-from .cost_model import CostReport, Placement, compile_instance
+from .cost_model import GB_PER_MBPS_SECOND, CostReport, Placement, compile_instance
 from .solver import SETTING_RANGES, SOLVER_KINDS, Solution
 from .topology import Layer, Link, Node, Topology, TopologyError, validate_topology
 from .workload import (
@@ -213,7 +213,8 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     when those all pass, whether the scenario resolves and some DC serves every stream.
 
     Every number must be finite: NaN and +-inf are reported like any other
-    out-of-range value (the chained bounds below are false for them).
+    out-of-range value (the chained bounds below are false for them). So must
+    the products the reports are built from, and a bound on every report field.
     """
     violations = list(validate_topology(bundle.topology))
 
@@ -279,6 +280,29 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     volumes = [rate * scenario.slot_seconds for rate in rates]
     for ident, values in (("stream rate", rates + volumes), ("stage load", loads),
                           ("peak demand", [instance.peak_demand])):
+        if not all(map(math.isfinite, values)):
+            violations.append(("value overflow", ident))
+    if violations:  # the bounds below are built from those values
+        return violations
+    # Upper bounds on every report field of any placement, from the largest price, latency
+    # and load; each stream crosses 3 links, and any gateway may be predeployed.
+    nodes, stages = bundle.topology.node_list, pipeline.stages
+    links = bundle.topology.tree_link_list + bundle.topology.dc_link_list
+    streams = sum(instance.activations.values())  # over all slots
+    cpu_price = max([node.cpu_cost_rate for node in nodes])  # some DC passed the check above
+    link_price = max([link.traffic_cost_rate for link in links], default=0.0)
+    per_stream = (3 * link_price * max(volumes) * GB_PER_MBPS_SECOND
+                  + sum(loads) * cpu_price * scenario.slot_seconds / scenario.period_seconds)
+    gateways = [node.layer for node in nodes].count(Layer.GATEWAY)
+    cost = (streams * per_stream + (instance.peak_demand + 1) * cpu_price
+            + gateways * sum(stage.deploy_cost + stage.dispatch_cost for stage in stages))
+    latency = (3 * max([link.latency_ms for link in links], default=0.0)
+               + sum(stage.base_ms for stage in stages) / min([node.speed for node in nodes])
+               + sum(stage.dispatch_penalty_ms for stage in stages))
+    busiest = max(map(len, instance.streams))  # CPU and link loads peak in one slot
+    peak_load = busiest * (max(rates) + sum(loads)) + instance.peak_demand
+    for ident, values in (("peak load", [peak_load]), ("cost", [cost]),
+                          ("latency", [latency, streams * latency])):
         if not all(map(math.isfinite, values)):
             violations.append(("value overflow", ident))
     return violations

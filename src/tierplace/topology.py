@@ -224,8 +224,9 @@ def validate_topology(topology: Topology) -> list[tuple[str, str]]:
             continue
         if src.layer != Layer.EDGE or dst.layer != Layer.CLOUD:
             violations.append(("invalid dc link", link.key))
+    linked = {link.src for link in topology.dc_link_list}
     for edge in topology.edges():
-        if not topology.dcs_of_edge(edge.id):
+        if edge.id not in linked:
             violations.append(("edge without DC", edge.id))
 
     return violations

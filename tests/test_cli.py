@@ -282,6 +282,46 @@ def test_finite_values_that_overflow_exit_3(tmp_path, capsys, p1, rate, detect_c
         assert "value overflow" in capsys.readouterr().err
 
 
+def _huge_link_prices(data):  # 360 GB per stream and link at 1e308 a GB: an infinite cost
+    data["scenario"]["source_rate_mbps"] = 800
+    for link in data["topology"]["tree_links"] + data["topology"]["dc_links"]:
+        link["traffic_cost_rate"] = 1e308
+
+
+def _huge_stage_latency(data):  # analyze takes 2e308 ms on a gateway: an infinite latency
+    data["pipeline"]["stages"][0]["base_ms"] = 1e308
+    for node in data["topology"]["nodes"]:
+        if node["layer"] == "Gateway":
+            node["speed"] = 0.5
+
+
+def _huge_stage_load(data):  # two streams of 1.2e308 CPU each on gw1 in slot 0, CPU free
+    data["scenario"]["slots"][0]["devices"] = ["cam1", "cam2"]
+    data["pipeline"]["stages"][0]["cpu_per_unit"] = 1.5e307
+    for node in data["topology"]["nodes"]:
+        node["cpu_cost_rate"] = 0.0
+
+
+@pytest.mark.parametrize(
+    "edit, ident",
+    [(_huge_link_prices, "cost"), (_huge_stage_latency, "latency"), (_huge_stage_load, "peak load")],
+)
+def test_report_fields_that_overflow_exit_3(tmp_path, capsys, p1, edit, ident):
+    """Finite prices, latencies or loads whose report fields overflow fail validation,
+    where they used to reach a report as Infinity (the latency one with exit 0)."""
+    data = json.loads(dumps(bundle_to_json(mini_bundle())))
+    edit(data)
+    path, placement_path = tmp_path / "big.json", tmp_path / "p1.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    placement_path.write_text(dumps(placement_to_json(p1)), encoding="utf-8")
+    assert main(["validate", str(path)]) == 3
+    assert capsys.readouterr().out.splitlines() == [f"violation: value overflow: {ident}"]
+    for argv in (["solve", "--solver", "exhaustive"], ["simulate", str(placement_path)],
+                 ["sweep", "--solver", "greedy", "--budgets", "5.0"]):
+        assert main([argv[0], str(path), *argv[1:]]) == 3
+        assert "value overflow" in capsys.readouterr().err
+
+
 def test_non_finite_time_budget_exits_3(mini_path):
     for value in ("nan", "inf"):
         assert main(["solve", mini_path, "--solver", "anneal", "--time-budget-ms", value]) == 3
