@@ -70,12 +70,9 @@ class TimeSeriesReport:
 
 
 def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> TimeSeriesReport:
-    """Replay every slot in order, accruing realized costs and latencies.
-
-    What one stream of each active device adds in any slot (per-link GB, load and
-    network cost, per-host CPU and usage cost, latency before dispatch penalties) is
-    computed once per call; each slot then adds those terms stream by stream.
-    """
+    """Replay every slot in order, accruing realized costs and latencies: what one stream
+    of each active device adds in any slot is computed once per call, then added up slot
+    by slot, stream by stream, never multiplied by how often a device is active."""
     plan = resolve_placement(topology, spec.pipeline, placement)
     instance = compile_instance(topology, spec)
     routes = instance.paths(plan)
@@ -96,14 +93,16 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
 
     caps = {link.key: link.bandwidth_mbps for path, _ in routes.values() for link in path.links}
     terms = {}  # device -> (gateway, latency without penalty, link terms, host terms)
-    for device_id, (path, nodes) in routes.items():
-        links = [(link.key, gb, rate, gb * link.traffic_cost_rate)
-                 for link, gb, rate in zip(path.links, link_gbs, link_rates)]
-        hosts = [(nodes[position].id, used, used * nodes[position].cpu_cost_rate * share)
-                 for position, used, _ in stage_rows if used != 0.0]
-        latency = path.latency_ms
-        for position, _, base_ms in stage_rows:
-            latency += base_ms / nodes[position].speed
+    for device_id, (path, nodes) in routes.items():  # loops, not comprehensions: fewer calls
+        links, hosts, latency = [], [], path.latency_ms
+        for li, link in enumerate(path.links):
+            gb = link_gbs[li]
+            links.append((link.key, gb, link_rates[li], gb * link.traffic_cost_rate))
+        for position, used, base_ms in stage_rows:
+            host = nodes[position]
+            if used != 0.0:
+                hosts.append((host.id, used, used * host.cpu_cost_rate * share))
+            latency += base_ms / host.speed
         for ms in merged_ms:
             latency += ms
         terms[device_id] = path.nodes[1], latency, links, hosts
