@@ -275,10 +275,9 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     if not any(all(dc_link(edge, dc.id) is not None for edge in edges) for dc in clouds):
         violations.append(("no common DC", "dc_links"))
     # Finite inputs can still overflow once multiplied out, into inf or NaN costs.
-    rates = [scenario.source_rate_mbps * p for p in instance.prefix]
-    loads = [stage.cpu_per_unit * rate for stage, rate in zip(pipeline.stages, rates)]
+    rates, loads = instance.rates, instance.loads
     volumes = [rate * scenario.slot_seconds for rate in rates]
-    for ident, values in (("stream rate", rates + volumes), ("stage load", loads),
+    for ident, values in (("stream rate", [*rates, *volumes]), ("stage load", loads),
                           ("peak demand", [instance.peak_demand])):
         if not all(map(math.isfinite, values)):
             violations.append(("value overflow", ident))
@@ -288,7 +287,7 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     # and load; each stream crosses 3 links, and any gateway may be predeployed.
     nodes, stages = bundle.topology.node_list, pipeline.stages
     links = bundle.topology.tree_link_list + bundle.topology.dc_link_list
-    streams = sum(instance.activations.values())  # over all slots
+    streams = instance.total_streams
     cpu_price = max([node.cpu_cost_rate for node in nodes])  # some DC passed the check above
     link_price = max([link.traffic_cost_rate for link in links], default=0.0)
     per_stream = (3 * link_price * max(volumes) * GB_PER_MBPS_SECOND
@@ -299,8 +298,8 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     latency = (3 * max([link.latency_ms for link in links], default=0.0)
                + sum(stage.base_ms for stage in stages) / min([node.speed for node in nodes])
                + sum(stage.dispatch_penalty_ms for stage in stages))
-    busiest = max(map(len, instance.streams))  # CPU and link loads peak in one slot
-    peak_load = busiest * (max(rates) + sum(loads)) + instance.peak_demand
+    # CPU and link loads peak in one slot.
+    peak_load = instance.busiest * (max(rates) + sum(loads)) + instance.peak_demand
     for ident, values in (("peak load", [peak_load]), ("cost", [cost]),
                           ("latency", [latency, streams * latency])):
         if not all(map(math.isfinite, values)):

@@ -21,12 +21,13 @@ The model a placement is scored under:
 Every cost term and the latency sum are linear in how many slots each
 device is active, so `evaluate` scores a placement in closed form from
 placement-independent counts, and `simulator.simulate` is the slot-by-slot
-replay it is tested against. `compile_instance` derives those counts and the
-reduction prefix once per problem into an `Instance`, and memoizes the last
-one by the identity of the topology, pipeline and scenario, so none of the
-three may be mutated after first use. The Instance keeps one route table per
-sink, which both read, and for the evaluator alone the terms of a report that
-all predeploy sets and allocs share and the outcome of each scored state.
+replay it is tested against. `compile_instance` derives those counts and each
+stage's per-stream rate and CPU load once per problem into an `Instance`, and
+memoizes the last one by the identity of the topology, pipeline and scenario,
+so none of the three may be mutated after first use. Both read the Instance's
+route table per sink and `_stream_terms` per plan, and each adds up in its own
+way; the evaluator alone keeps the terms of a report that all predeploy sets
+and allocs share and the outcome of each scored state.
 """
 
 from __future__ import annotations
@@ -279,9 +280,14 @@ class Instance:
         self.streams: tuple[tuple[str, ...], ...] = tuple(
             map(tuple, derive_active_streams(topology, scenario))
         )
-        self.prefix = flow_profile(pipeline, 1.0)  # products of the first k reductions
+        # A stream's rate into stage k (K + 1 values) and the CPU stage k draws from it.
+        self.rates = tuple(scenario.source_rate_mbps * p for p in flow_profile(pipeline, 1.0))
+        self.loads = tuple(stage.cpu_per_unit * rate
+                           for stage, rate in zip(pipeline.stages, self.rates))
         # device -> number of active slots, in order of first activation
         self.activations = Counter(d for active in self.streams for d in active)
+        self.total_streams = sum(self.activations.values())  # stream activations, all slots
+        self.busiest = max(map(len, self.streams), default=0)  # most streams in one slot
         # sink -> device -> (route, the route's Node objects), or None if it has no route
         self._routes: dict[str, dict[str, tuple[Route, tuple[Node, ...]] | None]] = {}
         self.scored: dict[tuple, tuple[Placement, CostReport] | None] = {}
@@ -298,8 +304,7 @@ class Instance:
             through.update(e.id for e in map(parent_of, gateways) if e is not None)
             for node_id, count in through.items():
                 peak[node_id] = max(peak.get(node_id, 0), count)
-        busiest = max(map(len, self.streams), default=0)
-        peak.update((dc.id, busiest) for dc in self.topology.clouds())
+        peak.update((dc.id, self.busiest) for dc in self.topology.clouds())
         return peak
 
     @cached_property
@@ -327,10 +332,8 @@ class Instance:
     def peak_demand(self) -> float:
         """Merged-stage CPU demand of the busiest slot, the peak over slots."""
         pre_count = self.pipeline.pre_count
-        per_stream = self.scenario.source_rate_mbps * self.prefix[pre_count]
-        merged = _repeated_sum((per_stream,), max(map(len, self.streams), default=0))
+        rate_in = _repeated_sum((self.rates[pre_count],), self.busiest)
         demand = 0.0
-        rate_in = merged
         for stage in self.pipeline.stages[pre_count:]:
             demand += stage.cpu_per_unit * rate_in
             rate_in *= stage.reduction
@@ -447,7 +450,6 @@ def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
 
     topology = instance.topology
     reservation = plan.alloc * topology.node(plan.agg_id).cpu_cost_rate if plan.agg_id else 0.0
-    streams = sum(instance.activations.values())
     server_cost = usage_cost + reservation
     total_cost = server_cost + network_cost + deploy_cost + dispatch_cost
     return CostReport(
@@ -456,12 +458,27 @@ def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
         deploy_cost=deploy_cost,
         dispatch_cost=dispatch_cost,
         total_cost=total_cost,
-        mean_latency_ms=latency_sum / streams if streams else 0.0,
+        mean_latency_ms=latency_sum / instance.total_streams if instance.total_streams else 0.0,
         max_latency_ms=max_latency,
         peak_cpu=peak_cpu,
         feasible=not violations,
         violations=violations,
     )
+
+
+def _stream_terms(instance: Instance, plan: _Plan) -> tuple:
+    """What one stream of any active device adds under a plan, whatever its route: the
+    slot's share of the charging period, the rate and GB crossing each route link, a
+    (path index, CPU load, base_ms) row per per-stream stage, and the latency of each
+    merged stage on the aggregation host. The evaluator and the replay both start here."""
+    scenario, stages = instance.scenario, instance.pipeline.stages
+    link_rates = [instance.rates[below] for below in plan.hosted_below]
+    link_gbs = [rate * scenario.slot_seconds * GB_PER_MBPS_SECOND for rate in link_rates]
+    rows = [(plan.positions[k], instance.loads[k], stages[k].base_ms)
+            for k in range(plan.pre_count)]
+    agg_speed = instance.topology.node(plan.agg_id or plan.sink).speed
+    merged_ms = [stage.base_ms / agg_speed for stage in stages[plan.pre_count:]]
+    return scenario.slot_seconds / scenario.period_seconds, link_rates, link_gbs, rows, merged_ms
 
 
 def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
@@ -482,24 +499,12 @@ def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
     """
     topology = instance.topology
     paths = instance.paths(plan)
-    prefix = instance.prefix
-    scenario = instance.scenario
-    stages = instance.pipeline.stages
-    share = scenario.slot_seconds / scenario.period_seconds
-    src_rate = scenario.source_rate_mbps
-    agg_speed = topology.node(plan.agg_id or plan.sink).speed
-
-    used = [stages[k].cpu_per_unit * (src_rate * prefix[k]) for k in range(plan.pre_count)]
+    share, link_rates, link_gbs, rows, merged_ms = _stream_terms(instance, plan)
     tier_loads: list[tuple[float, ...]] = [()] * 4  # nonzero per-stream loads per path index
-    for k, load in enumerate(used):
+    for position, load, _ in rows:
         if load != 0.0:
-            tier_loads[plan.positions[k]] += (load,)
+            tier_loads[position] += (load,)
     loaded_tiers = [i for i, loads in enumerate(tier_loads) if loads]
-    # The device loop's device-independent terms, each with the loop's operation order.
-    link_rates = [src_rate * prefix[below] for below in plan.hosted_below]
-    link_factors = [rate * scenario.slot_seconds * GB_PER_MBPS_SECOND for rate in link_rates]
-    rows = [(plan.positions[k], used[k], stages[k].base_ms) for k in range(plan.pre_count)]
-    merged_ms = [stage.base_ms / agg_speed for stage in stages[plan.pre_count:]]
 
     usage_cost = 0.0
     network_cost = 0.0
@@ -511,7 +516,7 @@ def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
         path, nodes = paths[device_id]
         network = 0.0
         for li, link in enumerate(path.links):
-            network += link_factors[li] * link.traffic_cost_rate
+            network += link_gbs[li] * link.traffic_cost_rate
             if link.bandwidth_mbps is not None:
                 capped[link.key] = (link, link_rates[li])
         usage = 0.0

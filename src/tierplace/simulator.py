@@ -7,8 +7,10 @@ streams through it), after which the function stays cached for the rest of
 the period. `summarize` collapses the time series into a report that must
 match `cost_model.evaluate` field for field. So that this check means something,
 the replay adds up every slot stream by stream from per-device terms computed
-once per call, where `evaluate` multiplies by activation counts; it reads no memo
-of the evaluator (`Instance.terms`, `Instance.scored`), only the route table.
+once per call, where `evaluate` multiplies by activation counts. It shares with
+the evaluator only the compiled per-stream rates and loads, the route table and
+`cost_model._stream_terms`, and reads none of its memos (`Instance.terms`,
+`Instance.scored`).
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 # stream_route and derive_active_streams are not called here but stay
 # importable: perfbench/tracer.py wraps them in this module.
 from .cost_model import (  # noqa: F401
-    GB_PER_MBPS_SECOND,
     CostReport,
     Placement,
     Violation,
+    _stream_terms,
     compile_instance,
     resolve_placement,
     stream_route,
@@ -76,20 +78,10 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
     plan = resolve_placement(topology, spec.pipeline, placement)
     instance = compile_instance(topology, spec)
     routes = instance.paths(plan)
-    prefix = instance.prefix
-    scenario = spec.scenario
     stages = spec.pipeline.stages
-    share = scenario.slot_seconds / scenario.period_seconds
-    src_rate = scenario.source_rate_mbps
-
+    share, link_rates, link_gbs, stage_rows, merged_ms = _stream_terms(instance, plan)
     penalty_ms = sum(stages[k].dispatch_penalty_ms for k in plan.gateway_stages)
-    agg_speed = topology.node(plan.agg_id or plan.sink).speed
-    link_rates = [src_rate * prefix[below] for below in plan.hosted_below]
-    link_gbs = [rate * scenario.slot_seconds * GB_PER_MBPS_SECOND for rate in link_rates]
-    stage_rows = [(plan.positions[k], stages[k].cpu_per_unit * (src_rate * prefix[k]),
-                   stages[k].base_ms) for k in range(plan.pre_count)]
-    merged_ms = [stage.base_ms / agg_speed for stage in stages[plan.pre_count:]]
-    merged_rate = src_rate * prefix[plan.pre_count]
+    merged_rate = instance.rates[plan.pre_count]
 
     caps = {link.key: link.bandwidth_mbps for path, _ in routes.values() for link in path.links}
     terms = {}  # device -> (gateway, latency without penalty, link terms, host terms)
