@@ -133,6 +133,7 @@ class _Plan:
     gateway_stages: tuple[int, ...]  # 0-based indices of gateway-tier stages
     predeploy: frozenset[str]
     alloc: int
+    reservation: float  # alloc times the aggregation host's CPU price
 
 
 def resolve_placement(
@@ -142,7 +143,8 @@ def resolve_placement(
 
     The first failed check raises InvalidPlacement. The checks, in order: pipeline;
     stage layer count, type and order; aggregation host and sink; sink DC; edge-host
-    link to the sink; stage layers within the aggregation tier; predeploy; alloc.
+    link to the sink; stage layers within the aggregation tier; predeploy; alloc; alloc
+    times the aggregation host's CPU price, which must be finite.
     """
     stages = pipeline.stages
     if not stages or not 1 <= pipeline.aggregation_index <= len(stages) + 1:
@@ -211,6 +213,10 @@ def resolve_placement(
     if not 0 <= placement.alloc <= sys.float_info.max or int(placement.alloc) != placement.alloc:
         raise InvalidPlacement("invalid placement: alloc must be a nonnegative integer "
                                "no larger than the largest float")
+    reservation = placement.alloc * topology.node(agg_id).cpu_cost_rate if agg_id else 0.0
+    if not math.isfinite(reservation):
+        raise InvalidPlacement(f"invalid placement: alloc times the CPU price of {agg_id} "
+                               "overflows")
 
     positions = tuple(map(int, layers)) + (int(top),) * (len(stages) - pre_count)
     return _Plan(
@@ -222,6 +228,7 @@ def resolve_placement(
         gateway_stages=gateway_stages,
         predeploy=frozenset(placement.predeploy),
         alloc=int(placement.alloc),
+        reservation=reservation,
     )
 
 
@@ -448,9 +455,7 @@ def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
     per_gateway_deploy = sum(stages[k].deploy_cost for k in plan.gateway_stages)
     deploy_cost = _repeated_sum((per_gateway_deploy,), len(plan.predeploy))
 
-    topology = instance.topology
-    reservation = plan.alloc * topology.node(plan.agg_id).cpu_cost_rate if plan.agg_id else 0.0
-    server_cost = usage_cost + reservation
+    server_cost = usage_cost + plan.reservation
     total_cost = server_cost + network_cost + deploy_cost + dispatch_cost
     return CostReport(
         server_cost=server_cost,

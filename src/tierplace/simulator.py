@@ -189,14 +189,11 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
     deploy_cost = 0.0
     for _ in sorted(plan.predeploy):
         deploy_cost += per_gateway_deploy
-    reservation = (
-        plan.alloc * topology.node(plan.agg_id).cpu_cost_rate if plan.agg_id else 0.0
-    )
 
     return TimeSeriesReport(
         records=tuple(records),
         deploy_cost=deploy_cost,
-        reservation_cost=reservation,
+        reservation_cost=plan.reservation,
         network_cost=network_total,
         server_usage_cost=server_total,
         dispatch_cost=dispatch_total,

@@ -282,6 +282,25 @@ def test_finite_values_that_overflow_exit_3(tmp_path, capsys, p1, rate, detect_c
         assert "value overflow" in capsys.readouterr().err
 
 
+def test_alloc_whose_cost_overflows_exits_3(tmp_path, capsys):
+    """A bundle that validates, with a placement whose reservation costs more than the
+    largest float: simulate used to print an infinite total and exit 0."""
+    data = json.loads(dumps(bundle_to_json(mini_bundle())))
+    for node in data["topology"]["nodes"]:
+        if node["id"] == "dc1":
+            node["cpu_cost_rate"] = 4
+    placement = {"layer_of": ["Cloud"], "agg_node": "dc1", "sink_dc": "dc1", "alloc": 10**308}
+    path, placement_path = tmp_path / "pricey.json", tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    placement_path.write_text(json.dumps(placement), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", str(path), str(placement_path)]) == 3
+    captured = capsys.readouterr()
+    assert "inf" not in captured.out
+    assert "invalid placement: alloc times the CPU price of dc1 overflows" in captured.err
+
+
 def _huge_link_prices(data):  # 360 GB per stream and link at 1e308 a GB: an infinite cost
     data["scenario"]["source_rate_mbps"] = 800
     for link in data["topology"]["tree_links"] + data["topology"]["dc_links"]:

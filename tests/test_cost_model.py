@@ -237,6 +237,8 @@ def test_invalid_placements_are_rejected(mini, mini_spec):
     no_merged = replace(pipe, aggregation_index=3)
     two_pre = replace(pipe, stages=pipe.stages[:1] + pipe.stages, aggregation_index=3)
     split = split_dc_bundle().topology
+    pricey = Topology([replace(n, cpu_cost_rate=4.0) if n.id == "dc1" else n for n in t.node_list],
+                      t.tree_link_list, t.dc_link_list)
     G, E, C, P = Layer.GATEWAY, Layer.EDGE, Layer.CLOUD, Placement
     dc1 = dict(agg_node="dc1", sink_dc="dc1", alloc=1)
     edge1 = dict(agg_node="edge1", alloc=1)
@@ -276,6 +278,8 @@ def test_invalid_placements_are_rejected(mini, mini_spec):
         (pipe, t, P((G,), agg_node="dc1", sink_dc="dc1", alloc=-1), alloc_reason),
         (pipe, t, P((G,), agg_node="dc1", sink_dc="dc1", alloc=1.5), alloc_reason),
         (pipe, t, P((G,), agg_node="dc1", sink_dc="dc1", alloc=10**400), alloc_reason),
+        (pipe, pricey, P((C,), agg_node="dc1", sink_dc="dc1", alloc=10**308),
+         "alloc times the CPU price of dc1 overflows"),
     ]
     for pipeline, topology, placement, reason in cases:
         spec = replace(mini_spec, pipeline=pipeline)
