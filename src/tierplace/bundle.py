@@ -86,7 +86,10 @@ def _point(value, field: str) -> tuple[float, float]:
 
 
 def _text(value, field: str) -> str:
-    return str(value)
+    """A JSON string as is: str() would read null as "None" and 2 as "2"."""
+    if type(value) is not str:
+        raise BundleError(f"{field} must be a string, not {value!r}")
+    return value
 
 
 def _list(value, field: str) -> list:
@@ -157,9 +160,10 @@ _CODECS = {
     "alloc": _INTEGER,
     "stages": _array(lambda stage: _load(Stage, stage), _dump),
     "slots": _array(_slot_from_json, _slot_to_json),
-    "devices": _array(str),
+    "devices": _array(lambda device: _text(device, "devices")),
     "layer_of": _array(Layer.from_label, lambda layer: layer.label),
-    "predeploy": (None, lambda value, field: frozenset(map(str, _list(value, field))), sorted),
+    "predeploy": (None, lambda value, field: frozenset(
+        _text(gateway, field) for gateway in _list(value, field)), sorted),
     "peak_cpu": (None, None, dict),  # report fields are only dumped
     "violations": (None, None, lambda violations: [
         {"kind": v.kind, "id": v.ident, "magnitude": v.magnitude} for v in violations]),

@@ -22,12 +22,11 @@ Every cost term and the latency sum are linear in how many slots each
 device is active, so `evaluate` scores a placement in closed form from
 placement-independent counts, and `simulator.simulate` is the slot-by-slot
 replay it is tested against. `compile_instance` derives those counts and each
-stage's per-stream rate and CPU load once per problem into an `Instance`, and
-memoizes the last one by the identity of the topology, pipeline and scenario,
-so none of the three may be mutated after first use. Both read the Instance's
-route table per sink and `_stream_terms` per plan, and each adds up in its own
-way; the evaluator alone keeps the terms of a report that all predeploy sets
-and allocs share and the outcome of each scored state.
+stage's per-stream rate and CPU load once per problem into an `Instance`, and keeps
+the last one by the identity of the topology, pipeline and scenario, so none of the
+three may be mutated after first use. Both read its route tables and `_stream_terms`,
+and each adds up in its own way; the evaluator alone keeps the terms that all
+predeploy sets and allocs share and the outcome of each scored state.
 """
 
 from __future__ import annotations

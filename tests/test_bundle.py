@@ -118,6 +118,9 @@ def test_malformed_files_raise_bundle_error(tmp_path):
     path.write_text('{"topology": {}}', encoding="utf-8")
     with pytest.raises(BundleError, match="malformed bundle"):
         load_bundle(path)
+    path.write_text("[]", encoding="utf-8")
+    with pytest.raises(BundleError, match="bundle must be a JSON object"):
+        load_bundle(path)
 
 
 def test_slot_must_have_exactly_one_kind():
@@ -353,8 +356,8 @@ def test_non_object_records_and_parents_are_caught():
         with pytest.raises(BundleError, match="must be a JSON array"):
             bundle_from_json(_replaced(base, path, "abc"))
     for bad in ([], {}, 5):
-        bundle = bundle_from_json(_replaced(base, ("topology", "nodes", 3, "parent"), bad))
-        assert ("unknown parent", "gw1") in validate_bundle(bundle)
+        with pytest.raises(BundleError, match="parent must be a string"):
+            bundle_from_json(_replaced(base, ("topology", "nodes", 3, "parent"), bad))
 
 
 @pytest.mark.parametrize(
@@ -393,6 +396,32 @@ def test_any_json_value_in_a_placement_file_loads_or_is_rejected(tmp_path, mini,
                     score(mini.topology, spec, placement)
                 except InvalidPlacement:
                     pass
+
+
+def _value_at(data, path):
+    for key in path:
+        data = data[key]
+    return data
+
+
+@pytest.mark.parametrize("bad", [None, 2, 2.5, True, ["dc1"], {}])
+def test_non_strings_are_rejected_in_every_text_field(p1, bad):
+    """Ids, names, layer labels and the items of devices and predeploy: str() used to
+    read null as "None", 2 as "2" and ["dc1"] as "['dc1']". A null parent, agg_node or
+    sink_dc still reads as absent."""
+    for base, load, dump in ((bundle_to_json(_every_field_bundle()), bundle_from_json,
+                              bundle_to_json),
+                             (placement_to_json(p1), placement_from_json, placement_to_json)):
+        paths = [path for path in _every_path(base) if type(_value_at(base, path)) is str]
+        assert len(paths) >= 5
+        for path in paths:
+            data = _replaced(base, path, bad)
+            if bad is None and path[-1] in ("parent", "agg_node", "sink_dc"):
+                del _value_at(data, path[:-1])[path[-1]]
+                assert dump(load(_replaced(base, path, None))) == dump(load(data)), path
+            else:
+                with pytest.raises(BundleError):
+                    load(data)
 
 
 def test_list_fields_must_be_json_arrays(p1):

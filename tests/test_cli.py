@@ -47,6 +47,13 @@ def test_validate_missing_file(tmp_path):
     assert main(["validate", str(tmp_path / "nope.json")]) == 3
 
 
+def test_validate_non_object_bundle_exits_3(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]", encoding="utf-8")
+    assert main(["validate", str(path)]) == 3
+    assert "bundle must be a JSON object" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "make, violation",
     [
@@ -471,7 +478,7 @@ def test_unknown_solver_defaults_exit_3(tmp_path, capsys):
         (("topology", "nodes"), "abc", "nodes must be a JSON array"),
         (("scenario", "slots", 1), None, "slot must be a JSON object"),
         (("pipeline", "stages", 0), [], "stage must be a JSON object"),
-        (("topology", "nodes", 3, "parent"), [], "unknown parent"),
+        (("topology", "nodes", 3, "parent"), [], "parent must be a string"),
         (("topology", "nodes", 0, "location"), [1, 2, 3], "location"),
     ],
 )
