@@ -288,24 +288,24 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     if violations:  # the bounds below are built from those values
         return violations
     # Upper bounds on every report field of any placement, from the largest price, latency
-    # and load; each stream crosses 3 links, and any gateway may be predeployed.
+    # and load; each stream crosses 3 links, and any gateway may be predeployed. The cost
+    # bound leaves half the float range to a larger alloc, which resolve_placement caps.
     nodes, stages = bundle.topology.node_list, pipeline.stages
     links = bundle.topology.tree_link_list + bundle.topology.dc_link_list
-    streams = instance.total_streams
     cpu_price = max([node.cpu_cost_rate for node in nodes])  # some DC passed the check above
     link_price = max([link.traffic_cost_rate for link in links], default=0.0)
     per_stream = (3 * link_price * max(volumes) * GB_PER_MBPS_SECOND
                   + sum(loads) * cpu_price * scenario.slot_seconds / scenario.period_seconds)
     gateways = [node.layer for node in nodes].count(Layer.GATEWAY)
-    cost = (streams * per_stream + (instance.peak_demand + 1) * cpu_price
+    cost = (instance.total_streams * per_stream + (instance.peak_demand + 1) * cpu_price
             + gateways * sum(stage.deploy_cost + stage.dispatch_cost for stage in stages))
     latency = (3 * max([link.latency_ms for link in links], default=0.0)
                + sum(stage.base_ms for stage in stages) / min([node.speed for node in nodes])
                + sum(stage.dispatch_penalty_ms for stage in stages))
     # CPU and link loads peak in one slot.
     peak_load = instance.busiest * (max(rates) + sum(loads)) + instance.peak_demand
-    for ident, values in (("peak load", [peak_load]), ("cost", [cost]),
-                          ("latency", [latency, streams * latency])):
+    for ident, values in (("peak load", [peak_load]), ("cost", [2 * cost]),
+                          ("latency", [latency, instance.total_streams * latency])):
         if not all(map(math.isfinite, values)):
             violations.append(("value overflow", ident))
     return violations

@@ -143,7 +143,7 @@ def resolve_placement(
     The first failed check raises InvalidPlacement. The checks, in order: pipeline;
     stage layer count, type and order; aggregation host and sink; sink DC; edge-host
     link to the sink; stage layers within the aggregation tier; predeploy; alloc; alloc
-    times the aggregation host's CPU price, which must be finite.
+    times the aggregation host's CPU price, at most half the largest float.
     """
     stages = pipeline.stages
     if not stages or not 1 <= pipeline.aggregation_index <= len(stages) + 1:
@@ -212,10 +212,11 @@ def resolve_placement(
     if not 0 <= placement.alloc <= sys.float_info.max or int(placement.alloc) != placement.alloc:
         raise InvalidPlacement("invalid placement: alloc must be a nonnegative integer "
                                "no larger than the largest float")
+    # `validate_bundle` bounds a report's other costs by the other half, so totals stay finite.
     reservation = placement.alloc * topology.node(agg_id).cpu_cost_rate if agg_id else 0.0
-    if not math.isfinite(reservation):
+    if not reservation <= sys.float_info.max / 2:
         raise InvalidPlacement(f"invalid placement: alloc times the CPU price of {agg_id} "
-                               "overflows")
+                               "exceeds half the largest float")
 
     positions = tuple(map(int, layers)) + (int(top),) * (len(stages) - pre_count)
     return _Plan(
@@ -471,10 +472,9 @@ def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
 
 
 def _stream_terms(instance: Instance, plan: _Plan) -> tuple:
-    """What one stream of any active device adds under a plan, whatever its route: the
-    slot's share of the charging period, the rate and GB crossing each route link, a
-    (path index, CPU load, base_ms) row per per-stream stage, and the latency of each
-    merged stage on the aggregation host. The evaluator and the replay both start here."""
+    """What one stream adds under a plan on any route: the slot's share of the period,
+    each route link's rate and GB, a (path index, CPU load, base_ms) row per per-stream
+    stage, and each merged stage's latency on the aggregation host."""
     scenario, stages = instance.scenario, instance.pipeline.stages
     link_rates = [instance.rates[below] for below in plan.hosted_below]
     link_gbs = [rate * scenario.slot_seconds * GB_PER_MBPS_SECOND for rate in link_rates]

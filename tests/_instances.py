@@ -226,3 +226,37 @@ def unlocated_bundle():
     slots = mini.scenario.slots + (Slot.at(1, 2),)
     return replace(mini, topology=Topology(nodes, t.tree_link_list, t.dc_link_list),
                    scenario=replace(mini.scenario, slots=slots))
+
+
+def _number_paths(value, path=()):
+    """Key paths of every JSON number (not bool) inside value."""
+    if isinstance(value, bool):
+        return
+    if isinstance(value, (int, float)):
+        yield path
+        return
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _number_paths(child, path + (key,))
+
+
+# Edits of a bundle's JSON whose report fields overflow; `validate` rejects each one.
+def _huge_link_prices(data):  # 360 GB per stream and link at 1e308 a GB: an infinite cost
+    data["scenario"]["source_rate_mbps"] = 800
+    for link in data["topology"]["tree_links"] + data["topology"]["dc_links"]:
+        link["traffic_cost_rate"] = 1e308
+
+
+def _huge_stage_latency(data):  # analyze takes 2e308 ms on a gateway: an infinite latency
+    data["pipeline"]["stages"][0]["base_ms"] = 1e308
+    for node in data["topology"]["nodes"]:
+        if node["layer"] == "Gateway":
+            node["speed"] = 0.5
+
+
+def _huge_stage_load(data):  # two streams of 1.2e308 CPU each on gw1 in slot 0, CPU free
+    data["scenario"]["slots"][0]["devices"] = ["cam1", "cam2"]
+    data["pipeline"]["stages"][0]["cpu_per_unit"] = 1.5e307
+    for node in data["topology"]["nodes"]:
+        node["cpu_cost_rate"] = 0.0

@@ -40,7 +40,7 @@ from tierplace.bundle import (
     placement_to_json,
     solution_to_json,
 )
-from _instances import split_dc_bundle, unlocated_bundle
+from _instances import _number_paths, split_dc_bundle, unlocated_bundle
 
 
 def test_round_trip_preserves_semantics(tmp_path, mini):
@@ -189,19 +189,6 @@ def test_node_json_keeps_optional_fields():
     from tierplace.bundle import _dump, _load
 
     assert _load(Node, _dump(node)) == node
-
-
-def _number_paths(value, path=()):
-    """Key paths of every JSON number (not bool) inside value."""
-    if isinstance(value, bool):
-        return
-    if isinstance(value, (int, float)):
-        yield path
-        return
-    if isinstance(value, (dict, list)):
-        items = value.items() if isinstance(value, dict) else enumerate(value)
-        for key, child in items:
-            yield from _number_paths(child, path + (key,))
 
 
 def _every_field_bundle():

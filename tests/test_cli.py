@@ -10,7 +10,13 @@ import tierplace.cost_model as cost_model
 from tierplace import Slot, mini_bundle, save_bundle, synth_bundle
 from tierplace.bundle import bundle_to_json, dumps, placement_to_json
 from tierplace.cli import main
-from _instances import split_dc_bundle, unlocated_bundle
+from _instances import (
+    _huge_link_prices,
+    _huge_stage_latency,
+    _huge_stage_load,
+    split_dc_bundle,
+    unlocated_bundle,
+)
 
 
 @pytest.fixture
@@ -305,27 +311,7 @@ def test_alloc_whose_cost_overflows_exits_3(tmp_path, capsys):
     assert main(["simulate", str(path), str(placement_path)]) == 3
     captured = capsys.readouterr()
     assert "inf" not in captured.out
-    assert "invalid placement: alloc times the CPU price of dc1 overflows" in captured.err
-
-
-def _huge_link_prices(data):  # 360 GB per stream and link at 1e308 a GB: an infinite cost
-    data["scenario"]["source_rate_mbps"] = 800
-    for link in data["topology"]["tree_links"] + data["topology"]["dc_links"]:
-        link["traffic_cost_rate"] = 1e308
-
-
-def _huge_stage_latency(data):  # analyze takes 2e308 ms on a gateway: an infinite latency
-    data["pipeline"]["stages"][0]["base_ms"] = 1e308
-    for node in data["topology"]["nodes"]:
-        if node["layer"] == "Gateway":
-            node["speed"] = 0.5
-
-
-def _huge_stage_load(data):  # two streams of 1.2e308 CPU each on gw1 in slot 0, CPU free
-    data["scenario"]["slots"][0]["devices"] = ["cam1", "cam2"]
-    data["pipeline"]["stages"][0]["cpu_per_unit"] = 1.5e307
-    for node in data["topology"]["nodes"]:
-        node["cpu_cost_rate"] = 0.0
+    assert "invalid placement: alloc times the CPU price of dc1 exceeds half" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -278,8 +278,8 @@ def test_invalid_placements_are_rejected(mini, mini_spec):
         (pipe, t, P((G,), agg_node="dc1", sink_dc="dc1", alloc=-1), alloc_reason),
         (pipe, t, P((G,), agg_node="dc1", sink_dc="dc1", alloc=1.5), alloc_reason),
         (pipe, t, P((G,), agg_node="dc1", sink_dc="dc1", alloc=10**400), alloc_reason),
-        (pipe, pricey, P((C,), agg_node="dc1", sink_dc="dc1", alloc=10**308),
-         "alloc times the CPU price of dc1 overflows"),
+        (pipe, pricey, P((C,), agg_node="dc1", sink_dc="dc1", alloc=3 * 10**307),
+         "alloc times the CPU price of dc1 exceeds half the largest float"),
     ]
     for pipeline, topology, placement, reason in cases:
         spec = replace(mini_spec, pipeline=pipeline)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import json
+import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tierplace import (
     Layer,
@@ -17,14 +21,26 @@ from tierplace import (
     Stage,
     Topology,
     candidate_termini,
+    InvalidPlacement,
     derive_active_streams,
     evaluate,
+    mini_bundle,
     simulate,
     summarize,
+    validate_bundle,
 )
 from tierplace import cost_model
-from tierplace.cost_model import compile_instance
-from _instances import random_instance, random_placement, reports_close
+from tierplace.bundle import bundle_from_json, bundle_to_json
+from tierplace.cost_model import compile_instance, resolve_placement
+from _instances import (
+    _huge_link_prices,
+    _huge_stage_latency,
+    _huge_stage_load,
+    _number_paths,
+    random_instance,
+    random_placement,
+    reports_close,
+)
 
 
 def test_summary_equals_evaluate_on_mini(mini, mini_spec, p1, p2, p3):
@@ -279,3 +295,149 @@ def test_peaks_round_like_the_replay_at_an_exact_boundary():
     assert direct.peak_cpu["gw1"] == replayed.peak_cpu["gw1"] == 0.6
     assert direct.feasible and replayed.feasible
     assert reports_close(direct, replayed)
+
+
+def _set(data, path, value):
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = value
+
+
+def _just_below_bounds(edit):
+    """The mini bundle with `edit`, its huge numbers scaled down by nearly the largest
+    factor (to 2**-20 of it) at which `validate` accepts it."""
+    edited = bundle_to_json(mini_bundle())
+    edit(edited)
+    huge = [(path, value) for path, value in _float_fields(edited) if value > 1e300]
+
+    def scaled(factor):
+        data = json.loads(json.dumps(edited))
+        for path, value in huge:
+            _set(data, path, value * factor)
+        return bundle_from_json(data)
+
+    low = 1.0  # halve to the first factor accepted, then bisect up towards twice it
+    while validate_bundle(scaled(low)) and low > 0.0:
+        low /= 2
+    high = 2 * low
+    for _ in range(20):
+        middle = (low + high) / 2
+        low, high = (middle, high) if validate_bundle(scaled(middle)) == [] else (low, middle)
+    return scaled(low)
+
+
+def _float_fields(data):
+    """(path, value) of every float in a bundle's JSON: no integer field is a float."""
+    for path in _number_paths(data):
+        value = data
+        for key in path:
+            value = value[key]
+        if type(value) is float:
+            yield path, value
+
+
+LAYERS = list(Layer)
+LARGEST_ALLOC = int(sys.float_info.max)
+
+
+@st.composite
+def _accepted_cases(draw):
+    """A bundle on the mini topology that `validate` accepts, and a placement that
+    `resolve_placement` accepts. Each float is drawn below 100, except up to four,
+    drawn anywhere up to the largest float; alloc is small or up to 2**1024."""
+    data = bundle_to_json(mini_bundle())
+    cams = ["cam1", "cam2", "cam3"]
+    data["scenario"]["slots"] = [
+        {"devices": draw(st.lists(st.sampled_from(cams), min_size=1, max_size=3, unique=True))}
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    aggregation_index = draw(st.integers(1, 3))
+    data["pipeline"]["aggregation_index"] = aggregation_index
+    for link in data["topology"]["tree_links"] + data["topology"]["dc_links"]:
+        link["bandwidth_mbps"] = draw(st.none() | st.just(1.0))  # a cap is drawn below
+    paths = [path for path, _ in _float_fields(data)]
+    huge = draw(st.sets(st.sampled_from(paths), max_size=4))
+    for path in paths:
+        _set(data, path, draw(st.floats(0.0, sys.float_info.max if path in huge else 100.0)))
+    bundle = bundle_from_json(data)
+    assume(validate_bundle(bundle) == [])
+    agg, sink, alloc = None, draw(st.sampled_from(["dc1", "dc2"])), 0
+    if aggregation_index < 3:  # a merged stage
+        agg = draw(st.sampled_from(["dc1", "dc2", "edge1"]))
+        sink = sink if agg == "edge1" else draw(st.sampled_from([None, agg]))
+        alloc = draw(st.integers(0, 3) | st.integers(0, 2**1024))
+    top = Layer.EDGE if agg == "edge1" else Layer.CLOUD
+    layers = draw(st.lists(st.sampled_from(LAYERS[:top + 1]), min_size=aggregation_index - 1,
+                           max_size=aggregation_index - 1))
+    predeploy = draw(st.sets(st.sampled_from(["gw1", "gw2"]))) if Layer.GATEWAY in layers else ()
+    placement = Placement(tuple(sorted(layers)), agg, sink, frozenset(predeploy), alloc)
+    try:
+        resolve_placement(bundle.topology, bundle.pipeline, placement)
+    except InvalidPlacement:  # an alloc or its cost too large
+        assume(False)
+    return bundle, placement
+
+
+def _report_numbers(report):
+    return [report.server_cost, report.network_cost, report.deploy_cost, report.dispatch_cost,
+            report.total_cost, report.mean_latency_ms, report.max_latency_ms,
+            *report.peak_cpu.values(), *(v.magnitude for v in report.violations)]
+
+
+def _huge_link_prices_and_a_pricey_dc(data):
+    _huge_link_prices(data)
+    for node in data["topology"]["nodes"]:
+        if node["id"] == "dc1":
+            node["cpu_cost_rate"] = 4.0
+
+
+def _largest_alloc(bundle, placement):
+    """Nearly the largest alloc that resolve_placement accepts (to 2**-20 below it)."""
+    low, high = 0, LARGEST_ALLOC
+    while high - low > high >> 20:
+        middle = (low + high) // 2
+        try:
+            resolve_placement(bundle.topology, bundle.pipeline, replace(placement, alloc=middle))
+            low = middle
+        except InvalidPlacement:
+            high = middle
+    return low
+
+
+def _seeds():
+    """Each overflow repro just below its bound, all in the cloud with nearly the largest
+    alloc accepted, and with a gateway stage; and huge link prices with a DC priced at 4."""
+    cloud = Placement((Layer.CLOUD,), "dc1", "dc1")
+    gateway = Placement((Layer.GATEWAY,), "dc1", "dc1", frozenset({"gw1"}), alloc=1)
+    for edit in (_huge_link_prices, _huge_stage_latency, _huge_stage_load,
+                 _huge_link_prices_and_a_pricey_dc):
+        bundle = _just_below_bounds(edit)
+        yield from ((bundle, replace(cloud, alloc=_largest_alloc(bundle, cloud))),
+                    (bundle, gateway))
+
+
+def _with_seeds(test):
+    for case in _seeds():
+        test = example(case=case)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_accepted_cases())
+@_with_seeds
+def test_accepted_inputs_give_finite_reports_that_agree(case):
+    """Whatever `validate` and `resolve_placement` accept, every number of the closed
+    form's report and of the replay, slot records included, is finite, and the two agree.
+    Seeded with the overflow repros of the CLI tests, scaled just below their bounds."""
+    bundle, placement = case
+    spec = bundle.service_spec()
+    direct = evaluate(bundle.topology, spec, placement)
+    replay = simulate(bundle.topology, spec, placement)
+    numbers = _report_numbers(direct) + _report_numbers(summarize(replay))
+    for record in replay.records:
+        numbers += [record.network_cost, record.server_cost, record.dispatch_cost,
+                    record.traffic_gb, record.mean_latency_ms, *record.link_traffic_gb.values(),
+                    *record.node_cpu.values(), *record.stream_latency_ms.values()]
+    assert all(map(math.isfinite, numbers)), (direct, summarize(replay))
+    assert reports_close(direct, summarize(replay))
+
