@@ -6,8 +6,10 @@ short schedule (cooling 0.8, 10 iterations per temperature) and the default
 one (cooling 0.95, 50 iterations) under a time budget it never reaches, so
 its walk, and with it its file, depends only on the seed. One more digest
 covers the report of every state exhaustive scores on `mini_bundle` and
-`random_instance(0..4)`, in enumeration order and on cold instances, so a
-change to the scorer cannot hide behind the winners.
+`random_instance(0..4)`, in enumeration order and with `Instance.scored`
+empty, so a change to the scorer cannot hide behind the winners. Only the
+mini instance is wholly cold: `random_instance` evaluates one placement to
+set its budget, which leaves one `Instance.terms` entry and a route table.
 
 The replay is pinned bit for bit the same way: one digest per instance over
 the `simulate` report of each solver's answer, and one over the replay of
