@@ -7,8 +7,8 @@ streams through it), after which the function stays cached for the rest of
 the period. `summarize` collapses the time series into a report that must
 match `cost_model.evaluate` field for field. So that this check means something,
 the replay adds up every slot stream by stream from per-device terms computed
-once per call, where `evaluate` multiplies by activation counts. Of the evaluator
-it reads the per-stream terms and route table, never a memo (`Instance.terms`, `.scored`).
+once per call, where `evaluate` multiplies by activation counts. It shares the
+per-stream terms and route table, never a memo (`Instance.terms`, `Instance.scored`).
 """
 
 from __future__ import annotations
