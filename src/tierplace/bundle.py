@@ -85,11 +85,15 @@ def _point(value, field: str) -> tuple[float, float]:
     return _number(value[0], field), _number(value[1], field)
 
 
-def _text(value, field: str) -> str:
-    """A JSON string as is: str() would read null as "None" and 2 as "2"."""
-    if type(value) is not str:
-        raise BundleError(f"{field} must be a string, not {value!r}")
-    return value
+def _text(value, field: str):
+    """Reached only by a value that is not a JSON string: str() would read null as "None"."""
+    raise BundleError(f"{field} must be a string, not {value!r}")
+
+
+def _texts(value, field: str) -> tuple[str, ...]:
+    if not all(type(item) is str for item in _list(value, field)):
+        raise BundleError(f"{field} must hold only strings, not {value!r}")
+    return tuple(value)
 
 
 def _list(value, field: str) -> list:
@@ -160,10 +164,9 @@ _CODECS = {
     "alloc": _INTEGER,
     "stages": _array(lambda stage: _load(Stage, stage), _dump),
     "slots": _array(_slot_from_json, _slot_to_json),
-    "devices": _array(lambda device: _text(device, "devices")),
+    "devices": (None, _texts, lambda devices: None if devices is None else list(devices)),
     "layer_of": _array(Layer.from_label, lambda layer: layer.label),
-    "predeploy": (None, lambda value, field: frozenset(
-        _text(gateway, field) for gateway in _list(value, field)), sorted),
+    "predeploy": (None, lambda value, field: frozenset(_texts(value, field)), sorted),
     "peak_cpu": (None, None, dict),  # report fields are only dumped
     "violations": (None, None, lambda violations: [
         {"kind": v.kind, "id": v.ident, "magnitude": v.magnitude} for v in violations]),
@@ -288,8 +291,8 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     if violations:  # the bounds below are built from those values
         return violations
     # Upper bounds on every report field of any placement, from the largest price, latency
-    # and load; each stream crosses 3 links, and any gateway may be predeployed. The cost
-    # bound leaves half the float range to a larger alloc, which resolve_placement caps.
+    # and load: each stream crosses 3 links, any gateway may be predeployed, loads peak in
+    # one slot, and the cost bound leaves half the float range to a larger alloc.
     nodes, stages = bundle.topology.node_list, pipeline.stages
     links = bundle.topology.tree_link_list + bundle.topology.dc_link_list
     cpu_price = max([node.cpu_cost_rate for node in nodes])  # some DC passed the check above
@@ -302,7 +305,6 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     latency = (3 * max([link.latency_ms for link in links], default=0.0)
                + sum(stage.base_ms for stage in stages) / min([node.speed for node in nodes])
                + sum(stage.dispatch_penalty_ms for stage in stages))
-    # CPU and link loads peak in one slot.
     peak_load = instance.busiest * (max(rates) + sum(loads)) + instance.peak_demand
     for ident, values in (("peak load", [peak_load]), ("cost", [2 * cost]),
                           ("latency", [latency, instance.total_streams * latency])):

@@ -289,8 +289,7 @@ class Instance:
         )
         # A stream's rate into stage k (K + 1 values) and the CPU stage k draws from it.
         self.rates = tuple(scenario.source_rate_mbps * p for p in flow_profile(pipeline, 1.0))
-        self.loads = tuple(stage.cpu_per_unit * rate
-                           for stage, rate in zip(pipeline.stages, self.rates))
+        self.loads = tuple(s.cpu_per_unit * rate for s, rate in zip(pipeline.stages, self.rates))
         # device -> number of active slots, in order of first activation
         self.activations = Counter(d for active in self.streams for d in active)
         self.total_streams = sum(self.activations.values())  # stream activations, all slots
@@ -475,11 +474,10 @@ def _stream_terms(instance: Instance, plan: _Plan) -> tuple:
     """What one stream adds under a plan on any route: the slot's share of the period,
     each route link's rate and GB, a (path index, CPU load, base_ms) row per per-stream
     stage, and each merged stage's latency on the aggregation host."""
-    scenario, stages = instance.scenario, instance.pipeline.stages
+    scenario, stages, loads = instance.scenario, instance.pipeline.stages, instance.loads
     link_rates = [instance.rates[below] for below in plan.hosted_below]
     link_gbs = [rate * scenario.slot_seconds * GB_PER_MBPS_SECOND for rate in link_rates]
-    rows = [(plan.positions[k], instance.loads[k], stages[k].base_ms)
-            for k in range(plan.pre_count)]
+    rows = [(plan.positions[k], loads[k], stages[k].base_ms) for k in range(plan.pre_count)]
     agg_speed = instance.topology.node(plan.agg_id or plan.sink).speed
     merged_ms = [stage.base_ms / agg_speed for stage in stages[plan.pre_count:]]
     return scenario.slot_seconds / scenario.period_seconds, link_rates, link_gbs, rows, merged_ms
