@@ -22,17 +22,19 @@ Every cost term and the latency sum are linear in how many slots each
 device is active, so `evaluate` scores a placement in closed form from
 placement-independent counts, and `simulator.simulate` is the slot-by-slot
 replay it is tested against. `compile_instance` derives those counts and each
-stage's per-stream rate and CPU load once per problem into an `Instance`, and keeps
-the last one by the identity of the topology, pipeline and scenario, so none of the
-three may be mutated after first use. Both read its route tables and `_stream_terms`,
-and each adds up in its own way; the evaluator alone keeps the terms that all
-predeploy sets and allocs share and the outcome of each scored state.
+stage's per-stream rate and CPU load once per problem into an `Instance`. It keeps
+one per live topology, for the last pipeline and scenario compiled against it, by
+identity, so none of the three may be mutated after first use; the Instance is freed
+with its topology. Both read its route tables and `_stream_terms`, and each adds up
+in its own way; the evaluator alone keeps the terms that all predeploy sets and
+allocs share and the outcome of each scored state.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+import weakref
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -280,10 +282,12 @@ class Instance:
     predeploy set) to their evaluated (placement, report), or None if invalid;
     `terms` maps up to as many valid (sink, agg host, positions) to their `_shared_terms`;
     `paths` fills one table per sink with each active device's route and its Node objects.
+    `topology` is a weak proxy, so the memo entry of an Instance never keeps its key alive.
     """
 
     def __init__(self, topology: Topology, pipeline: Pipeline, scenario: Scenario) -> None:
-        self.topology, self.pipeline, self.scenario = topology, pipeline, scenario
+        self.topology = weakref.proxy(topology)
+        self.pipeline, self.scenario = pipeline, scenario
         self.streams: tuple[tuple[str, ...], ...] = tuple(
             map(tuple, derive_active_streams(topology, scenario))
         )
@@ -373,22 +377,25 @@ class Instance:
         return table  # type: ignore[return-value]  # no None left once checked
 
 
-# (topology, pipeline, scenario, Instance) of the last compile, replaced as a whole.
-_memo: tuple[Topology, Pipeline, Scenario, Instance] | None = None
+# topology -> (pipeline, scenario, Instance) of the last compile against it; an entry goes
+# when its topology is freed, and the Instance with it.
+_memo: weakref.WeakKeyDictionary[Topology, tuple[Pipeline, Scenario, Instance]] = (
+    weakref.WeakKeyDictionary())
 
 
 def compile_instance(topology: Topology, spec: ServiceSpec) -> Instance:
     """The Instance of (topology, spec.pipeline, spec.scenario), memoized.
 
-    The one-entry memo is keyed by object identity and ignores the budget;
-    it holds the three objects, so their ids cannot be reused while cached.
+    The memo keeps one Instance per live topology, keyed by object identity and not by
+    the budget; compiling another pipeline or scenario against it replaces its entry.
+    An entry holds its pipeline and scenario and goes when its topology is freed, so no
+    id is reused while cached.
     """
-    global _memo
-    memo = _memo
-    if memo and memo[0] is topology and memo[1] is spec.pipeline and memo[2] is spec.scenario:
-        return memo[3]
+    memo = _memo.get(topology)
+    if memo and memo[0] is spec.pipeline and memo[1] is spec.scenario:
+        return memo[2]
     instance = Instance(topology, spec.pipeline, spec.scenario)
-    _memo = (topology, spec.pipeline, spec.scenario, instance)
+    _memo[topology] = (spec.pipeline, spec.scenario, instance)
     return instance
 
 

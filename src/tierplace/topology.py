@@ -5,7 +5,8 @@ Containment below the edge tier is a forest (one gateway per device, one
 edge per gateway); the only routing freedom is which data center an edge
 talks to. All types are immutable and all queries are pure, so a topology
 can be shared freely across threads. A `Topology` must not be mutated after
-its first use: `cost_model` memoizes derived data keyed by its identity.
+its first use: `cost_model` memoizes derived data keyed by its identity, and
+frees it when the topology is freed.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -93,7 +94,7 @@ def test_a_command_derives_the_streams_once(mini_path, monkeypatch, argv):
         calls.append(args)
         return real_derive(*args)
 
-    monkeypatch.setattr(cost_model, "_memo", None)
+    monkeypatch.setattr(cost_model, "_memo", weakref.WeakKeyDictionary())
     monkeypatch.setattr(cost_model, "derive_active_streams", counting_derive)
     assert main([argv[0], mini_path, *argv[1:]]) == 0
     assert len(calls) == 1

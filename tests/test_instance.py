@@ -4,7 +4,10 @@ re-deriving placement-independent data."""
 
 from __future__ import annotations
 
+import gc
+import json
 import random
+import weakref
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
@@ -40,8 +43,9 @@ from tierplace import (
     solve_exhaustive,
     summarize,
     synth_bundle,
+    validate_bundle,
 )
-from tierplace.bundle import dumps, solution_to_json
+from tierplace.bundle import bundle_from_json, bundle_to_json, dumps, solution_to_json
 from tierplace.cli import main
 from tierplace.cost_model import compile_instance, resolve_placement
 from tierplace.topology import nearest_device_index
@@ -51,7 +55,7 @@ from _instances import baseline_placement, random_instance, random_placement
 @pytest.fixture
 def cold_memo(monkeypatch):
     """Start from an empty memo and restore the previous entry afterwards."""
-    monkeypatch.setattr(cost_model, "_memo", None)
+    monkeypatch.setattr(cost_model, "_memo", weakref.WeakKeyDictionary())
 
 
 def test_cold_and_warm_memo_give_equal_reports(cold_memo):
@@ -60,10 +64,10 @@ def test_cold_and_warm_memo_give_equal_reports(cold_memo):
         rng = random.Random(seed)
         for _ in range(4):
             placement = random_placement(topology, spec, rng)
-            cost_model._memo = None
+            cost_model._memo.clear()
             cold = evaluate(topology, spec, placement)
             assert evaluate(topology, spec, placement) == cold
-            cost_model._memo = None
+            cost_model._memo.clear()
             cold_replay = summarize(simulate(topology, spec, placement))
             assert summarize(simulate(topology, spec, placement)) == cold_replay
 
@@ -85,6 +89,63 @@ def test_memo_key_is_scenario_identity_not_budget(cold_memo, mini, mini_spec, p2
     swapped = replace(mini_spec, scenario=replace(mini.scenario, slots=(Slot.explicit(["cam2"]),)))
     assert compile_instance(mini.topology, swapped) is not instance
     assert evaluate(mini.topology, swapped, p2) != evaluate(mini.topology, mini_spec, p2)
+
+
+def _count_derivations_and_terms(monkeypatch) -> tuple[list, list]:
+    """Patch in counters: the topology of each stream derivation, each `_shared_terms` call."""
+    derived, shared = [], []
+    real_derive, real_shared = cost_model.derive_active_streams, cost_model._shared_terms
+
+    def counting_derive(topology, scenario):
+        derived.append(topology)
+        return real_derive(topology, scenario)
+
+    def counting_shared(*args):
+        shared.append(args)
+        return real_shared(*args)
+
+    monkeypatch.setattr(cost_model, "derive_active_streams", counting_derive)
+    monkeypatch.setattr(cost_model, "_shared_terms", counting_shared)
+    return derived, shared
+
+
+def test_compiling_another_problem_keeps_the_first_warm(cold_memo, monkeypatch):
+    ta, sa = random_instance(3)
+    tb, sb = random_instance(4)
+    cost_model._memo.clear()
+    derived, shared = _count_derivations_and_terms(monkeypatch)
+    first = solution_to_json(solve(ta, sa, SolverConfig(kind="greedy")))
+    assert derived == [ta] and shared
+    compile_instance(tb, sb)
+    del derived[:], shared[:]
+    assert solution_to_json(solve(ta, sa, SolverConfig(kind="greedy"))) == first
+    assert derived == shared == []
+    assert len(cost_model._memo) == 2
+
+
+def test_validating_bundles_before_solving_them_derives_each_once(cold_memo, monkeypatch):
+    texts = [dumps(bundle_to_json(synth_bundle(6, 4, seed=seed))) for seed in range(16)]
+    derived, _ = _count_derivations_and_terms(monkeypatch)
+    bundles = [bundle_from_json(json.loads(text)) for text in texts]
+    assert all(validate_bundle(bundle) == [] for bundle in bundles)
+    for bundle in bundles:
+        solve(bundle.topology, bundle.service_spec(), SolverConfig(kind="greedy"))
+    assert derived == [bundle.topology for bundle in bundles]
+
+
+def test_an_instance_is_freed_with_its_topology_without_the_cyclic_gc(cold_memo):
+    bundle = synth_bundle(20, 8)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        solve(bundle.topology, bundle.service_spec(), SolverConfig(kind="greedy"))
+        instance = weakref.ref(compile_instance(bundle.topology, bundle.service_spec()))
+        assert instance() is not None and len(cost_model._memo) == 1
+        del bundle
+        assert instance() is None and len(cost_model._memo) == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_mutating_derived_streams_changes_nothing(cold_memo, mini, mini_spec, p1):
@@ -117,7 +178,7 @@ def test_shared_reports_are_read_only(cold_memo, mini, mini_spec, p1):
         del report.peak_cpu["gw1"]
     again = evaluate(mini.topology, mini_spec, p1)
     assert again == report and again.peak_cpu == expected
-    cost_model._memo = None
+    cost_model._memo.clear()
     assert evaluate(mini.topology, mini_spec, p1) == report
 
 
@@ -130,7 +191,7 @@ def test_report_memo_is_capped_and_changes_no_answer(cold_memo, monkeypatch):
     assert len(instance.scored) == len(instance.terms) == 10  # of 46 states and 32 terms
     again = solve_exhaustive(topology, spec)  # a full memo: hits and misses mixed
     assert len(instance.scored) == len(instance.terms) == 10
-    cost_model._memo = None
+    cost_model._memo.clear()
     monkeypatch.setattr(cost_model, "REPORT_MEMO_CAP", 0)
     uncached = solve_exhaustive(topology, spec)
     assert compile_instance(topology, spec).scored == compile_instance(topology, spec).terms == {}
@@ -167,14 +228,14 @@ def test_scored_states_change_no_answer(cold_memo, monkeypatch):
             spec = replace(generated, budget=generated.budget * factor)
             with monkeypatch.context() as uncached:
                 uncached.setattr(cost_model, "REPORT_MEMO_CAP", 0)
-                cost_model._memo = None
+                cost_model._memo.clear()
                 expected = {kind: solution_file(topology, spec, kind) for kind in configs}
             for kind in configs:
-                cost_model._memo = None
+                cost_model._memo.clear()
                 evaluated.clear()
                 assert solution_file(topology, spec, kind) == expected[kind], (seed, factor, kind)
                 assert len(evaluated) == len(set(evaluated)), (seed, factor, kind)
-                cost_model._memo = None
+                cost_model._memo.clear()
                 for other in configs:
                     if other != kind:
                         solution_file(topology, spec, other)
@@ -236,10 +297,10 @@ def test_sibling_states_share_terms_and_match_cold_reports(cold_memo, monkeypatc
         placements = list(_sibling_placements(topology, spec))
         with monkeypatch.context() as uncached:
             uncached.setattr(cost_model, "REPORT_MEMO_CAP", 0)
-            cost_model._memo = None
+            cost_model._memo.clear()
             cold = [evaluate(topology, spec, p) for p in placements]
             assert compile_instance(topology, spec).terms == {}
-        cost_model._memo = None
+        cost_model._memo.clear()
         warm = [evaluate(topology, spec, p) for p in placements]
         shared = {}
         for placement, w, c in zip(placements, warm, cold):
@@ -292,7 +353,7 @@ def test_cold_solves_compute_shared_terms_once_per_key(cold_memo, monkeypatch):
     for seed in range(6):
         topology, spec = random_instance(seed)
         for config in (anneal, SolverConfig(kind="exhaustive")):
-            cost_model._memo = None
+            cost_model._memo.clear()
             computed.clear()
             solve(topology, spec, config)
             valid = filter(None, compile_instance(topology, spec).scored.values())
@@ -350,7 +411,7 @@ def test_anneal_derives_placement_independent_data_once(monkeypatch):
         counts["route"] += 1
         return real_route(*args)
 
-    monkeypatch.setattr(cost_model, "_memo", None)
+    monkeypatch.setattr(cost_model, "_memo", weakref.WeakKeyDictionary())
     monkeypatch.setattr(cost_model, "derive_active_streams", counting_derive)
     monkeypatch.setattr(cost_model, "route", counting_route)
     solve_anneal(bundle.topology, spec, SolverConfig(kind="anneal", seed=0))
@@ -402,7 +463,7 @@ def test_route_runs_once_per_sink_and_active_device(cold_memo, monkeypatch):
     monkeypatch.setattr(cost_model, "route", counting_route)
     for seed in range(4):
         topology, spec = random_instance(seed)
-        cost_model._memo = None
+        cost_model._memo.clear()
         routed.clear()
         solution = solve(topology, spec, SolverConfig(kind="exhaustive"))
         simulate(topology, spec, solution.placement)
