@@ -285,14 +285,16 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     rates, loads = instance.rates, instance.loads
     volumes = [rate * scenario.slot_seconds for rate in rates]
     for ident, values in (("stream rate", [*rates, *volumes]), ("stage load", loads),
-                          ("peak demand", [instance.peak_demand])):
+                          ("peak demand", [instance.peak_demand]),
+                          ("period", [scenario.period_seconds])):
         if not all(map(math.isfinite, values)):
             violations.append(("value overflow", ident))
     if violations:  # the bounds below are built from those values
         return violations
     # Upper bounds on every report field of any placement, from the largest price, latency
     # and load: each stream crosses 3 links, any gateway may be predeployed, loads peak in
-    # one slot, and the cost bound leaves half the float range to a larger alloc.
+    # one slot, and the cost bound leaves half the float range to a larger alloc. The
+    # traffic bound, on a slot's GB over all its links, leaves half for rounding.
     nodes, stages = bundle.topology.node_list, pipeline.stages
     links = bundle.topology.tree_link_list + bundle.topology.dc_link_list
     cpu_price = max([node.cpu_cost_rate for node in nodes])  # some DC passed the check above
@@ -306,8 +308,10 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
                + sum(stage.base_ms for stage in stages) / min([node.speed for node in nodes])
                + sum(stage.dispatch_penalty_ms for stage in stages))
     peak_load = instance.busiest * (max(rates) + sum(loads)) + instance.peak_demand
+    traffic = instance.busiest * 3 * max(volumes) * GB_PER_MBPS_SECOND
     for ident, values in (("peak load", [peak_load]), ("cost", [2 * cost]),
-                          ("latency", [latency, instance.total_streams * latency])):
+                          ("latency", [latency, instance.total_streams * latency]),
+                          ("traffic", [2 * traffic])):
         if not all(map(math.isfinite, values)):
             violations.append(("value overflow", ident))
     return violations

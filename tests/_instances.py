@@ -260,3 +260,15 @@ def _huge_stage_load(data):  # two streams of 1.2e308 CPU each on gw1 in slot 0,
     data["pipeline"]["stages"][0]["cpu_per_unit"] = 1.5e307
     for node in data["topology"]["nodes"]:
         node["cpu_cost_rate"] = 0.0
+
+
+def _long_period(data):  # two slots of 1e308 s: an infinite charging period, no usage cost
+    data["scenario"]["slot_seconds"] = 1e308
+    data["scenario"]["source_rate_mbps"] = 1e-3
+
+
+def _crowded_free_slot(data):  # 1.7e308 s of every camera in one slot on free links
+    for link in data["topology"]["tree_links"] + data["topology"]["dc_links"]:
+        link["traffic_cost_rate"] = 0.0
+    cams = [node["id"] for node in data["topology"]["nodes"] if node["layer"] == "Device"]
+    data["scenario"].update(slots=[{"devices": cams}], slot_seconds=1.7e308, source_rate_mbps=1)

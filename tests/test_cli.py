@@ -12,9 +12,11 @@ from tierplace import Slot, mini_bundle, save_bundle, synth_bundle
 from tierplace.bundle import bundle_to_json, dumps, placement_to_json
 from tierplace.cli import main
 from _instances import (
+    _crowded_free_slot,
     _huge_link_prices,
     _huge_stage_latency,
     _huge_stage_load,
+    _long_period,
     split_dc_bundle,
     unlocated_bundle,
 )
@@ -331,6 +333,29 @@ def test_report_fields_that_overflow_exit_3(tmp_path, capsys, p1, edit, ident):
     assert capsys.readouterr().out.splitlines() == [f"violation: value overflow: {ident}"]
     for argv in (["solve", "--solver", "exhaustive"], ["simulate", str(placement_path)],
                  ["sweep", "--solver", "greedy", "--budgets", "5.0"]):
+        assert main([argv[0], str(path), *argv[1:]]) == 3
+        assert "value overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "make, edit, ident",
+    [(mini_bundle, _long_period, "period"),
+     (lambda: synth_bundle(3000, 1), _crowded_free_slot, "traffic")],
+    ids=["period", "traffic"],
+)
+def test_period_and_slot_traffic_that_overflow_exit_3(tmp_path, capsys, make, edit, ident):
+    """An infinite charging period or slot traffic fails validation. The first used to
+    bill no usage cost; the second, 3,000 streams on links that each carry finite GB,
+    used to write a slot's traffic_gb as inf."""
+    data = bundle_to_json(make())
+    edit(data)
+    placement = {"layer_of": ["Cloud"], "agg_node": "dc1", "sink_dc": "dc1", "alloc": 1}
+    path, placement_path = tmp_path / "big.json", tmp_path / "cloud.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    placement_path.write_text(json.dumps(placement), encoding="utf-8")
+    assert main(["validate", str(path)]) == 3
+    assert capsys.readouterr().out.splitlines() == [f"violation: value overflow: {ident}"]
+    for argv in (["solve", "--solver", "greedy"], ["simulate", str(placement_path)]):
         assert main([argv[0], str(path), *argv[1:]]) == 3
         assert "value overflow" in capsys.readouterr().err
 

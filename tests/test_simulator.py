@@ -36,6 +36,7 @@ from _instances import (
     _huge_link_prices,
     _huge_stage_latency,
     _huge_stage_load,
+    _long_period,
     _number_paths,
     random_instance,
     random_placement,
@@ -405,12 +406,13 @@ def _largest_alloc(bundle, placement):
 
 
 def _seeds():
-    """Each overflow repro just below its bound, all in the cloud with nearly the largest
-    alloc accepted, and with a gateway stage; and huge link prices with a DC priced at 4."""
+    """Each overflow repro of the mini bundle just below its bound, all in the cloud with
+    nearly the largest alloc accepted, and with a gateway stage; and huge link prices with
+    a DC priced at 4."""
     cloud = Placement((Layer.CLOUD,), "dc1", "dc1")
     gateway = Placement((Layer.GATEWAY,), "dc1", "dc1", frozenset({"gw1"}), alloc=1)
     for edit in (_huge_link_prices, _huge_stage_latency, _huge_stage_load,
-                 _huge_link_prices_and_a_pricey_dc):
+                 _huge_link_prices_and_a_pricey_dc, _long_period):
         bundle = _just_below_bounds(edit)
         yield from ((bundle, replace(cloud, alloc=_largest_alloc(bundle, cloud))),
                     (bundle, gateway))
