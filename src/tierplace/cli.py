@@ -11,6 +11,7 @@ import csv
 import math
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 from .bundle import (
@@ -199,6 +200,7 @@ def _at_least(convert, low, high=math.inf):
     return parse
 
 
+@cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tierplace",
