@@ -132,9 +132,16 @@ class Topology:
         return node_id in self.nodes
 
     def in_layer(self, layer: Layer) -> list[Node]:
-        return sorted(
-            (n for n in self.nodes.values() if n.layer == layer), key=lambda n: n.id
-        )
+        return list(self._by_layer.get(layer, ()))
+
+    @cached_property
+    def _by_layer(self) -> dict[Layer, tuple[Node, ...]]:
+        """Layer -> its nodes in id order, built once: a solve asks for the DCs, and
+        scanning every node then reads the many device records a warm solve skips."""
+        by_layer: dict[Layer, list[Node]] = {}
+        for n in sorted(self.nodes.values(), key=lambda n: n.id):
+            by_layer.setdefault(n.layer, []).append(n)
+        return {layer: tuple(nodes) for layer, nodes in by_layer.items()}
 
     def devices(self) -> list[Node]:
         return self.in_layer(Layer.DEVICE)
