@@ -282,11 +282,11 @@ class Instance:
     predeploy set) to their evaluated (placement, report), or None if invalid;
     `terms` maps up to as many valid (sink, agg host, positions) to their `_shared_terms`;
     `paths` fills one table per sink with each active device's route and its Node objects.
-    `topology` is a weak proxy, so the memo entry of an Instance never keeps its key alive.
+    It refers to its topology weakly, so its memo entry never keeps its key alive.
     """
 
     def __init__(self, topology: Topology, pipeline: Pipeline, scenario: Scenario) -> None:
-        self.topology = weakref.proxy(topology)
+        self._topology = weakref.ref(topology)
         self.pipeline, self.scenario = pipeline, scenario
         self.streams: tuple[tuple[str, ...], ...] = tuple(
             map(tuple, derive_active_streams(topology, scenario))
@@ -302,6 +302,12 @@ class Instance:
         self._routes: dict[str, dict[str, tuple[Route, tuple[Node, ...]] | None]] = {}
         self.scored: dict[tuple, tuple[Placement, CostReport] | None] = {}
         self.terms: dict[tuple, tuple] = {}
+
+    @property
+    def topology(self) -> Topology:
+        """The topology compiled, or None once it is freed. Unlike a weak proxy, it costs
+        nothing per attribute read, which route tables make by the thousand."""
+        return self._topology()  # type: ignore[return-value]
 
     @cached_property
     def peak_streams(self) -> dict[str, int]:
@@ -361,19 +367,19 @@ class Instance:
         built once per sink. On every call, for the first device in scenario order that
         has no route or whose route misses the aggregation host, stream_route raises why.
         """
-        table = self._routes.get(plan.sink)
+        topology, table = self.topology, self._routes.get(plan.sink)
         if table is None:
             table = self._routes[plan.sink] = {}
             for device_id in self.activations:
                 try:
-                    path = route(self.topology, device_id, plan.sink)
-                    table[device_id] = path, tuple(map(self.topology.node, path.nodes))
+                    path = route(topology, device_id, plan.sink)
+                    table[device_id] = path, tuple(map(topology.node, path.nodes))
                 except TopologyError:
                     table[device_id] = None
         edge_host = plan.agg_id if plan.agg_id != plan.sink else None  # the sink ends each route
         for device_id, entry in table.items():
             if entry is None or (edge_host is not None and edge_host not in entry[0].nodes):
-                stream_route(self.topology, device_id, plan)  # raises InvalidPlacement
+                stream_route(topology, device_id, plan)  # raises InvalidPlacement
         return table  # type: ignore[return-value]  # no None left once checked
 
 
