@@ -121,6 +121,10 @@ class Topology:
         self._dc: dict[tuple[str, str], Link] = {
             (l.src, l.dst): l for l in self.dc_link_list
         }
+        # Layer -> its nodes in id order, on first use: a solve asks for the DCs, and a scan
+        # of every node then reads the device records a warm solve otherwise skips. Set here,
+        # not by cached_property, whose write to __dict__ slows every later attribute read.
+        self._layers: dict[Layer, tuple[Node, ...]] | None = None
 
     def node(self, node_id: str) -> Node:
         try:
@@ -132,16 +136,12 @@ class Topology:
         return node_id in self.nodes
 
     def in_layer(self, layer: Layer) -> list[Node]:
-        return list(self._by_layer.get(layer, ()))
-
-    @cached_property
-    def _by_layer(self) -> dict[Layer, tuple[Node, ...]]:
-        """Layer -> its nodes in id order, built once: a solve asks for the DCs, and
-        scanning every node then reads the many device records a warm solve skips."""
-        by_layer: dict[Layer, list[Node]] = {}
-        for n in sorted(self.nodes.values(), key=lambda n: n.id):
-            by_layer.setdefault(n.layer, []).append(n)
-        return {layer: tuple(nodes) for layer, nodes in by_layer.items()}
+        if self._layers is None:
+            layers: dict[Layer, list[Node]] = {}
+            for n in sorted(self.nodes.values(), key=lambda n: n.id):
+                layers.setdefault(n.layer, []).append(n)
+            self._layers = {layer: tuple(nodes) for layer, nodes in layers.items()}
+        return list(self._layers.get(layer, ()))
 
     def devices(self) -> list[Node]:
         return self.in_layer(Layer.DEVICE)
