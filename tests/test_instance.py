@@ -5,7 +5,6 @@ re-deriving placement-independent data."""
 from __future__ import annotations
 
 import gc
-import json
 import random
 import weakref
 from collections import Counter
@@ -54,7 +53,7 @@ from _instances import baseline_placement, random_instance, random_placement
 
 @pytest.fixture
 def cold_memo(monkeypatch):
-    """Start from an empty memo and restore the previous entry afterwards."""
+    """Start from an empty memo and restore the previous one afterwards."""
     monkeypatch.setattr(cost_model, "_memo", weakref.WeakKeyDictionary())
 
 
@@ -124,9 +123,9 @@ def test_compiling_another_problem_keeps_the_first_warm(cold_memo, monkeypatch):
 
 
 def test_validating_bundles_before_solving_them_derives_each_once(cold_memo, monkeypatch):
-    texts = [dumps(bundle_to_json(synth_bundle(6, 4, seed=seed))) for seed in range(16)]
+    files = [bundle_to_json(synth_bundle(6, 4, seed=seed)) for seed in range(16)]
     derived, _ = _count_derivations_and_terms(monkeypatch)
-    bundles = [bundle_from_json(json.loads(text)) for text in texts]
+    bundles = [bundle_from_json(data) for data in files]
     assert all(validate_bundle(bundle) == [] for bundle in bundles)
     for bundle in bundles:
         solve(bundle.topology, bundle.service_spec(), SolverConfig(kind="greedy"))
