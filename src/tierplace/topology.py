@@ -121,10 +121,9 @@ class Topology:
         self._dc: dict[tuple[str, str], Link] = {
             (l.src, l.dst): l for l in self.dc_link_list
         }
-        # Layer -> its nodes in id order, on first use: a solve asks for the DCs, and a scan
-        # of every node then reads the device records a warm solve otherwise skips. Set here,
-        # not by cached_property, whose write to __dict__ slows every later attribute read.
-        self._layers: dict[Layer, tuple[Node, ...]] | None = None
+        self._layers: dict[Layer, list[Node]] = {}  # layer -> its nodes in id order
+        for n in sorted(self.nodes.values(), key=lambda n: n.id):
+            self._layers.setdefault(n.layer, []).append(n)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -136,11 +135,6 @@ class Topology:
         return node_id in self.nodes
 
     def in_layer(self, layer: Layer) -> list[Node]:
-        if self._layers is None:
-            layers: dict[Layer, list[Node]] = {}
-            for n in sorted(self.nodes.values(), key=lambda n: n.id):
-                layers.setdefault(n.layer, []).append(n)
-            self._layers = {layer: tuple(nodes) for layer, nodes in layers.items()}
         return list(self._layers.get(layer, ()))
 
     def devices(self) -> list[Node]:
