@@ -25,9 +25,9 @@ replay it is tested against. `compile_instance` derives those counts and each
 stage's per-stream rate and CPU load once per problem into an `Instance`. It keeps
 one per live topology, for the last pipeline and scenario compiled against it, by
 identity, so none of the three may be mutated after first use; the Instance is freed
-with its topology. Both read its route tables and `_stream_terms`, and each adds up
-in its own way; the evaluator alone keeps the terms that all predeploy sets and
-allocs share and the outcome of each scored state.
+with its topology. Both read its per-sink device rows and `_stream_terms`, and each
+adds up in its own way; the evaluator alone keeps the terms that all predeploy sets
+and allocs share and the outcome of each scored state.
 """
 
 from __future__ import annotations
@@ -41,21 +41,12 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
 
-from .topology import Layer, Link, Node, Route, Topology, TopologyError, route
+from .topology import Layer, Route, Topology, TopologyError, route
 from .workload import Pipeline, Scenario, ServiceSpec, derive_active_streams, flow_profile
 
 __all__ = [
-    "AggregationTooSmall",
-    "CostReport",
-    "Instance",
-    "InvalidPlacement",
-    "Placement",
-    "Violation",
-    "check_budget",
-    "compile_instance",
-    "evaluate",
-    "first_touch_slots",
-    "min_alloc",
+    "AggregationTooSmall", "CostReport", "Instance", "InvalidPlacement", "Placement", "Violation",
+    "check_budget", "compile_instance", "evaluate", "first_touch_slots", "min_alloc"
 ]
 
 GB_PER_MBPS_SECOND = 1.0 / 8000.0
@@ -174,21 +165,15 @@ def resolve_placement(
             )
         sink = (placement.sink_dc or agg_id) if top == Layer.CLOUD else placement.sink_dc
         if top == Layer.CLOUD and sink != agg_id:
-            raise InvalidPlacement(
-                "invalid placement: sink must equal a cloud aggregation host"
-            )
+            raise InvalidPlacement("invalid placement: sink must equal a cloud aggregation host")
         if sink is None:
-            raise InvalidPlacement(
-                "invalid placement: edge aggregation requires a sink DC"
-            )
+            raise InvalidPlacement("invalid placement: edge aggregation requires a sink DC")
     elif agg_id is not None:
         raise InvalidPlacement(
             "invalid placement: no merged stage, aggregation host must be absent"
         )
     elif placement.alloc != 0:
-        raise InvalidPlacement(
-            "invalid placement: no merged stage, alloc must be 0"
-        )
+        raise InvalidPlacement("invalid placement: no merged stage, alloc must be 0")
     if not topology.has_node(sink) or topology.node(sink).layer != Layer.CLOUD:
         raise InvalidPlacement(f"invalid placement: invalid sink DC: {sink!r}")
     if top == Layer.EDGE and topology.dc_link(agg_id, sink) is None:
@@ -200,9 +185,7 @@ def resolve_placement(
             "invalid placement: stage layers must not exceed the aggregation tier"
         )
 
-    gateway_stages = tuple(
-        k for k in range(pre_count) if layers[k] == Layer.GATEWAY
-    )
+    gateway_stages = tuple(k for k in range(pre_count) if layers[k] == Layer.GATEWAY)
     for gw in placement.predeploy:
         if not topology.has_node(gw) or topology.node(gw).layer != Layer.GATEWAY:
             raise InvalidPlacement(f"invalid placement: invalid predeploy gateway: {gw}")
@@ -281,7 +264,7 @@ class Instance:
     `scored` maps up to REPORT_MEMO_CAP solver states (layer vector, terminus,
     predeploy set) to their evaluated (placement, report), or None if invalid;
     `terms` maps up to as many valid (sink, agg host, positions) to their `_shared_terms`;
-    `paths` fills one table per sink with each active device's route and its Node objects.
+    `paths` keeps one table of device rows per sink and the (sink, edge host) pairs checked.
     It refers to its topology weakly, so its memo entry never keeps its key alive.
     """
 
@@ -298,50 +281,61 @@ class Instance:
         self.activations = Counter(d for active in self.streams for d in active)
         self.total_streams = sum(self.activations.values())  # stream activations, all slots
         self.busiest = max(map(len, self.streams), default=0)  # most streams in one slot
-        # sink -> device -> (route, the route's Node objects), or None if it has no route
-        self._routes: dict[str, dict[str, tuple[Route, tuple[Node, ...]] | None]] = {}
+        self._rows: dict[str, dict[str, tuple | None]] = {}  # sink -> device -> row, see `paths`
+        self._checked: set[tuple[str, str | None]] = set()  # (sink, edge host) pairs that passed
         self.scored: dict[tuple, tuple[Placement, CostReport] | None] = {}
         self.terms: dict[tuple, tuple] = {}
 
     @property
     def topology(self) -> Topology:
         """The topology compiled, or None once it is freed. Unlike a weak proxy, it costs
-        nothing per attribute read, which route tables make by the thousand."""
+        nothing per attribute read, which building device rows makes by the thousand."""
         return self._topology()  # type: ignore[return-value]
+
+    @cached_property
+    def _up(self) -> dict[str, str]:
+        """Node id -> its parent's id, for every node whose parent is in the topology."""
+        nodes = self.topology.nodes
+        return {n.id: n.parent for n in nodes.values() if n.parent in nodes}
 
     @cached_property
     def peak_streams(self) -> dict[str, int]:
         """Node id -> most streams through it in one slot; each DC gets the busiest slot."""
-        parent_of = self.topology.parent_of
-        peak: dict[str, int] = {}
+        up, peak = self._up, {}
         for active in self.streams:
-            gateways = [g.id for g in map(parent_of, active) if g is not None]
+            gateways = [up[d] for d in active if d in up]
             through = Counter(active + tuple(gateways))
-            through.update(e.id for e in map(parent_of, gateways) if e is not None)
+            through.update([up[g] for g in gateways if g in up])
             for node_id, count in through.items():
-                peak[node_id] = max(peak.get(node_id, 0), count)
+                if count > peak.get(node_id, 0):
+                    peak[node_id] = count
         peak.update((dc.id, self.busiest) for dc in self.topology.clouds())
         return peak
 
     @cached_property
     def first_touch(self) -> dict[str, tuple[str, ...]]:
-        """Visited gateway -> the devices it serves in its first active slot."""
-        node = self.topology.node
-        return {
-            gateway_id: tuple(d for d in self.streams[slot] if node(d).parent == gateway_id)
-            for gateway_id, slot in first_touch_slots(self.topology, self.streams).items()
-        }
+        """Visited gateway, in order of first touch -> the devices it serves in that slot."""
+        up, first, served = self._up, {}, {}
+        for index, active in enumerate(self.streams):
+            for device_id in active:
+                gateway = up.get(device_id)
+                if gateway is not None and first.setdefault(gateway, index) == index:
+                    served.setdefault(gateway, []).append(device_id)
+        return {gateway: tuple(devices) for gateway, devices in served.items()}
+
+    @cached_property
+    def predeploy_order(self) -> tuple[str, ...]:
+        """Visited gateways by most first-slot streams, ties to the smaller id."""
+        return tuple(sorted(self.first_touch, key=lambda g: (-len(self.first_touch[g]), g)))
 
     @cached_property
     def edge_weights(self) -> Counter[str]:
         """Edge id -> stream activations through it; its keys are the used edges."""
-        parent_of = self.topology.parent_of
-        weights: Counter[str] = Counter()
+        up, weights = self._up, Counter()
         for device_id, count in self.activations.items():
-            gateway = parent_of(device_id)
-            edge = parent_of(gateway.id) if gateway is not None else None
+            edge = up.get(up.get(device_id))  # type: ignore[arg-type]
             if edge is not None:
-                weights[edge.id] += count
+                weights[edge] += count
         return weights
 
     @cached_property
@@ -362,24 +356,35 @@ class Instance:
         demand = self.peak_demand
         return max(1, math.ceil(demand - 1e-12 * max(1.0, abs(demand))))
 
-    def paths(self, plan: _Plan) -> dict[str, tuple[Route, tuple[Node, ...]]]:
-        """Every active device's route to the plan's sink and the route's Node objects,
-        built once per sink. On every call, for the first device in scenario order that
-        has no route or whose route misses the aggregation host, stream_route raises why.
-        """
-        topology, table = self.topology, self._routes.get(plan.sink)
+    def paths(self, plan: _Plan) -> dict[str, tuple]:
+        """Each active device's row for the plan's sink, built once per sink from its route:
+        (count, 4 node ids, 3 link keys, 3 link prices, 3 bandwidths, path latency, 4 CPU
+        prices, 4 speeds), in tier order. Until a (sink, edge host) pair has passed, the first
+        device in scenario order with no route, or not via the edge host, raises why."""
+        topology, table = self.topology, self._rows.get(plan.sink)
         if table is None:
-            table = self._routes[plan.sink] = {}
-            for device_id in self.activations:
+            table, nodes = self._rows.setdefault(plan.sink, {}), topology.nodes
+            for device_id, count in self.activations.items():
                 try:
                     path = route(topology, device_id, plan.sink)
-                    table[device_id] = path, tuple(map(topology.node, path.nodes))
                 except TopologyError:
                     table[device_id] = None
+                    continue
+                (d, g, e, c), (l0, l1, l2) = path.nodes, path.links
+                nd, ng, ne, nc = nodes[d], nodes[g], nodes[e], nodes[c]
+                table[device_id] = (
+                    count, d, g, e, c, l0.key, l1.key, l2.key,
+                    l0.traffic_cost_rate, l1.traffic_cost_rate, l2.traffic_cost_rate,
+                    l0.bandwidth_mbps, l1.bandwidth_mbps, l2.bandwidth_mbps,
+                    0 + l0.latency_ms + l1.latency_ms + l2.latency_ms,  # as `sum` adds
+                    nd.cpu_cost_rate, ng.cpu_cost_rate, ne.cpu_cost_rate, nc.cpu_cost_rate,
+                    nd.speed, ng.speed, ne.speed, nc.speed)
         edge_host = plan.agg_id if plan.agg_id != plan.sink else None  # the sink ends each route
-        for device_id, entry in table.items():
-            if entry is None or (edge_host is not None and edge_host not in entry[0].nodes):
-                stream_route(topology, device_id, plan)  # raises InvalidPlacement
+        if (plan.sink, edge_host) not in self._checked:
+            for device_id, row in table.items():
+                if row is None or (edge_host is not None and edge_host not in row[1:5]):
+                    stream_route(topology, device_id, plan)  # raises InvalidPlacement
+            self._checked.add((plan.sink, edge_host))
         return table  # type: ignore[return-value]  # no None left once checked
 
 
@@ -445,7 +450,7 @@ def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
     dispatch costs, dispatch penalties and `alloc` violation of its predeploy set and alloc."""
     key = (plan.sink, plan.agg_id, plan.positions)
     terms = instance.terms.get(key)
-    if terms is None:  # a hit skips `paths`: only (sink, agg host) pairs it passed are stored
+    if terms is None:  # a hit skips `paths`, whose check each stored (sink, agg host) passed
         terms = _shared_terms(instance, plan)
         if len(instance.terms) < REPORT_MEMO_CAP:
             instance.terms[key] = terms
@@ -501,45 +506,47 @@ def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
     network cost, latency sum, per-device and max latency (no dispatch penalties), read-only
     peak CPU, and the sorted CPU and bandwidth violations.
 
-    Each active device adds its number of active slots times its per-stream
-    network cost, usage cost and latency. Peaks need the precondition that
-    `validate_bundle` enforces, that every rate, CPU demand and reduction is
-    finite and nonnegative: a slot's load, added up stream by stream, then never
-    shrinks as the streams through its node or link grow, nor merged demand as
-    the streams in the slot grow. So a peak is the per-stream loads added up for
-    the most streams through the node (or the link's child side) in one slot,
-    plus peak merged demand on the aggregation host, which alloc must cover too.
-    Added up in the replay's order, not multiplied, they let `simulator.simulate`
-    agree on every field, at a capacity boundary too.
+    Each active device adds its number of active slots times its per-stream network cost, usage
+    cost and latency, which plain arithmetic on its `Instance.paths` row gives in the replay's
+    order of operations. Peaks need the precondition that `validate_bundle` enforces, that
+    every rate, CPU demand and reduction is finite and nonnegative: a slot's load, added up
+    stream by stream, then never shrinks as the streams through its node or link grow, nor
+    merged demand as the streams in the slot grow. So a peak is the per-stream loads added up
+    for the most streams through the node (or the link's child side) in one slot, plus peak
+    merged demand on the aggregation host, which alloc must cover too. Added up in the replay's
+    order, not multiplied, they let `simulator.simulate` agree on every field, at a capacity
+    boundary too.
     """
     topology = instance.topology
-    paths = instance.paths(plan)
     share, link_rates, link_gbs, rows, merged_ms = _stream_terms(instance, plan)
     tier_loads: list[tuple[float, ...]] = [()] * 4  # nonzero per-stream loads per path index
     for position, load, _ in rows:
         if load != 0.0:
             tier_loads[position] += (load,)
     loaded_tiers = [i for i, loads in enumerate(tier_loads) if loads]
+    hosts = [(15 + position, 19 + position, load, base_ms) for position, load, base_ms in rows]
+    (gb0, gb1, gb2), (rate0, rate1, rate2) = link_gbs, link_rates
 
     usage_cost = 0.0
     network_cost = 0.0
     latency_sum = 0.0
     latency: dict[str, float] = {}  # device -> stream latency without dispatch penalty
     loaded: dict[str, int] = {}  # node id -> path index of a tier with CPU load
-    capped: dict[str, tuple[Link, float]] = {}  # link key -> (link, per-stream rate)
-    for device_id, count in instance.activations.items():
-        path, nodes = paths[device_id]
-        network = 0.0
-        for li, link in enumerate(path.links):
-            network += link_gbs[li] * link.traffic_cost_rate
-            if link.bandwidth_mbps is not None:
-                capped[link.key] = (link, link_rates[li])
+    capped: dict[str, tuple[str, float, float]] = {}  # link key -> (child, bandwidth, rate)
+    for device_id, row in instance.paths(plan).items():
+        count = row[0]
+        network = 0.0 + gb0 * row[8] + gb1 * row[9] + gb2 * row[10]
+        if row[11] is not None:
+            capped[row[5]] = (row[1], row[11], rate0)
+        if row[12] is not None:
+            capped[row[6]] = (row[2], row[12], rate1)
+        if row[13] is not None:
+            capped[row[7]] = (row[3], row[13], rate2)
         usage = 0.0
-        stream_latency = path.latency_ms
-        for position, load, base_ms in rows:
-            host = nodes[position]
-            usage += load * host.cpu_cost_rate * share
-            stream_latency += base_ms / host.speed
+        stream_latency = row[14]
+        for cpu_price, speed, load, base_ms in hosts:
+            usage += load * row[cpu_price] * share
+            stream_latency += base_ms / row[speed]
         for merged in merged_ms:
             stream_latency += merged
         network_cost += count * network
@@ -547,7 +554,7 @@ def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
         latency_sum += count * stream_latency
         latency[device_id] = stream_latency
         for i in loaded_tiers:
-            loaded[path.nodes[i]] = i
+            loaded[row[1 + i]] = i
 
     peak_of = cache(lambda i, streams: _repeated_sum(tier_loads[i], streams))
     peak_streams = instance.peak_streams
@@ -559,10 +566,10 @@ def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
         capacity = topology.node(node_id).capacity_cpu
         if peak > capacity:
             violations.append(Violation("cpu_capacity", node_id, peak - capacity))
-    for key, (link, rate) in capped.items():
-        load = _repeated_sum((rate,), peak_streams[link.src])
-        if load > link.bandwidth_mbps:
-            violations.append(Violation("bandwidth", key, load - link.bandwidth_mbps))
+    for key, (child, bandwidth, rate) in capped.items():
+        load = _repeated_sum((rate,), peak_streams[child])
+        if load > bandwidth:
+            violations.append(Violation("bandwidth", key, load - bandwidth))
     violations.sort(key=lambda v: (v.kind, v.ident))
     return (usage_cost, network_cost, latency_sum, latency, max(latency.values(), default=0.0),
             MappingProxyType(peak_cpu), tuple(violations))

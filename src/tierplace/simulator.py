@@ -8,7 +8,7 @@ the period. `summarize` collapses the time series into a report that must
 match `cost_model.evaluate` field for field. So that this check means something,
 the replay adds up every slot stream by stream from per-device terms computed
 once per call, where `evaluate` multiplies by activation counts. It shares the
-per-stream terms and route table, never a memo (`Instance.terms`, `Instance.scored`).
+per-stream terms and the per-sink device rows, never a memo (`Instance.terms`, `Instance.scored`).
 """
 
 from __future__ import annotations
@@ -81,21 +81,21 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
     penalty_ms = sum(stages[k].dispatch_penalty_ms for k in plan.gateway_stages)
     merged_rate = instance.rates[plan.pre_count]
 
-    caps = {link.key: link.bandwidth_mbps for path, _ in routes.values() for link in path.links}
+    caps = {}  # link key -> bandwidth
     terms = {}  # device -> (gateway, latency without penalty, link terms, host terms)
-    for device_id, (path, nodes) in routes.items():  # loops, not comprehensions: fewer calls
-        links, hosts, latency = [], [], path.latency_ms
-        for li, link in enumerate(path.links):
-            gb = link_gbs[li]
-            links.append((link.key, gb, link_rates[li], gb * link.traffic_cost_rate))
+    for device_id, row in routes.items():  # loops, not comprehensions: fewer calls
+        links, hosts, latency = [], [], row[14]
+        for li in range(3):
+            key, gb = row[5 + li], link_gbs[li]
+            caps[key] = row[11 + li]
+            links.append((key, gb, link_rates[li], gb * row[8 + li]))
         for position, used, base_ms in stage_rows:
-            host = nodes[position]
             if used != 0.0:
-                hosts.append((host.id, used, used * host.cpu_cost_rate * share))
-            latency += base_ms / host.speed
+                hosts.append((row[1 + position], used, used * row[15 + position] * share))
+            latency += base_ms / row[19 + position]
         for ms in merged_ms:
             latency += ms
-        terms[device_id] = path.nodes[1], latency, links, hosts
+        terms[device_id] = row[2], latency, links, hosts
 
     dispatched: set[str] = set()
     records: list[SlotRecord] = []

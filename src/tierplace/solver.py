@@ -32,19 +32,9 @@ from .topology import Layer, Topology
 from .workload import ServiceSpec, derive_active_streams  # noqa: F401
 
 __all__ = [
-    "CompareRow",
-    "SOLVER_KINDS",
-    "SearchSpaceTooLarge",
-    "Solution",
-    "SolverConfig",
-    "candidate_termini",
-    "choose_dc",
-    "choose_predeploy",
-    "compare",
-    "solve",
-    "solve_anneal",
-    "solve_exhaustive",
-    "solve_greedy",
+    "CompareRow", "SOLVER_KINDS", "SearchSpaceTooLarge", "Solution", "SolverConfig",
+    "candidate_termini", "choose_dc", "choose_predeploy", "compare", "solve", "solve_anneal",
+    "solve_exhaustive", "solve_greedy"
 ]
 
 
@@ -106,6 +96,12 @@ def _within(report: CostReport, budget: float) -> bool:
     return report.feasible and report.total_cost <= budget
 
 
+def _before(score: tuple, placement: Placement, kept: tuple | None) -> bool:
+    """Whether (score, placement's encoding) sorts before kept's; encodes only on a tie."""
+    return kept is None or score < kept[0] or (
+        score == kept[0] and placement.encode() < kept[1].encode())
+
+
 class _Best:
     """Score search states for a solver: `outcome` is the only place in this module
     where a state becomes a placement and is evaluated. Keeps the best feasible
@@ -146,16 +142,15 @@ class _Best:
         """Count a valid state and keep it if it beats best or fallback. Once there
         is a best, the fallback is never used, so it is no longer updated."""
         self.offers += 1
-        encoding = placement.encode()
         if _within(report, self.spec.budget):
-            key = (report.mean_latency_ms, report.total_cost, encoding)  # _objective_key
-            if self.best is None or key < self.best[0]:
-                self.best = (key, placement, report)
+            score = (report.mean_latency_ms, report.total_cost)  # _objective_key, less encoding
+            if _before(score, placement, self.best):
+                self.best = (score, placement, report)
         elif self.best is None:
             if violation is None:
                 violation = _violation_score(report, self.spec.budget)
-            if self.fallback is None or (violation, encoding) < self.fallback[0]:
-                self.fallback = ((violation, encoding), placement, report)
+            if _before((violation,), placement, self.fallback):
+                self.fallback = ((violation,), placement, report)
 
     def score(
         self,
@@ -306,10 +301,9 @@ def choose_predeploy(
     net_cost = sum(s.deploy_cost for s in stages) - sum(s.dispatch_cost for s in stages)
     if penalty_ms <= 0.0 and net_cost >= 0.0:
         return frozenset()
-    served = compile_instance(topology, spec).first_touch
     chosen: list[str] = []
     remaining = max(0.0, remaining_budget)
-    for gateway in sorted(served, key=lambda g: (-len(served[g]), g)):
+    for gateway in compile_instance(topology, spec).predeploy_order:
         if net_cost > remaining:
             break
         chosen.append(gateway)

@@ -15,7 +15,6 @@ import math
 from bisect import bisect_left
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from functools import cached_property
 from enum import IntEnum
 
 __all__ = [
@@ -82,7 +81,7 @@ class Link:
     traffic_cost_rate: float = 0.0  # cost per decimal GB (8000 Mb)
     bandwidth_mbps: float | None = None  # None means unbounded
 
-    @cached_property
+    @property
     def key(self) -> str:
         return f"{self.src}->{self.dst}"
 
@@ -94,7 +93,7 @@ class Route:
     nodes: tuple[str, ...]
     links: tuple[Link, ...]
 
-    @cached_property
+    @property
     def latency_ms(self) -> float:
         return sum(link.latency_ms for link in self.links)
 

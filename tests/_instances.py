@@ -272,3 +272,51 @@ def _crowded_free_slot(data):  # 1.7e308 s of every camera in one slot on free l
         link["traffic_cost_rate"] = 0.0
     cams = [node["id"] for node in data["topology"]["nodes"] if node["layer"] == "Device"]
     data["scenario"].update(slots=[{"devices": cams}], slot_seconds=1.7e308, source_rate_mbps=1)
+
+
+def three_dc_instance(seed: int, active_edges: int = 3) -> tuple[Topology, ServiceSpec]:
+    """A small multi_stream-shaped instance: 3 edges of 3 gateways of 4 cameras, each edge
+    linked to 3 DCs, and 6 crowded explicit slots. Slot k draws 60 % of the cameras of the
+    first k + 2 gateways of the first `active_edges` edges, so gateways are first touched in
+    later slots too; with one active edge, edge1 lies on every route and can aggregate."""
+    rng = random.Random(seed)
+    nodes = [Node(f"dc{d}", Layer.CLOUD, capacity_cpu=1000.0, cpu_cost_rate=rng.uniform(0.1, 0.5))
+             for d in (1, 2, 3)]
+    tree: list[Link] = []
+    dc_links: list[Link] = []
+    active: list[list[str]] = []  # cameras per gateway, active edges only
+    for e in range(1, 4):
+        edge = f"edge{e}"
+        nodes.append(Node(edge, Layer.EDGE, capacity_cpu=rng.uniform(20.0, 60.0),
+                          cpu_cost_rate=rng.uniform(0.2, 1.0), speed=rng.uniform(0.5, 1.5)))
+        dc_links += [Link(edge, f"dc{d}", latency_ms=rng.uniform(10, 50),
+                          traffic_cost_rate=rng.uniform(0.1, 0.3),
+                          bandwidth_mbps=rng.uniform(60, 300) if rng.random() < 0.3 else None)
+                     for d in (1, 2, 3)]
+        for g in range(1, 4):
+            gw = f"gw{e}{g}"
+            nodes.append(Node(gw, Layer.GATEWAY, parent=edge, capacity_cpu=rng.uniform(2.0, 6.0),
+                              cpu_cost_rate=rng.uniform(0.5, 2.0), speed=rng.uniform(0.8, 1.5)))
+            tree.append(Link(gw, edge, latency_ms=rng.uniform(3, 8),
+                             traffic_cost_rate=rng.uniform(0.05, 0.2)))
+            cams = [f"cam{e}{g}{c}" for c in range(1, 5)]
+            nodes += [Node(cam, Layer.DEVICE, parent=gw) for cam in cams]
+            tree += [Link(cam, gw, latency_ms=rng.uniform(1, 3)) for cam in cams]
+            if e <= active_edges:
+                active.append(cams)
+    stages = (
+        Stage("s1", cpu_per_unit=0.1, reduction=0.5, base_ms=20.0, deploy_cost=0.1,
+              dispatch_cost=0.02, dispatch_penalty_ms=300.0),
+        Stage("s2", cpu_per_unit=0.05, reduction=0.2, base_ms=30.0, deploy_cost=0.05,
+              dispatch_cost=0.01, dispatch_penalty_ms=200.0),
+        Stage("merge", cpu_per_unit=0.1, reduction=1.0, base_ms=15.0),
+    )
+    slots = []
+    for k in range(6):
+        cams = [cam for group in active[:k + 2] for cam in group]
+        slots.append(Slot.explicit(rng.sample(cams, math.ceil(0.6 * len(cams)))))
+    scenario = Scenario(slot_seconds=3600.0, slots=tuple(slots), source_rate_mbps=4.0)
+    topology = Topology(nodes, tree, dc_links)
+    spec = ServiceSpec(Pipeline(stages, aggregation_index=3), scenario, budget=0.0)
+    budget = 1.5 * evaluate(topology, spec, baseline_placement(topology, spec)).total_cost
+    return topology, replace(spec, budget=budget)

@@ -9,7 +9,7 @@ covers the report of every state exhaustive scores on `mini_bundle` and
 `random_instance(0..4)`, in enumeration order and with `Instance.scored`
 empty, so a change to the scorer cannot hide behind the winners. Only the
 mini instance is wholly cold: `random_instance` evaluates one placement to
-set its budget, which leaves one `Instance.terms` entry and a route table.
+set its budget, which leaves one `Instance.terms` entry and one sink's device rows.
 
 The replay is pinned bit for bit the same way: one digest per instance over
 the `simulate` report of each solver's answer, and one over the replay of

@@ -46,9 +46,9 @@ from tierplace import (
 )
 from tierplace.bundle import bundle_from_json, bundle_to_json, dumps, solution_to_json
 from tierplace.cli import main
-from tierplace.cost_model import compile_instance, resolve_placement
+from tierplace.cost_model import compile_instance, first_touch_slots, resolve_placement
 from tierplace.topology import nearest_device_index
-from _instances import baseline_placement, random_instance, random_placement
+from _instances import baseline_placement, random_instance, random_placement, three_dc_instance
 
 
 @pytest.fixture
@@ -451,8 +451,8 @@ def test_route_errors_name_the_first_offending_device_on_every_call(cold_memo):
 
 def test_route_runs_once_per_sink_and_active_device(cold_memo, monkeypatch):
     """A cold exhaustive solve, a replay of its answer and a sweep route each active
-    device to each DC once: `paths` keeps one table per sink, whose Node objects are
-    the route's own."""
+    device to each DC once: `paths` keeps one table per sink, whose rows carry the
+    route's own node ids."""
     real_route, routed = cost_model.route, Counter()
 
     def counting_route(topology, device_id, dc_id):
@@ -476,8 +476,8 @@ def test_route_runs_once_per_sink_and_active_device(cold_memo, monkeypatch):
             at_dc = replace(base, agg_node=dc if base.agg_node else None, sink_dc=dc)
             table = instance.paths(resolve_placement(topology, spec.pipeline, at_dc))
             assert list(table) == list(instance.activations)
-            for path, nodes in table.values():
-                assert path.nodes[-1] == dc and nodes == tuple(map(topology.node, path.nodes))
+            for device_id, row in table.items():
+                assert row[4] == dc and row[1:5] == real_route(topology, device_id, dc).nodes
         assert routed == Counter({(d, dc): 1 for d in instance.activations for dc in dcs}), seed
 
 
@@ -510,3 +510,77 @@ def test_missing_route_to_a_dc_host_raises_on_every_call(cold_memo):
                 with pytest.raises(InvalidPlacement, match="edge3 is not linked to dc2"):
                     replay(topology, spec, at_dc2)
     assert all(key[0] == "dc1" for key in compile_instance(topology, spec).terms)
+
+
+def _brute_peak_streams(topology, streams):
+    """Node id -> most streams through it in one slot, walking parent_of per stream."""
+    peak = {}
+    for active in streams:
+        through = Counter()
+        for device_id in active:
+            through[device_id] += 1
+            gateway = topology.parent_of(device_id)
+            if gateway is not None:
+                through[gateway.id] += 1
+                edge = topology.parent_of(gateway.id)
+                if edge is not None:
+                    through[edge.id] += 1
+        for node_id, count in through.items():
+            peak[node_id] = max(peak.get(node_id, 0), count)
+    for dc in topology.clouds():
+        peak[dc.id] = max(map(len, streams), default=0)
+    return peak
+
+
+def test_one_pass_peaks_and_first_touch_match_brute_force(cold_memo):
+    """Instance.peak_streams and Instance.first_touch, each one pass over the streams, equal
+    references built from first_touch_slots and parent_of: first_touch in dict order (the
+    order of first touch) and in each gateway's device order."""
+    cases = [random_instance(seed) for seed in range(20)]
+    cases += [three_dc_instance(seed) for seed in (1, 2)]
+    for topology, spec in cases:
+        instance = compile_instance(topology, spec)
+        streams = derive_active_streams(topology, spec.scenario)
+        assert instance.peak_streams == _brute_peak_streams(topology, streams)
+        first = first_touch_slots(topology, streams)
+        expected = [(gateway, tuple(d for d in streams[slot]
+                                    if topology.parent_of(d).id == gateway))
+                    for gateway, slot in first.items()]
+        assert list(instance.first_touch.items()) == expected
+    # The three-DC cases crowd their slots and touch some gateways first in later slots.
+    assert max(first.values()) >= 4 and max(map(len, instance.first_touch.values())) >= 3
+
+
+def test_aggregation_host_check_runs_once_per_sink_and_edge_host(cold_memo):
+    """A cold greedy sweep scans a sink's rows for the aggregation host once per (sink,
+    edge host) pair, however often it scores the pair; an off-path edge host is never
+    recorded, so it raises the same message on every call."""
+    topology, spec = three_dc_instance(1, active_edges=1)
+    cost_model._memo.clear()  # its budget was set by evaluating a placement
+    instance = compile_instance(topology, spec)
+    scans, lookups = Counter(), Counter()
+
+    class CountingSet(set):
+        def __contains__(self, pair):
+            found = super().__contains__(pair)
+            lookups[pair] += 1
+            scans[pair] += not found
+            return found
+
+    instance._checked = CountingSet()
+    for factor in (0.005, 0.5, 1.0):
+        solve(topology, replace(spec, budget=factor * spec.budget), SolverConfig(kind="greedy"))
+    dcs = ("dc1", "dc2", "dc3")
+    assert set(scans) == {(dc, host) for dc in dcs for host in (None, "edge1")}
+    assert scans == Counter(dict.fromkeys(instance._checked, 1))
+    assert sum(lookups.values()) > 2 * len(scans)
+
+    alloc = instance.min_reservation
+    off_path = Placement((Layer.GATEWAY, Layer.EDGE), "edge2", "dc1", alloc=alloc)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InvalidPlacement, match="edge2 is off the path of cam") as raised:
+            evaluate(topology, spec, off_path)
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1] and scans["dc1", "edge2"] == 2
+    assert ("dc1", "edge2") not in instance._checked
