@@ -264,7 +264,8 @@ class Instance:
     `scored` maps up to REPORT_MEMO_CAP solver states (layer vector, terminus,
     predeploy set) to their evaluated (placement, report), or None if invalid;
     `terms` maps up to as many valid (sink, agg host, positions) to their `_shared_terms`;
-    `paths` keeps one table of device rows per sink and the (sink, edge host) pairs checked.
+    `paths` keeps one table of device rows per sink and the (sink, edge host) pairs checked,
+    and builds every table from each device's route below its edge, `_to_edge`, walked once.
     It refers to its topology weakly, so its memo entry never keeps its key alive.
     """
 
@@ -356,29 +357,45 @@ class Instance:
         demand = self.peak_demand
         return max(1, math.ceil(demand - 1e-12 * max(1.0, abs(demand))))
 
+    @cached_property
+    def _to_edge(self) -> dict[str, tuple | None]:
+        """Active device -> its row's part below the sink (count, 3 node ids, 2 link keys, 2
+        prices, 2 bandwidths, latency `0 + l0 + l1`, to which `paths` adds l2 as `sum` would, 3
+        CPU prices, 3 speeds); None where `route` raises whatever the sink."""
+        nodes, uplink, parts = self.topology.nodes, self.topology.uplink, {}
+        for device_id, count in self.activations.items():
+            nd = nodes.get(device_id)
+            ng = nodes.get(nd.parent) if nd is not None and nd.layer == Layer.DEVICE else None
+            ne = nodes.get(ng.parent) if ng is not None and ng.layer == Layer.GATEWAY else None
+            l0, l1 = uplink(device_id), ng and uplink(ng.id)
+            routed = ne is not None and ne.layer == Layer.EDGE and l0 and l1
+            parts[device_id] = None if not routed else (
+                count, device_id, ng.id, ne.id, l0.key, l1.key, l0.traffic_cost_rate,
+                l1.traffic_cost_rate, l0.bandwidth_mbps, l1.bandwidth_mbps,
+                0 + l0.latency_ms + l1.latency_ms, nd.cpu_cost_rate, ng.cpu_cost_rate,
+                ne.cpu_cost_rate, nd.speed, ng.speed, ne.speed)
+        return parts
+
     def paths(self, plan: _Plan) -> dict[str, tuple]:
-        """Each active device's row for the plan's sink, built once per sink from its route:
-        (count, 4 node ids, 3 link keys, 3 link prices, 3 bandwidths, path latency, 4 CPU
-        prices, 4 speeds), in tier order. Until a (sink, edge host) pair has passed, the first
-        device in scenario order with no route, or not via the edge host, raises why."""
-        topology, table = self.topology, self._rows.get(plan.sink)
+        """Each active device's row for the plan's sink, equal to one built from its `route`:
+        (count, 4 node ids, 3 link keys, 3 link prices, 3 bandwidths, path latency, 4 CPU prices,
+        4 speeds), in tier order; built once per sink from `_to_edge` and each edge's hop to it.
+        Until a (sink, edge host) pair has passed, the first device in scenario order with no
+        route, or not via the edge host, raises why (`stream_route`'s message)."""
+        topology, sink, table = self.topology, plan.sink, self._rows.get(plan.sink)
         if table is None:
-            table, nodes = self._rows.setdefault(plan.sink, {}), topology.nodes
-            for device_id, count in self.activations.items():
-                try:
-                    path = route(topology, device_id, plan.sink)
-                except TopologyError:
+            table, dc = self._rows.setdefault(sink, {}), topology.nodes[sink]
+            cc, sc = dc.cpu_cost_rate, dc.speed
+            hops = {l.src: (l.key, l.traffic_cost_rate, l.bandwidth_mbps, l.latency_ms)
+                    for l in topology.dc_link_list if l.dst == sink}  # last wins, as `dc_link`
+            for device_id, part in self._to_edge.items():
+                hop = hops.get(part[3]) if part else None
+                if hop is None:
                     table[device_id] = None
                     continue
-                (d, g, e, c), (l0, l1, l2) = path.nodes, path.links
-                nd, ng, ne, nc = nodes[d], nodes[g], nodes[e], nodes[c]
-                table[device_id] = (
-                    count, d, g, e, c, l0.key, l1.key, l2.key,
-                    l0.traffic_cost_rate, l1.traffic_cost_rate, l2.traffic_cost_rate,
-                    l0.bandwidth_mbps, l1.bandwidth_mbps, l2.bandwidth_mbps,
-                    0 + l0.latency_ms + l1.latency_ms + l2.latency_ms,  # as `sum` adds
-                    nd.cpu_cost_rate, ng.cpu_cost_rate, ne.cpu_cost_rate, nc.cpu_cost_rate,
-                    nd.speed, ng.speed, ne.speed, nc.speed)
+                count, d, g, e, k0, k1, p0, p1, b0, b1, latency, cd, cg, ce, sd, sg, se = part
+                table[device_id] = (count, d, g, e, sink, k0, k1, hop[0], p0, p1, hop[1], b0, b1,
+                                    hop[2], latency + hop[3], cd, cg, ce, cc, sd, sg, se, sc)
         edge_host = plan.agg_id if plan.agg_id != plan.sink else None  # the sink ends each route
         if (plan.sink, edge_host) not in self._checked:
             for device_id, row in table.items():

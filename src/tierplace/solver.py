@@ -333,7 +333,8 @@ def _greedy_candidate(
         return False
     # Lower stages from the merge point toward the devices; each step scans
     # every tier at or below the stage's current one (clamping earlier
-    # stages down to keep the vector monotone) and keeps the best trial.
+    # stages down to keep the vector monotone) and keeps the trial of least `_objective_key`:
+    # trials rise in layer vector, so in encoding: the first of least (latency, cost) is it.
     for k in range(len(vector) - 1, -1, -1):
         trials = []
         for level in map(Layer, range(vector[k] + 1)):
@@ -342,7 +343,8 @@ def _greedy_candidate(
             if trial is not None and _within(trial[1], spec.budget):
                 trials.append(trial)
         if trials:
-            vector = min(trials, key=_objective_key)[0].layer_of
+            best = min(trials, key=lambda t: (t[1].mean_latency_ms, t[1].total_cost))
+            vector = best[0].layer_of
     return True
 
 

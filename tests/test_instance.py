@@ -30,6 +30,7 @@ from tierplace import (
     SolverConfig,
     Topology,
     TopologyError,
+    UnknownDevice,
     candidate_termini,
     derive_active_streams,
     evaluate,
@@ -47,7 +48,7 @@ from tierplace import (
 from tierplace.bundle import bundle_from_json, bundle_to_json, dumps, solution_to_json
 from tierplace.cli import main
 from tierplace.cost_model import compile_instance, first_touch_slots, resolve_placement
-from tierplace.topology import nearest_device_index
+from tierplace.topology import nearest_device_index, route
 from _instances import baseline_placement, random_instance, random_placement, three_dc_instance
 
 
@@ -416,8 +417,12 @@ def test_anneal_derives_placement_independent_data_once(monkeypatch):
     solve_anneal(bundle.topology, spec, SolverConfig(kind="anneal", seed=0))
 
     active = {d for slot in real_derive(bundle.topology, bundle.scenario) for d in slot}
-    assert counts["derive"] == 1
-    assert 0 < counts["route"] <= len(active) * len(bundle.topology.clouds())
+    instance = compile_instance(bundle.topology, spec)
+    assert counts["derive"] == 1 and set(instance.activations) == active
+    # Every route exists, so the sink tables are built without a single `route` call.
+    assert instance._rows and counts["route"] == 0
+    for table in instance._rows.values():
+        assert list(table) == list(instance.activations) and None not in table.values()
 
 
 def test_route_errors_name_the_first_offending_device_on_every_call(cold_memo):
@@ -449,10 +454,47 @@ def test_route_errors_name_the_first_offending_device_on_every_call(cold_memo):
     assert evaluate(topology, spec, Placement((), agg_node="dc1", sink_dc="dc1", alloc=1)).feasible
 
 
-def test_route_runs_once_per_sink_and_active_device(cold_memo, monkeypatch):
-    """A cold exhaustive solve, a replay of its answer and a sweep route each active
-    device to each DC once: `paths` keeps one table per sink, whose rows carry the
-    route's own node ids."""
+def _route_row(topology, device_id, dc, count):
+    """A device's row for sink `dc` built from its `route`, in the row layout of
+    `Instance.paths`; None where `route` raises."""
+    try:
+        path = route(topology, device_id, dc)
+    except TopologyError:
+        return None
+    links, nodes = path.links, [topology.node(node_id) for node_id in path.nodes]
+    return (count, *path.nodes, *(link.key for link in links),
+            *(link.traffic_cost_rate for link in links), *(link.bandwidth_mbps for link in links),
+            0 + links[0].latency_ms + links[1].latency_ms + links[2].latency_ms,
+            *(node.cpu_cost_rate for node in nodes), *(node.speed for node in nodes))
+
+
+def _sink_tables(topology, spec):
+    """Each DC's table of device rows, None rows included: `paths` builds a sink's table
+    before its check raises on a device with no route."""
+    instance, pre = compile_instance(topology, spec), spec.pipeline.pre_count
+    for dc in topology.clouds():
+        agg = dc.id if spec.pipeline.has_aggregation else None
+        placement = Placement((Layer.CLOUD,) * pre, agg, dc.id, alloc=int(agg is not None))
+        try:
+            instance.paths(resolve_placement(topology, spec.pipeline, placement))
+        except InvalidPlacement:
+            pass
+    return instance, instance._rows
+
+
+def _assert_rows_match_route(topology, spec):
+    instance, tables = _sink_tables(topology, spec)
+    assert sorted(tables) == sorted(dc.id for dc in topology.clouds())
+    for dc, table in tables.items():
+        assert list(table) == list(instance.activations)
+        assert table == {device_id: _route_row(topology, device_id, dc, count)
+                         for device_id, count in instance.activations.items()}
+
+
+def test_sink_tables_are_built_once_without_calling_route(cold_memo, monkeypatch):
+    """A cold exhaustive solve, a replay of its answer and a sweep build each sink's table
+    once, and, with every route present, never call `route`: a row is its sink-independent
+    part plus the edge's hop to the sink, and equals the row built from `route`."""
     real_route, routed = cost_model.route, Counter()
 
     def counting_route(topology, device_id, dc_id):
@@ -469,16 +511,75 @@ def test_route_runs_once_per_sink_and_active_device(cold_memo, monkeypatch):
         for factor in (0.1, 0.5, 2.0):
             solve(topology, replace(spec, budget=factor * spec.budget), SolverConfig(kind="greedy"))
         instance = compile_instance(topology, spec)
+        tables = dict(instance._rows)
         dcs = [dc.id for dc in topology.clouds()]
-        assert len(dcs) == 2
+        assert len(dcs) == 2 and sorted(tables) == dcs
         base = baseline_placement(topology, spec)
         for dc in dcs:
             at_dc = replace(base, agg_node=dc if base.agg_node else None, sink_dc=dc)
             table = instance.paths(resolve_placement(topology, spec.pipeline, at_dc))
-            assert list(table) == list(instance.activations)
+            assert table is tables[dc] and list(table) == list(instance.activations)
             for device_id, row in table.items():
-                assert row[4] == dc and row[1:5] == real_route(topology, device_id, dc).nodes
-        assert routed == Counter({(d, dc): 1 for d in instance.activations for dc in dcs}), seed
+                assert row == _route_row(topology, device_id, dc, instance.activations[device_id])
+        assert routed == Counter(), seed
+
+
+def test_rows_built_below_the_edge_equal_rows_built_from_route(cold_memo, monkeypatch):
+    """Every sink's rows, None included, equal the rows built from `route`: on random
+    instances, on a 3-DC instance with an edge not linked to one DC, and on unvalidated
+    topologies where `route` raises for some devices below the edge."""
+    for seed in range(20):
+        _assert_rows_match_route(*random_instance(seed))
+
+    base, spec = three_dc_instance(1)
+    cams = [n.id for n in base.devices()]
+    scenario = replace(spec.scenario, slots=spec.scenario.slots + (Slot.explicit(cams),))
+    spec = replace(spec, scenario=scenario)
+    unlinked = Topology(base.node_list, base.tree_link_list,
+                        [l for l in base.dc_link_list if (l.src, l.dst) != ("edge2", "dc3")])
+    _assert_rows_match_route(unlinked, spec)
+    _, tables = _sink_tables(unlinked, spec)
+    assert {d for d, row in tables["dc3"].items() if row is None} == {
+        cam for cam in cams if cam.startswith("cam2")}
+
+    def variant(parents=(), dropped=(), dc_links=()):
+        nodes = [replace(n, parent=parents[n.id]) if n.id in parents else n
+                 for n in base.node_list]
+        tree = [l for l in base.tree_link_list if l.src not in dropped]
+        return Topology(nodes, tree, base.dc_link_list + tuple(dc_links))
+
+    def cams_of(gateway):
+        return {f"cam{gateway[2:]}{c}" for c in range(1, 5)}
+
+    under_gateway = variant({"gw12": "gw11"}, dc_links=[Link("gw11", "dc1")])
+    broken = [
+        (variant({"cam111": "edge1"}), {"cam111"}),  # a device under an edge
+        (variant({"cam111": "cam112", "cam112": "edge1"}), {"cam111", "cam112"}),  # and a device
+        (variant({"gw13": None}), cams_of("gw13")),  # a gateway without parent
+        (variant({"gw13": "edge9"}), cams_of("gw13")),  # a gateway with an unknown parent
+        (under_gateway, cams_of("gw12")),  # a gateway under a gateway under an edge
+        (variant(dropped={"cam112", "gw21"}), {"cam112"} | cams_of("gw21")),  # missing uplinks
+        (variant(dc_links=[Link("edge1", "dc2", latency_ms=99.0)]), set()),  # the last one wins
+    ]
+    for topology, unrouted in broken:
+        _assert_rows_match_route(topology, spec)
+        _, tables = _sink_tables(topology, spec)
+        for table in tables.values():
+            assert {d for d, row in table.items() if row is None} == unrouted
+
+    # derive_active_streams rejects a gateway in an explicit slot, so only a patched
+    # derivation hands one to the Instance. gw12 sits under gw11, which sits under an
+    # edge, so only its own layer tells that it has no route.
+    with pytest.raises(UnknownDevice, match="unknown device: gw12"):
+        derive_active_streams(base, replace(scenario, slots=(Slot.explicit(["gw12"]),)))
+    real_derive = cost_model.derive_active_streams
+    monkeypatch.setattr(cost_model, "derive_active_streams",
+                        lambda topology, scenario: [["gw12"]] + real_derive(topology, scenario))
+    cost_model._memo.clear()
+    _assert_rows_match_route(under_gateway, spec)
+    _, tables = _sink_tables(under_gateway, spec)
+    for table in tables.values():
+        assert {d for d, row in table.items() if row is None} == {"gw12"} | cams_of("gw12")
 
 
 def test_missing_route_to_a_dc_host_raises_on_every_call(cold_memo):

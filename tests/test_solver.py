@@ -585,6 +585,35 @@ def test_states_examined_counts_returned_evaluations(monkeypatch):
         assert solution.states_examined == len(walked)
 
 
+def test_greedy_step_keeps_the_tied_trial_of_least_encoding(monkeypatch):
+    """With every price and latency zero and room on every node, all trials of a greedy
+    step tie on (mean latency, total cost). Each step keeps the one of least encoding,
+    as `min(trials, key=_objective_key)` would: the lowest vector, from which the next
+    steps only lower stages that already sit on the device tier."""
+    real_score, vectors = solver_module._Best.score, set()
+
+    def recording_score(self, vector, *args):
+        vectors.add(vector)
+        return real_score(self, vector, *args)
+
+    monkeypatch.setattr(solver_module._Best, "score", recording_score)
+    for seed in range(6):
+        topology, spec = random_instance(seed, max_pre_stages=3)
+        nodes = [replace(n, capacity_cpu=1e6, cpu_cost_rate=0.0) for n in topology.node_list]
+        links = [[replace(l, latency_ms=0.0, traffic_cost_rate=0.0, bandwidth_mbps=None)
+                  for l in group] for group in (topology.tree_link_list, topology.dc_link_list)]
+        stages = tuple(replace(s, base_ms=0.0, deploy_cost=0.0, dispatch_cost=0.0,
+                               dispatch_penalty_ms=0.0) for s in spec.pipeline.stages)
+        free = Topology(nodes, *links)
+        spec = replace(spec, pipeline=replace(spec.pipeline, stages=stages), budget=1.0)
+        vectors.clear()
+        solution = solve_greedy(free, spec)
+        pre = spec.pipeline.pre_count
+        assert solution.report.total_cost == solution.report.mean_latency_ms == 0.0
+        assert solution.placement.layer_of == (Layer.DEVICE,) * pre, seed
+        assert vectors == {(layer,) * pre for layer in Layer}, seed
+
+
 def test_greedy_answers_with_the_best_state_it_scored(monkeypatch):
     real_score = solver_module._Best.score
     scored = []
