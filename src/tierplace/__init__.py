@@ -28,14 +28,12 @@ from .cost_model import (
 )
 from .simulator import SlotRecord, TimeSeriesReport, simulate, summarize
 from .solver import (
-    CompareRow,
     SearchSpaceTooLarge,
     Solution,
     SolverConfig,
     candidate_termini,
     choose_dc,
     choose_predeploy,
-    compare,
     solve,
     solve_anneal,
     solve_exhaustive,
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregationTooSmall",
     "BundleError",
-    "CompareRow",
     "CostReport",
     "InvalidPlacement",
     "Layer",
@@ -96,7 +93,6 @@ __all__ = [
     "check_budget",
     "choose_dc",
     "choose_predeploy",
-    "compare",
     "derive_active_streams",
     "evaluate",
     "flow_profile",

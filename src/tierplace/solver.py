@@ -32,13 +32,13 @@ from .topology import Layer, Topology
 from .workload import ServiceSpec, derive_active_streams  # noqa: F401
 
 __all__ = [
-    "CompareRow", "SOLVER_KINDS", "SearchSpaceTooLarge", "Solution", "SolverConfig",
-    "candidate_termini", "choose_dc", "choose_predeploy", "compare", "solve", "solve_anneal",
-    "solve_exhaustive", "solve_greedy"
+    "SOLVER_KINDS", "SearchSpaceTooLarge", "Solution", "SolverConfig", "candidate_termini",
+    "choose_dc", "choose_predeploy", "solve", "solve_anneal", "solve_exhaustive", "solve_greedy"
 ]
 
 
 PENALTY = 1000.0  # anneal's energy weight per unit of budget excess or violation
+_LAYERS = tuple(Layer)  # Layer(level), by index
 
 
 class SearchSpaceTooLarge(ValueError):
@@ -72,19 +72,6 @@ class Solution:
     elapsed_ms: float
     states_examined: int
     best_effort: bool = False  # True when no feasible in-budget state was found
-
-
-@dataclass(frozen=True)
-class CompareRow:
-    kind: str
-    solution: Solution | None = None
-    error: str | None = None
-    optimal: bool = False
-
-
-def _objective_key(state: tuple[Placement, CostReport]) -> tuple:
-    placement, report = state
-    return (report.mean_latency_ms, report.total_cost, placement.encode())
 
 
 def _violation_score(report: CostReport, budget: float) -> float:
@@ -143,7 +130,7 @@ class _Best:
         is a best, the fallback is never used, so it is no longer updated."""
         self.offers += 1
         if _within(report, self.spec.budget):
-            score = (report.mean_latency_ms, report.total_cost)  # _objective_key, less encoding
+            score = (report.mean_latency_ms, report.total_cost)  # the total order, less encoding
             if _before(score, placement, self.best):
                 self.best = (score, placement, report)
         elif self.best is None:
@@ -333,8 +320,9 @@ def _greedy_candidate(
         return False
     # Lower stages from the merge point toward the devices; each step scans
     # every tier at or below the stage's current one (clamping earlier
-    # stages down to keep the vector monotone) and keeps the trial of least `_objective_key`:
-    # trials rise in layer vector, so in encoding: the first of least (latency, cost) is it.
+    # stages down to keep the vector monotone) and keeps the trial of least (mean latency,
+    # total cost, encoding): trials rise in layer vector, so in encoding, so it is the
+    # first of least (latency, cost).
     for k in range(len(vector) - 1, -1, -1):
         trials = []
         for level in map(Layer, range(vector[k] + 1)):
@@ -369,14 +357,75 @@ def solve_greedy(
     return tracker.solution("greedy", elapsed, tracker.offers)
 
 
-def _below(getrandbits, n: int) -> int:
-    """`rng.randrange(n)` for n >= 1 from `rng.getrandbits`, drawing the same bits as
-    CPython does (n.bit_length() at a time, rejecting values >= n) without its checks."""
-    bits = n.bit_length()
-    value = getrandbits(bits)
-    while value >= n:
-        value = getrandbits(bits)
-    return value
+def _proposer(draw, termini: list, tops: dict, visited: list[str], pre_count: int):
+    """Anneal's move, `propose(state)`: up to 8 tries of a random move, returning the
+    first new state, else None. A move puts stage k one tier down or up (keeping the
+    vector monotone and under the terminus's top), changes the terminus (clamping
+    stages to its top), or, while a stage sits on the gateway tier, toggles a visited
+    gateway in the predeploy set, which is empty otherwise. Draws are `randrange`'s:
+    n.bit_length() bits of `draw` (a Random's getrandbits) until one is below n.
+    Each state's successors sit in a table as long-lived as the proposer: 2*pre_count
+    slots for stage moves, one per terminus, then one per gateway (added on the state's
+    first gateway move), each filled on its first draw with the new state or None."""
+    gateway_tier = Layer.GATEWAY  # a local: enum attribute lookups are slow
+    n_termini, n_gateways = len(termini), len(visited)
+    k_bits, t_bits, g_bits = map(int.bit_length, (pre_count, n_termini, n_gateways))
+    first_terminus = 2 * pre_count
+    first_gateway = first_terminus + n_termini
+    gateway_slots = [False] * n_gateways
+    successors: dict[tuple, list] = {}
+
+    def successor(state, slot: int) -> tuple | None:
+        vector, terminus, predeploy = state
+        if slot >= first_gateway:
+            return vector, terminus, predeploy ^ {visited[slot - first_gateway]}
+        if slot >= first_terminus:
+            new_terminus = termini[slot - first_terminus]
+            if new_terminus == terminus:
+                return None
+            new_vector = tuple(min(layer, tops[new_terminus]) for layer in vector)
+        else:
+            k, up = divmod(slot, 2)
+            level = vector[k] + (-1, 1)[up]
+            high = vector[k + 1] if k + 1 < pre_count else tops[terminus]
+            if not (vector[k - 1] if k else 0) <= level <= high:
+                return None
+            new_vector, new_terminus = vector[:k] + (_LAYERS[level],) + vector[k + 1:], terminus
+        return new_vector, new_terminus, predeploy if gateway_tier in new_vector else frozenset()
+
+    def propose(state):
+        slots = successors.get(state)
+        if slots is None:
+            slots = successors[state] = [False] * first_gateway
+        for _ in range(8):
+            while (move := draw(2)) == 3:
+                pass
+            if move == 0 and pre_count:
+                while (k := draw(k_bits)) >= pre_count:
+                    pass
+                while (up := draw(2)) >= 2:
+                    pass
+                slot = 2 * k + up
+            elif move == 1 and n_termini > 1:
+                while (slot := draw(t_bits)) >= n_termini:
+                    pass
+                slot += first_terminus
+            elif move == 2 and n_gateways and gateway_tier in state[0]:
+                while (slot := draw(g_bits)) >= n_gateways:
+                    pass
+                if len(slots) == first_gateway:
+                    slots += gateway_slots
+                slot += first_gateway
+            else:
+                continue
+            new_state = slots[slot]
+            if new_state is False:
+                new_state = slots[slot] = successor(state, slot)
+            if new_state is not None:
+                return new_state
+        return None
+
+    return propose
 
 
 def solve_anneal(
@@ -399,37 +448,11 @@ def solve_anneal(
     start = time.monotonic()
     deadline = start + cfg.time_budget_ms / 1000.0
     rng = random.Random(cfg.seed)
-    draw = rng.getrandbits
     tracker = _Best(topology, spec)
     termini = candidate_termini(topology, spec)
     tops = {terminus: _top(topology, terminus[0]) for terminus in termini}
-    layers = tuple(Layer)  # Layer(level), by index
     visited = sorted(tracker.instance.first_touch)
-
-    def propose(state):
-        vector, terminus, predeploy = state
-        for _ in range(8):
-            move = _below(draw, 3)
-            if move == 0 and vector:
-                k = _below(draw, len(vector))
-                level = vector[k] + (-1, 1)[_below(draw, 2)]
-                high = vector[k + 1] if k + 1 < len(vector) else tops[terminus]
-                if not (vector[k - 1] if k else 0) <= level <= high:
-                    continue
-                new_vector, new_terminus = vector[:k] + (layers[level],) + vector[k + 1:], terminus
-            elif move == 1 and len(termini) > 1:
-                new_terminus = termini[_below(draw, len(termini))]
-                if new_terminus == terminus:
-                    continue
-                new_vector = tuple(min(layer, tops[new_terminus]) for layer in vector)
-            elif move == 2 and visited and Layer.GATEWAY in vector:
-                gateway = visited[_below(draw, len(visited))]
-                return vector, terminus, frozenset(predeploy ^ {gateway})
-            else:
-                continue
-            new_predeploy = predeploy if Layer.GATEWAY in new_vector else frozenset()
-            return new_vector, new_terminus, new_predeploy
-        return None
+    propose = _proposer(rng.getrandbits, termini, tops, visited, spec.pipeline.pre_count)
 
     warm = solve_greedy(topology, spec, deadline=deadline).placement
     state = (warm.layer_of, (warm.agg_node, warm.sink_dc), warm.predeploy)
@@ -483,24 +506,3 @@ def solve(topology: Topology, spec: ServiceSpec, cfg: SolverConfig) -> Solution:
     except KeyError:
         raise ValueError(f"unknown solver kind: {cfg.kind!r}") from None
     return fn(topology, spec, cfg)
-
-
-def compare(
-    topology: Topology, spec: ServiceSpec, configs: list[SolverConfig]
-) -> list[CompareRow]:
-    """Run each configured solver on identical inputs; one row per config."""
-    rows: list[CompareRow] = []
-    for cfg in configs:
-        try:
-            solution = solve(topology, spec, cfg)
-        except (SearchSpaceTooLarge, InvalidPlacement, ValueError) as exc:
-            rows.append(CompareRow(kind=cfg.kind, error=str(exc)))
-            continue
-        rows.append(
-            CompareRow(
-                kind=cfg.kind,
-                solution=solution,
-                optimal=cfg.kind in ("exhaustive", "exact") and not solution.best_effort,
-            )
-        )
-    return rows

@@ -12,6 +12,7 @@ from tierplace import (
     Layer,
     Link,
     Node,
+    Pipeline,
     Placement,
     Scenario,
     SearchSpaceTooLarge,
@@ -22,7 +23,6 @@ from tierplace import (
     candidate_termini,
     choose_dc,
     choose_predeploy,
-    compare,
     derive_active_streams,
     evaluate,
     min_alloc,
@@ -30,12 +30,18 @@ from tierplace import (
     solve_exhaustive,
     solve_greedy,
 )
-from tierplace.cost_model import first_touch_slots
-from _instances import random_instance, reports_close
+from tierplace.cost_model import compile_instance, first_touch_slots
+from _instances import random_instance, reports_close, three_dc_instance
 
 
 def _objective(solution):
     return (solution.report.mean_latency_ms, solution.report.total_cost)
+
+
+def _objective_key(state):
+    """The solvers' total order on (placement, report): latency, cost, then encoding."""
+    placement, report = state
+    return report.mean_latency_ms, report.total_cost, placement.encode()
 
 
 def _with_deploy_cost(spec, deploy_cost):
@@ -240,13 +246,79 @@ def test_anneal_with_no_time_left_scores_no_new_state_after_the_first(monkeypatc
         assert real_evaluate(topology, spec, solution.placement) == solution.report
 
 
-def test_draws_match_randrange_and_choice():
-    for seed in (0, 1, 7, 201, 2**40 + 3):
-        for n in range(1, 71):
-            ours, theirs = random.Random(seed), random.Random(seed)
-            assert solver_module._below(ours.getrandbits, n) == theirs.randrange(n)
-            assert (-1, 1)[solver_module._below(ours.getrandbits, 2)] == theirs.choice((-1, 1))
-            assert ours.random() == theirs.random()
+def _reference_proposer(rng, termini, tops, visited):
+    """Anneal's move as first written, with `randrange` and `choice`."""
+
+    def propose(state):
+        vector, terminus, predeploy = state
+        for _ in range(8):
+            move = rng.randrange(3)
+            if move == 0 and vector:
+                k = rng.randrange(len(vector))
+                level = vector[k] + rng.choice((-1, 1))
+                high = vector[k + 1] if k + 1 < len(vector) else tops[terminus]
+                if not (vector[k - 1] if k else 0) <= level <= high:
+                    continue
+                new_vector, new_terminus = vector[:k] + (Layer(level),) + vector[k + 1:], terminus
+            elif move == 1 and len(termini) > 1:
+                new_terminus = rng.choice(termini)
+                if new_terminus == terminus:
+                    continue
+                new_vector = tuple(min(layer, tops[new_terminus]) for layer in vector)
+            elif move == 2 and visited and Layer.GATEWAY in vector:
+                return vector, terminus, predeploy ^ {rng.choice(visited)}
+            else:
+                continue
+            empty = Layer.GATEWAY not in new_vector
+            return new_vector, new_terminus, frozenset() if empty else predeploy
+        return None
+
+    return propose
+
+
+def _single_dc(topology):
+    nodes = [n for n in topology.node_list if n.id != "dc2"]
+    return Topology(nodes, topology.tree_link_list,
+                    [l for l in topology.dc_link_list if l.dst != "dc2"])
+
+
+def test_proposer_moves_and_draws_like_randrange_and_choice():
+    """In lockstep with the reference, anneal's proposer returns the same state or None
+    at every step of a seeded walk that revisits states, and leaves its Random in the
+    same state: the successor table and the inline draws change no seeded walk."""
+    cases = [random_instance(seed) for seed in range(10)]
+    cases += [three_dc_instance(seed, active_edges=1) for seed in range(2)]
+    topology, spec = random_instance(4)  # two per-stream stages and a merged one
+    stages = spec.pipeline.stages
+    merge_only = Pipeline(stages[-1:], aggregation_index=1)
+    no_merge = Pipeline(stages[:-1], aggregation_index=len(stages))
+    cases += [(topology, replace(spec, pipeline=merge_only)),
+              (topology, replace(spec, pipeline=no_merge)),
+              (_single_dc(topology), spec),
+              (_single_dc(topology), replace(spec, pipeline=no_merge))]
+    seen = {"none": 0, "predeploy": 0, "one terminus": 0, "no stage": 0}
+    for topology, spec in cases:
+        termini = candidate_termini(topology, spec)
+        tops = {terminus: solver_module._top(topology, terminus[0]) for terminus in termini}
+        visited = sorted(compile_instance(topology, spec).first_touch)
+        pre = spec.pipeline.pre_count
+        seen["one terminus"] += len(termini) == 1
+        seen["no stage"] += pre == 0
+        for seed in (1, 7):
+            ours, theirs, walk = random.Random(seed), random.Random(seed), random.Random(-seed)
+            propose = solver_module._proposer(ours.getrandbits, termini, tops, visited, pre)
+            reference = _reference_proposer(theirs, termini, tops, visited)
+            state = ((tops[termini[0]],) * pre, termini[0], frozenset())
+            for step in range(300):
+                expected = reference(state)
+                assert propose(state) == expected, (spec.pipeline, seed, step)
+                if expected is None:
+                    seen["none"] += 1
+                elif walk.random() < 0.5:
+                    state = expected
+                    seen["predeploy"] += bool(state[2])
+            assert ours.getstate() == theirs.getstate()
+    assert all(seen.values()), seen
 
 
 def test_cold_anneal_scores_each_distinct_state_once(monkeypatch):
@@ -420,52 +492,6 @@ def test_choose_predeploy_respects_budget(mini, mini_spec, p3):
     assert chosen == frozenset({"gw1"})
 
 
-def test_compare_runs_all_solvers(mini, mini_spec):
-    rows = compare(
-        mini.topology,
-        mini_spec,
-        [
-            SolverConfig(kind="exhaustive"),
-            SolverConfig(kind="greedy"),
-            SolverConfig(kind="anneal", seed=42, time_budget_ms=300.0),
-        ],
-    )
-    assert [row.kind for row in rows] == ["exhaustive", "greedy", "anneal"]
-    assert rows[0].optimal and not rows[1].optimal and not rows[2].optimal
-    assert all(row.solution is not None for row in rows)
-
-
-def test_compare_single_config(mini, mini_spec):
-    rows = compare(mini.topology, mini_spec, [SolverConfig(kind="greedy")])
-    assert len(rows) == 1
-
-
-def test_compare_infeasible_instance(mini, mini_spec):
-    spec = replace(mini_spec, budget=0.01)
-    rows = compare(
-        mini.topology,
-        spec,
-        [
-            SolverConfig(kind="exhaustive"),
-            SolverConfig(kind="greedy"),
-            SolverConfig(kind="anneal", seed=1, time_budget_ms=200.0),
-        ],
-    )
-    assert all(row.solution.best_effort for row in rows)
-    assert not any(row.optimal for row in rows)
-
-
-def test_compare_annotates_solver_errors(mini, mini_spec):
-    rows = compare(
-        mini.topology,
-        mini_spec,
-        [SolverConfig(kind="exhaustive", max_states=5), SolverConfig(kind="greedy")],
-    )
-    assert rows[0].solution is None
-    assert "search space too large" in rows[0].error
-    assert rows[1].solution is not None
-
-
 def test_no_aggregation_pipeline_end_to_end(mini, mini_spec):
     # K = 1, aggregation index 2: no merged stage, the placement names only
     # a sink DC and the reservation stays 0.
@@ -614,6 +640,58 @@ def test_greedy_step_keeps_the_tied_trial_of_least_encoding(monkeypatch):
         assert vectors == {(layer,) * pre for layer in Layer}, seed
 
 
+def test_each_greedy_step_keeps_the_least_in_budget_trial(monkeypatch):
+    """Replays greedy's scans from the states it completes (a base state, then its
+    predeploy set's state when it has one). A scan starts at the terminus's top vector
+    and, when that fits, runs one step per stage from the merged end; a step's trials
+    put stage k on each tier up to its own, clamping earlier stages. Each step's trials
+    must follow from the trial the reference kept at the step before: the least
+    (mean latency, total cost, encoding) of those in budget. A scan's last step feeds
+    no later one, so only the answer, checked by the tests around this one, shows it."""
+    real_score = solver_module._Best.score
+    completed = []  # [terminus, vector, outcome], one per completed state
+
+    def recording_score(self, vector, terminus, *predeploy):
+        outcome = real_score(self, vector, terminus, *predeploy)
+        if predeploy:
+            completed[-1][2] = outcome
+        else:
+            completed.append([terminus, vector, outcome])
+        return outcome
+
+    monkeypatch.setattr(solver_module._Best, "score", recording_score)
+    choices = 0  # steps that fed a later step and had in-budget trials of unequal keys
+    for seed in range(40):
+        topology, generated = random_instance(seed, max_pre_stages=3)
+        pre = generated.pipeline.pre_count
+        for factor in (0.2, 0.67, 2.0):
+            spec = replace(generated, budget=generated.budget * factor)
+
+            def fits(outcome):
+                return outcome is not None and outcome[1].feasible and (
+                    outcome[1].total_cost <= spec.budget)
+
+            completed.clear()
+            solve_greedy(topology, spec)
+            states = iter(completed)
+            for terminus, vector, outcome in states:
+                assert vector == (solver_module._top(topology, terminus[0]),) * pre
+                if not fits(outcome):
+                    continue
+                for k in range(pre - 1, -1, -1):
+                    levels = map(Layer, range(vector[k] + 1))
+                    expected = [tuple(min(layer, level) for layer in vector[:k]) + (level,)
+                                + vector[k + 1:] for level in levels]
+                    trials = list(itertools.islice(states, len(expected)))
+                    assert [(t, v) for t, v, _ in trials] == [(terminus, v) for v in expected]
+                    kept = sorted((o for _, _, o in trials if fits(o)), key=_objective_key)
+                    if kept:
+                        vector = kept[0][0].layer_of
+                        tied = _objective_key(kept[0])[:2] == _objective_key(kept[-1])[:2]
+                        choices += k > 0 and not tied
+    assert choices > 50, choices
+
+
 def test_greedy_answers_with_the_best_state_it_scored(monkeypatch):
     real_score = solver_module._Best.score
     scored = []
@@ -635,7 +713,7 @@ def test_greedy_answers_with_the_best_state_it_scored(monkeypatch):
             answer = (solution.placement, solution.report)
             fits = [s for s in scored if s[1].feasible and s[1].total_cost <= spec.budget]
             if fits:
-                assert answer == min(fits, key=solver_module._objective_key)
+                assert answer == min(fits, key=_objective_key)
             else:
                 def violation(state):
                     placement, report = state
