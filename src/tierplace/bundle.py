@@ -12,7 +12,7 @@ import math
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-from .cost_model import GB_PER_MBPS_SECOND, CostReport, Placement, compile_instance
+from .cost_model import GB_PER_MBPS_SECOND, CostReport, Placement, _total, compile_instance
 from .solver import SETTING_RANGES, SOLVER_KINDS, Solution
 from .topology import Layer, Link, Node, Topology, TopologyError, validate_topology
 from .workload import (
@@ -300,14 +300,14 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     cpu_price = max([node.cpu_cost_rate for node in nodes])  # some DC passed the check above
     link_price = max([link.traffic_cost_rate for link in links], default=0.0)
     per_stream = (3 * link_price * max(volumes) * GB_PER_MBPS_SECOND
-                  + sum(loads) * cpu_price * scenario.slot_seconds / scenario.period_seconds)
+                  + _total(loads) * cpu_price * scenario.slot_seconds / scenario.period_seconds)
     gateways = [node.layer for node in nodes].count(Layer.GATEWAY)
     cost = (instance.total_streams * per_stream + (instance.peak_demand + 1) * cpu_price
-            + gateways * sum(stage.deploy_cost + stage.dispatch_cost for stage in stages))
+            + gateways * _total([stage.deploy_cost + stage.dispatch_cost for stage in stages]))
     latency = (3 * max([link.latency_ms for link in links], default=0.0)
-               + sum(stage.base_ms for stage in stages) / min([node.speed for node in nodes])
-               + sum(stage.dispatch_penalty_ms for stage in stages))
-    peak_load = instance.busiest * (max(rates) + sum(loads)) + instance.peak_demand
+               + _total([stage.base_ms for stage in stages]) / min([node.speed for node in nodes])
+               + _total([stage.dispatch_penalty_ms for stage in stages]))
+    peak_load = instance.busiest * (max(rates) + _total(loads)) + instance.peak_demand
     traffic = instance.busiest * 3 * max(volumes) * GB_PER_MBPS_SECOND
     for ident, values in (("peak load", [peak_load]), ("cost", [2 * cost]),
                           ("latency", [latency, instance.total_streams * latency]),

@@ -36,7 +36,7 @@ import math
 import sys
 import weakref
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
 from types import MappingProxyType
@@ -230,14 +230,14 @@ def stream_route(topology: Topology, device_id: str, plan: _Plan) -> Route:
     return path
 
 
-def first_touch_slots(topology: Topology, streams: list[list[str]]) -> dict[str, int]:
-    """Map each scenario-visited gateway to the first slot it serves a stream."""
+def first_touch_slots(parts: Mapping[str, tuple | None], streams: Iterable) -> dict[str, int]:
+    """Visited gateway -> first slot it serves a stream, from active devices' `_to_edge` parts."""
     first: dict[str, int] = {}
     for index, active in enumerate(streams):
         for device_id in active:
-            gateway = topology.parent_of(device_id)
-            if gateway is not None and gateway.id not in first:
-                first[gateway.id] = index
+            part = parts[device_id]
+            if part is not None:
+                first.setdefault(part[2], index)
     return first
 
 
@@ -246,13 +246,12 @@ def peak_aggregated_demand(topology: Topology, spec: ServiceSpec) -> float:
     return compile_instance(topology, spec).peak_demand
 
 
-def _repeated_sum(values: tuple[float, ...], times: int) -> float:
-    """0.0 plus `values`, in order, `times` over: how the replay adds up one
-    slot's per-stream loads, so a closed-form peak rounds exactly like it."""
+def _total(values: Iterable[float]) -> float:
+    """0.0 plus each value, left to right: how the package adds up every float total, never
+    by `sum()`, which compensates from CPython 3.12, so files are alike on 3.10-3.13."""
     total = 0.0
-    for _ in range(times):
-        for value in values:
-            total += value
+    for value in values:
+        total += value
     return total
 
 
@@ -264,8 +263,8 @@ class Instance:
     `scored` maps up to REPORT_MEMO_CAP solver states (layer vector, terminus,
     predeploy set) to their evaluated (placement, report), or None if invalid;
     `terms` maps up to as many valid (sink, agg host, positions) to their `_shared_terms`;
-    `paths` keeps one table of device rows per sink and the (sink, edge host) pairs checked,
-    and builds every table from each device's route below its edge, `_to_edge`, walked once.
+    `paths` keeps one table of device rows per sink and the (sink, edge host) pairs checked.
+    The tree is walked once, in `_to_edge`, which every table and per-node stream count reads.
     It refers to its topology weakly, so its memo entry never keeps its key alive.
     """
 
@@ -294,19 +293,12 @@ class Instance:
         return self._topology()  # type: ignore[return-value]
 
     @cached_property
-    def _up(self) -> dict[str, str]:
-        """Node id -> its parent's id, for every node whose parent is in the topology."""
-        nodes = self.topology.nodes
-        return {n.id: n.parent for n in nodes.values() if n.parent in nodes}
-
-    @cached_property
     def peak_streams(self) -> dict[str, int]:
         """Node id -> most streams through it in one slot; each DC gets the busiest slot."""
-        up, peak = self._up, {}
+        parts, peak = self._to_edge, {}
         for active in self.streams:
-            gateways = [up[d] for d in active if d in up]
-            through = Counter(active + tuple(gateways))
-            through.update([up[g] for g in gateways if g in up])
+            through = Counter(active)
+            through.update([node for d in active if (part := parts[d]) for node in part[2:4]])
             for node_id, count in through.items():
                 if count > peak.get(node_id, 0):
                     peak[node_id] = count
@@ -316,12 +308,13 @@ class Instance:
     @cached_property
     def first_touch(self) -> dict[str, tuple[str, ...]]:
         """Visited gateway, in order of first touch -> the devices it serves in that slot."""
-        up, first, served = self._up, {}, {}
-        for index, active in enumerate(self.streams):
-            for device_id in active:
-                gateway = up.get(device_id)
-                if gateway is not None and first.setdefault(gateway, index) == index:
-                    served.setdefault(gateway, []).append(device_id)
+        parts, first = self._to_edge, first_touch_slots(self._to_edge, self.streams)
+        served = {gateway: [] for gateway in first}
+        for index in dict.fromkeys(first.values()):
+            for device_id in self.streams[index]:
+                part = parts[device_id]
+                if part is not None and first[part[2]] == index:
+                    served[part[2]].append(device_id)
         return {gateway: tuple(devices) for gateway, devices in served.items()}
 
     @cached_property
@@ -332,18 +325,17 @@ class Instance:
     @cached_property
     def edge_weights(self) -> Counter[str]:
         """Edge id -> stream activations through it; its keys are the used edges."""
-        up, weights = self._up, Counter()
-        for device_id, count in self.activations.items():
-            edge = up.get(up.get(device_id))  # type: ignore[arg-type]
-            if edge is not None:
-                weights[edge] += count
+        weights = Counter()
+        for part in self._to_edge.values():
+            if part is not None:
+                weights[part[3]] += part[0]
         return weights
 
     @cached_property
     def peak_demand(self) -> float:
         """Merged-stage CPU demand of the busiest slot, the peak over slots."""
         pre_count = self.pipeline.pre_count
-        rate_in = _repeated_sum((self.rates[pre_count],), self.busiest)
+        rate_in = _total((self.rates[pre_count],) * self.busiest)
         demand = 0.0
         for stage in self.pipeline.stages[pre_count:]:
             demand += stage.cpu_per_unit * rate_in
@@ -360,7 +352,7 @@ class Instance:
     @cached_property
     def _to_edge(self) -> dict[str, tuple | None]:
         """Active device -> its row's part below the sink (count, 3 node ids, 2 link keys, 2
-        prices, 2 bandwidths, latency `0 + l0 + l1`, to which `paths` adds l2 as `sum` would, 3
+        prices, 2 bandwidths, latency `0 + l0 + l1`, to which `paths` adds l2 as `_total` would, 3
         CPU prices, 3 speeds); None where `route` raises whatever the sink."""
         nodes, uplink, parts = self.topology.nodes, self.topology.uplink, {}
         for device_id, count in self.activations.items():
@@ -475,8 +467,8 @@ def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
     stages = instance.pipeline.stages
     dispatch_cost = 0.0
     if plan.gateway_stages:
-        penalty_ms = sum(stages[k].dispatch_penalty_ms for k in plan.gateway_stages)
-        cost_per_dispatch = sum(stages[k].dispatch_cost for k in plan.gateway_stages)
+        penalty_ms = _total([stages[k].dispatch_penalty_ms for k in plan.gateway_stages])
+        cost_per_dispatch = _total([stages[k].dispatch_cost for k in plan.gateway_stages])
         for gateway, devices in instance.first_touch.items():
             if gateway not in plan.predeploy:
                 dispatch_cost += cost_per_dispatch
@@ -486,8 +478,8 @@ def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
     if plan.agg_id is not None and demand > plan.alloc:  # "alloc" sorts before the rest
         violations = (Violation("alloc", plan.agg_id, demand - plan.alloc),) + violations
 
-    per_gateway_deploy = sum(stages[k].deploy_cost for k in plan.gateway_stages)
-    deploy_cost = _repeated_sum((per_gateway_deploy,), len(plan.predeploy))
+    per_gateway_deploy = _total([stages[k].deploy_cost for k in plan.gateway_stages])
+    deploy_cost = _total((per_gateway_deploy,) * len(plan.predeploy))
 
     server_cost = usage_cost + plan.reservation
     total_cost = server_cost + network_cost + deploy_cost + dispatch_cost
@@ -573,7 +565,7 @@ def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
         for i in loaded_tiers:
             loaded[row[1 + i]] = i
 
-    peak_of = cache(lambda i, streams: _repeated_sum(tier_loads[i], streams))
+    peak_of = cache(lambda i, streams: _total(tier_loads[i] * streams))
     peak_streams = instance.peak_streams
     peak_cpu = {node_id: peak_of(i, peak_streams[node_id]) for node_id, i in loaded.items()}
     if plan.agg_id is not None and instance.peak_demand != 0.0:
@@ -584,7 +576,7 @@ def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
         if peak > capacity:
             violations.append(Violation("cpu_capacity", node_id, peak - capacity))
     for key, (child, bandwidth, rate) in capped.items():
-        load = _repeated_sum((rate,), peak_streams[child])
+        load = _total((rate,) * peak_streams[child])
         if load > bandwidth:
             violations.append(Violation("bandwidth", key, load - bandwidth))
     violations.sort(key=lambda v: (v.kind, v.ident))

@@ -22,6 +22,7 @@ from .cost_model import (  # noqa: F401
     Placement,
     Violation,
     _stream_terms,
+    _total,
     compile_instance,
     resolve_placement,
     stream_route,
@@ -48,11 +49,11 @@ class SlotRecord:
     def mean_latency_ms(self) -> float:
         if not self.stream_latency_ms:
             return 0.0
-        return sum(self.stream_latency_ms.values()) / len(self.stream_latency_ms)
+        return _total(self.stream_latency_ms.values()) / len(self.stream_latency_ms)
 
     @property
     def traffic_gb(self) -> float:
-        return sum(self.link_traffic_gb.values())
+        return _total(self.link_traffic_gb.values())
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
     routes = instance.paths(plan)
     stages = spec.pipeline.stages
     share, link_rates, link_gbs, stage_rows, merged_ms = _stream_terms(instance, plan)
-    penalty_ms = sum(stages[k].dispatch_penalty_ms for k in plan.gateway_stages)
+    penalty_ms = _total([stages[k].dispatch_penalty_ms for k in plan.gateway_stages])
     merged_rate = instance.rates[plan.pre_count]
 
     caps = {}  # link key -> bandwidth
@@ -183,10 +184,8 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
             )
         )
 
-    per_gateway_deploy = sum(stages[k].deploy_cost for k in plan.gateway_stages)
-    deploy_cost = 0.0
-    for _ in sorted(plan.predeploy):
-        deploy_cost += per_gateway_deploy
+    per_gateway_deploy = _total([stages[k].deploy_cost for k in plan.gateway_stages])
+    deploy_cost = _total((per_gateway_deploy,) * len(plan.predeploy))
 
     return TimeSeriesReport(
         records=tuple(records),
@@ -195,7 +194,7 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
         network_cost=network_total,
         server_usage_cost=server_total,
         dispatch_cost=dispatch_total,
-        mean_latency_ms=sum(latencies) / len(latencies) if latencies else 0.0,
+        mean_latency_ms=_total(latencies) / len(latencies) if latencies else 0.0,
         max_latency_ms=max(latencies) if latencies else 0.0,
         peak_cpu=peak_cpu,
         violations=tuple(

@@ -23,6 +23,7 @@ from .cost_model import (  # noqa: F401
     CostReport,
     InvalidPlacement,
     Placement,
+    _total,
     compile_instance,
     evaluate,
     first_touch_slots,
@@ -76,7 +77,7 @@ class Solution:
 
 def _violation_score(report: CostReport, budget: float) -> float:
     excess = max(0.0, report.total_cost - budget)
-    return excess + sum(v.magnitude for v in report.violations)
+    return excess + _total([v.magnitude for v in report.violations])
 
 
 def _within(report: CostReport, budget: float) -> bool:
@@ -284,8 +285,8 @@ def choose_predeploy(
     stages = [stage for stage, layer in per_stream if layer == Layer.GATEWAY]
     if not stages:
         return frozenset()
-    penalty_ms = sum(s.dispatch_penalty_ms for s in stages)
-    net_cost = sum(s.deploy_cost for s in stages) - sum(s.dispatch_cost for s in stages)
+    penalty_ms = _total([s.dispatch_penalty_ms for s in stages])
+    net_cost = _total([s.deploy_cost for s in stages]) - _total([s.dispatch_cost for s in stages])
     if penalty_ms <= 0.0 and net_cost >= 0.0:
         return frozenset()
     chosen: list[str] = []
@@ -468,7 +469,7 @@ def solve_anneal(
         probe_energy = tracker.energy(probe)
         if math.isfinite(probe_energy):
             deltas.append(abs(probe_energy - current_energy))
-    temperature = max(2.0 * (sum(deltas) / len(deltas)), max(deltas), 1.0) if deltas else 1.0
+    temperature = max(2.0 * (_total(deltas) / len(deltas)), max(deltas), 1.0) if deltas else 1.0
     floor = max(temperature * 1e-3, 1e-9)
 
     while temperature > floor and time.monotonic() < deadline:

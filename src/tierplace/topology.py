@@ -204,9 +204,8 @@ def validate_topology(topology: Topology) -> list[tuple[str, str]]:
         if link.src not in topology.nodes or link.dst not in topology.nodes:
             violations.append(("unknown endpoint", link.key))
             continue
-        if not (0 <= link.latency_ms < math.inf and 0 <= link.traffic_cost_rate < math.inf):
-            violations.append(("invalid link value", link.key))
-        if link.bandwidth_mbps is not None and not 0 < link.bandwidth_mbps < math.inf:
+        if not (0 <= link.latency_ms < math.inf and 0 <= link.traffic_cost_rate < math.inf
+                and (link.bandwidth_mbps is None or 0 < link.bandwidth_mbps < math.inf)):
             violations.append(("invalid link value", link.key))
 
     for link in topology.tree_link_list:

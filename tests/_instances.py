@@ -23,7 +23,17 @@ from tierplace import (
     min_alloc,
     mini_bundle,
 )
-from tierplace.cost_model import first_touch_slots
+
+
+def first_touch_by_parent(topology: Topology, streams: list[list[str]]) -> dict[str, int]:
+    """Reference: each gateway -> the first slot it serves a stream, found by `parent_of`."""
+    first: dict[str, int] = {}
+    for index, active in enumerate(streams):
+        for device_id in active:
+            gateway = topology.parent_of(device_id)
+            if gateway is not None and gateway.id not in first:
+                first[gateway.id] = index
+    return first
 
 
 def random_instance(
@@ -147,7 +157,7 @@ def random_placement(topology: Topology, spec: ServiceSpec, rng: random.Random) 
     max_layer = int(topology.node(agg).layer) if agg else int(Layer.CLOUD)
     pre = spec.pipeline.pre_count
     vector = tuple(sorted(Layer(rng.randint(0, max_layer)) for _ in range(pre)))
-    visited = sorted(first_touch_slots(topology, derive_active_streams(topology, spec.scenario)))
+    visited = sorted(first_touch_by_parent(topology, derive_active_streams(topology, spec.scenario)))
     if Layer.GATEWAY in vector:
         predeploy = frozenset(g for g in visited if rng.random() < 0.5)
     else:

@@ -29,9 +29,9 @@ from tierplace import (
     synth_bundle,
 )
 from tierplace.cli import main
-from tierplace.cost_model import first_touch_slots
 from tierplace.workload import derive_active_streams
 from _instances import (
+    first_touch_by_parent,
     random_instance,
     random_placement,
     reports_close,
@@ -196,7 +196,7 @@ def test_criterion_6_predeploy_limit_cases():
         if not solution.best_effort and Layer.GATEWAY in solution.placement.layer_of:
             gateway_optima += 1
             visited = frozenset(
-                first_touch_slots(topology, derive_active_streams(topology, spec.scenario))
+                first_touch_by_parent(topology, derive_active_streams(topology, spec.scenario))
             )
             if solution.placement.predeploy != visited:
                 ok = False

@@ -17,6 +17,10 @@ every valid state exhaustive scores on the first six instances. Each covers
 every slot record, with its order-dependent `traffic_gb` and
 `mean_latency_ms`, and the report's totals, peak CPU and violations.
 
+The package adds every float total left to right with `cost_model._total`, never
+with `sum()`, which compensates from CPython 3.12, so the files and these digests
+are the same on CPython 3.10 to 3.13.
+
 When a change is meant to alter answers, rewrite the solution and replay
 digests together with `PYTHONPATH=src python tests/test_golden_solutions.py`
 and say why in the change.
@@ -29,8 +33,6 @@ import itertools
 import json
 from dataclasses import asdict
 from pathlib import Path
-
-import pytest
 
 from tierplace import SolverConfig, mini_bundle, simulate, solve
 from tierplace import solver as solver_module

@@ -24,6 +24,7 @@ from tierplace import (
     Pipeline,
     Placement,
     Scenario,
+    SearchSpaceTooLarge,
     ServiceSpec,
     Slot,
     Stage,
@@ -49,7 +50,13 @@ from tierplace.bundle import bundle_from_json, bundle_to_json, dumps, solution_t
 from tierplace.cli import main
 from tierplace.cost_model import compile_instance, first_touch_slots, resolve_placement
 from tierplace.topology import nearest_device_index, route
-from _instances import baseline_placement, random_instance, random_placement, three_dc_instance
+from _instances import (
+    baseline_placement,
+    first_touch_by_parent,
+    random_instance,
+    random_placement,
+    three_dc_instance,
+)
 
 
 @pytest.fixture
@@ -634,22 +641,45 @@ def _brute_peak_streams(topology, streams):
 
 
 def test_one_pass_peaks_and_first_touch_match_brute_force(cold_memo):
-    """Instance.peak_streams and Instance.first_touch, each one pass over the streams, equal
-    references built from first_touch_slots and parent_of: first_touch in dict order (the
-    order of first touch) and in each gateway's device order."""
+    """Instance.peak_streams and Instance.first_touch equal references built from parent_of:
+    first_touch in dict order (the order of first touch) and in each gateway's device order."""
     cases = [random_instance(seed) for seed in range(20)]
     cases += [three_dc_instance(seed) for seed in (1, 2)]
     for topology, spec in cases:
         instance = compile_instance(topology, spec)
         streams = derive_active_streams(topology, spec.scenario)
         assert instance.peak_streams == _brute_peak_streams(topology, streams)
-        first = first_touch_slots(topology, streams)
+        first = first_touch_by_parent(topology, streams)
         expected = [(gateway, tuple(d for d in streams[slot]
                                     if topology.parent_of(d).id == gateway))
                     for gateway, slot in first.items()]
         assert list(instance.first_touch.items()) == expected
     # The three-DC cases crowd their slots and touch some gateways first in later slots.
     assert max(first.values()) >= 4 and max(map(len, instance.first_touch.values())) >= 3
+
+
+def test_devices_with_no_route_below_the_edge_touch_no_gateway_or_edge(cold_memo, mini):
+    """An Instance walks the tree once, in `_to_edge`: first_touch and edge_weights count
+    only devices with a route below their edge. Without cam3's uplink, gw2 is touched by
+    no stream, every solver finds no candidate placement and evaluate names the gap."""
+    topo = mini.topology
+    tree = [link for link in topo.tree_link_list if link.src != "cam3"]
+    bundle = replace(mini, topology=Topology(topo.node_list, tree, topo.dc_link_list))
+    topology, spec = bundle.topology, bundle.service_spec()
+    assert validate_bundle(bundle) == [("missing uplink", "cam3")]
+    instance = compile_instance(topology, spec)
+    assert instance.first_touch == {"gw1": ("cam1",)}
+    assert first_touch_slots(instance._to_edge, instance.streams) == {"gw1": 0}
+    assert instance.edge_weights == {"edge1": 1}
+    assert "gw2" not in instance.peak_streams and instance.peak_streams["edge1"] == 1
+    for kind in ("greedy", "anneal", "exhaustive"):
+        with pytest.raises(InvalidPlacement, match="^invalid placement: no candidate placements$"):
+            solve(topology, spec, SolverConfig(kind=kind))
+    with pytest.raises(SearchSpaceTooLarge, match=r"^search space too large \(18 states\)$"):
+        solve(topology, spec, SolverConfig(max_states=1))
+    placement = Placement((Layer.GATEWAY,), "dc1", "dc1", alloc=1)
+    with pytest.raises(InvalidPlacement, match="no route: missing uplink below edge1$"):
+        evaluate(topology, spec, placement)
 
 
 def test_aggregation_host_check_runs_once_per_sink_and_edge_host(cold_memo):

@@ -18,6 +18,7 @@ from tierplace import (
     Scenario,
     ServiceSpec,
     Slot,
+    SlotRecord,
     Stage,
     Topology,
     candidate_termini,
@@ -101,10 +102,36 @@ def test_single_slot_summary_is_slot_plus_period_costs(mini, mini_spec, p1):
 
 
 def test_cumulative_fields_are_exact_sums(mini, mini_spec, p3):
-    report = simulate(mini.topology, mini_spec, p3)
-    assert report.network_cost == sum(r.network_cost for r in report.records)
-    assert report.server_usage_cost == sum(r.server_cost for r in report.records)
-    assert report.dispatch_cost == sum(r.dispatch_cost for r in report.records)
+    """Each total is its slots' values added left to right, as `cost_model._total` adds
+    them; builtin `sum()` compensates from CPython 3.12 and can differ in the last bit."""
+    cases = [(mini.topology, mini_spec, p3)]
+    for seed in range(10):
+        topology, spec = random_instance(seed)
+        cases.append((topology, spec, random_placement(topology, spec, random.Random(seed))))
+    for topology, spec, placement in cases:
+        report = simulate(topology, spec, placement)
+        total = cost_model._total
+        assert report.network_cost == total([r.network_cost for r in report.records])
+        assert report.server_usage_cost == total([r.server_cost for r in report.records])
+        assert report.dispatch_cost == total([r.dispatch_cost for r in report.records])
+
+
+def test_slot_record_totals_add_left_to_right_on_every_interpreter():
+    """Ten 0.1s added to 0.0 one by one give 0.9999999999999999; builtin `sum()`, which
+    compensates from CPython 3.12, would give 1.0 there and 0.9999999999999999 before."""
+    record = SlotRecord(
+        index=0,
+        active=tuple(f"cam{i}" for i in range(10)),
+        link_traffic_gb={f"cam{i}->gw1": 0.1 for i in range(10)},
+        node_cpu={},
+        dispatches=(),
+        network_cost=0.0,
+        server_cost=0.0,
+        dispatch_cost=0.0,
+        stream_latency_ms={f"cam{i}": 0.1 for i in range(10)},
+    )
+    assert record.traffic_gb == 0.9999999999999999
+    assert record.mean_latency_ms == 0.9999999999999999 / 10
 
 
 def test_each_gateway_stage_pair_dispatches_once():

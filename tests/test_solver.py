@@ -9,6 +9,7 @@ import pytest
 
 import tierplace.solver as solver_module
 from tierplace import (
+    InvalidPlacement,
     Layer,
     Link,
     Node,
@@ -26,12 +27,13 @@ from tierplace import (
     derive_active_streams,
     evaluate,
     min_alloc,
+    solve,
     solve_anneal,
     solve_exhaustive,
     solve_greedy,
 )
-from tierplace.cost_model import compile_instance, first_touch_slots
-from _instances import random_instance, reports_close, three_dc_instance
+from tierplace.cost_model import compile_instance
+from _instances import first_touch_by_parent, random_instance, reports_close, three_dc_instance
 
 
 def _objective(solution):
@@ -93,6 +95,18 @@ def test_exhaustive_state_count_matches_hand_enumeration(mini, mini_spec):
 def test_exhaustive_respects_max_states(mini, mini_spec):
     with pytest.raises(SearchSpaceTooLarge, match="search space too large"):
         solve_exhaustive(mini.topology, mini_spec, SolverConfig(max_states=5))
+
+
+def test_solve_rejects_an_unknown_solver_kind(mini, mini_spec):
+    with pytest.raises(ValueError, match="^unknown solver kind: 'bogus'$"):
+        solve(mini.topology, mini_spec, SolverConfig(kind="bogus"))
+
+
+def test_greedy_needs_a_cloud_dc(mini, mini_spec):
+    topology = Topology([n for n in mini.topology.node_list if n.layer != Layer.CLOUD],
+                        mini.topology.tree_link_list)
+    with pytest.raises(InvalidPlacement, match="^invalid placement: topology has no cloud DC$"):
+        solve_greedy(topology, mini_spec)
 
 
 def _brute_force_best(topology, spec):
@@ -540,7 +554,7 @@ def test_choose_predeploy_is_the_per_vector_optimum():
         for factor in (0.3, 0.7, 1.0, 3.0):
             spec = replace(base_spec, budget=base_spec.budget * factor)
             visited = sorted(
-                first_touch_slots(topology, derive_active_streams(topology, spec.scenario))
+                first_touch_by_parent(topology, derive_active_streams(topology, spec.scenario))
             )
             for agg, sink in candidate_termini(topology, spec):
                 top = int(topology.node(agg).layer) if agg else int(Layer.CLOUD)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -51,7 +52,7 @@ def test_duplicate_ids_and_unknown_endpoints_flagged():
     assert ("duplicate link", "ghost->dc1") in validate_topology(t)
 
 
-def test_missing_parent_and_bad_values_flagged():
+def test_missing_parent_and_bad_values_flagged(mini):
     t = Topology(
         nodes=[
             Node("gw1", Layer.GATEWAY),
@@ -60,9 +61,17 @@ def test_missing_parent_and_bad_values_flagged():
         ],
         dc_links=[Link("edge1", "dc1", latency_ms=-1.0), Link("gw1", "dc1")],
     )
-    kinds = {kind for kind, _ in validate_topology(t)}
-    assert {"missing parent", "invalid capacity", "invalid speed", "invalid link value"} <= kinds
-    assert ("invalid dc link", "gw1->dc1") in validate_topology(t)
+    violations = validate_topology(t)
+    kinds = {kind for kind, _ in violations}
+    assert {"missing parent", "invalid capacity", "invalid speed"} <= kinds
+    assert ("invalid link value", "edge1->dc1") in violations
+    assert ("invalid dc link", "gw1->dc1") in violations
+    # A link with several bad values is reported once.
+    t = mini.topology
+    tree = [Link("cam1", "gw1", latency_ms=math.nan, bandwidth_mbps=-1.0),
+            Link("cam2", "gw1", bandwidth_mbps=0.0), *t.tree_link_list[2:]]
+    violations = validate_topology(Topology(t.node_list, tree, t.dc_link_list))
+    assert violations == [("invalid link value", "cam1->gw1"), ("invalid link value", "cam2->gw1")]
 
 
 def test_route_to_each_dc(mini):
