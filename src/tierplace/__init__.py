@@ -22,7 +22,6 @@ from .cost_model import (
     InvalidPlacement,
     Placement,
     Violation,
-    check_budget,
     evaluate,
     min_alloc,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "UnknownDevice",
     "Violation",
     "candidate_termini",
-    "check_budget",
     "choose_dc",
     "choose_predeploy",
     "derive_active_streams",

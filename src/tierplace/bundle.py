@@ -12,7 +12,8 @@ import math
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
-from .cost_model import GB_PER_MBPS_SECOND, CostReport, Placement, _total, compile_instance
+from .cost_model import (
+    GB_PER_MBPS_SECOND, CostReport, Placement, _total, compile_instance, evaluate, min_alloc)
 from .solver import SETTING_RANGES, SOLVER_KINDS, Solution
 from .topology import Layer, Link, Node, Topology, TopologyError, validate_topology
 from .workload import (
@@ -320,7 +321,7 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
 def _read_json(path: str | Path):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # also not UTF-8, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, too long an int, too deep
         raise BundleError(f"not valid JSON: {path}: {exc}") from exc
 
 
@@ -458,8 +459,6 @@ def synth_bundle(
     scenario = gen_random_walk(topology, num_slots=slots, step=step, seed=seed)
 
     if budget is None:
-        from .cost_model import evaluate, min_alloc
-
         spec = ServiceSpec(pipeline=mini.pipeline, scenario=scenario, budget=0.0)
         layers = (Layer.CLOUD,) * mini.pipeline.pre_count
         baseline = Placement(layer_of=layers, agg_node="dc1", sink_dc="dc1")

@@ -25,7 +25,7 @@ from .bundle import (
     synth_bundle,
     validate_bundle,
 )
-from .cost_model import CostReport, InvalidPlacement, check_budget
+from .cost_model import CostReport, InvalidPlacement
 from .simulator import simulate, summarize
 from .solver import (
     SETTING_RANGES,
@@ -78,7 +78,7 @@ def _print_costs(report: CostReport, *between: str) -> None:
 
 def _print_solution(solution: Solution, budget: float) -> None:
     report = solution.report
-    within, excess = check_budget(report, budget)
+    within, excess = report.total_cost <= budget, max(0.0, report.total_cost - budget)
     status = "ok" if not solution.best_effort else "infeasible (best effort)"
     print(f"solver: {solution.solver_kind}  status: {status}")
     print(

@@ -46,7 +46,7 @@ from .workload import Pipeline, Scenario, ServiceSpec, derive_active_streams, fl
 
 __all__ = [
     "AggregationTooSmall", "CostReport", "Instance", "InvalidPlacement", "Placement", "Violation",
-    "check_budget", "compile_instance", "evaluate", "first_touch_slots", "min_alloc"
+    "compile_instance", "evaluate", "first_touch_slots", "min_alloc"
 ]
 
 GB_PER_MBPS_SECOND = 1.0 / 8000.0
@@ -120,18 +120,18 @@ class _Plan:
     sink: str
     agg_id: str | None
     positions: tuple[int, ...]  # path index per pipeline stage
-    hosted_below: tuple[int, ...]  # stages hosted at or below each link's child
-    pre_count: int
     gateway_stages: tuple[int, ...]  # 0-based indices of gateway-tier stages
     predeploy: frozenset[str]
     alloc: int
     reservation: float  # alloc times the aggregation host's CPU price
+    deploy_cost: float  # each gateway-tier stage's deploy cost, on each predeployed gateway
+    penalty_ms: float  # latency a stream pays in its gateway's dispatch slot
 
 
 def resolve_placement(
     topology: Topology, pipeline: Pipeline, placement: Placement
 ) -> _Plan:
-    """Validate a placement and precompute stage hosting positions.
+    """Validate a placement; precompute its stage positions, reservation, deploy cost and penalty.
 
     The first failed check raises InvalidPlacement. The checks, in order: pipeline;
     stage layer count, type and order; aggregation host and sink; sink DC; edge-host
@@ -156,7 +156,7 @@ def resolve_placement(
     if pipeline.has_aggregation:
         if agg_id is None:
             raise InvalidPlacement("invalid placement: aggregation host required")
-        if not topology.has_node(agg_id):
+        if agg_id not in topology.nodes:
             raise InvalidPlacement(f"invalid placement: unknown node: {agg_id}")
         top = topology.node(agg_id).layer
         if top not in (Layer.EDGE, Layer.CLOUD):
@@ -174,7 +174,7 @@ def resolve_placement(
         )
     elif placement.alloc != 0:
         raise InvalidPlacement("invalid placement: no merged stage, alloc must be 0")
-    if not topology.has_node(sink) or topology.node(sink).layer != Layer.CLOUD:
+    if sink not in topology.nodes or topology.node(sink).layer != Layer.CLOUD:
         raise InvalidPlacement(f"invalid placement: invalid sink DC: {sink!r}")
     if top == Layer.EDGE and topology.dc_link(agg_id, sink) is None:
         raise InvalidPlacement(
@@ -187,7 +187,7 @@ def resolve_placement(
 
     gateway_stages = tuple(k for k in range(pre_count) if layers[k] == Layer.GATEWAY)
     for gw in placement.predeploy:
-        if not topology.has_node(gw) or topology.node(gw).layer != Layer.GATEWAY:
+        if gw not in topology.nodes or topology.node(gw).layer != Layer.GATEWAY:
             raise InvalidPlacement(f"invalid placement: invalid predeploy gateway: {gw}")
     if placement.predeploy and not gateway_stages:
         raise InvalidPlacement(
@@ -203,17 +203,18 @@ def resolve_placement(
         raise InvalidPlacement(f"invalid placement: alloc times the CPU price of {agg_id} "
                                "exceeds half the largest float")
 
-    positions = tuple(map(int, layers)) + (int(top),) * (len(stages) - pre_count)
+    predeploy = frozenset(placement.predeploy)
+    per_gateway_deploy = _total([stages[k].deploy_cost for k in gateway_stages])
     return _Plan(
         sink=sink,
         agg_id=agg_id,
-        positions=positions,
-        hosted_below=tuple(sum(1 for p in positions if p <= i) for i in range(3)),
-        pre_count=pre_count,
+        positions=tuple(map(int, layers)) + (int(top),) * (len(stages) - pre_count),
         gateway_stages=gateway_stages,
-        predeploy=frozenset(placement.predeploy),
+        predeploy=predeploy,
         alloc=int(placement.alloc),
         reservation=reservation,
+        deploy_cost=_total((per_gateway_deploy,) * len(predeploy)),
+        penalty_ms=_total([stages[k].dispatch_penalty_ms for k in gateway_stages]),
     )
 
 
@@ -397,10 +398,9 @@ class Instance:
         return table  # type: ignore[return-value]  # no None left once checked
 
 
-# topology -> (pipeline, scenario, Instance) of the last compile against it; an entry goes
-# when its topology is freed, and the Instance with it.
-_memo: weakref.WeakKeyDictionary[Topology, tuple[Pipeline, Scenario, Instance]] = (
-    weakref.WeakKeyDictionary())
+# topology -> the Instance of the last compile against it; an entry goes when its topology
+# is freed, and the Instance with it.
+_memo: weakref.WeakKeyDictionary[Topology, Instance] = weakref.WeakKeyDictionary()
 
 
 def compile_instance(topology: Topology, spec: ServiceSpec) -> Instance:
@@ -408,14 +408,13 @@ def compile_instance(topology: Topology, spec: ServiceSpec) -> Instance:
 
     The memo keeps one Instance per live topology, keyed by object identity and not by
     the budget; compiling another pipeline or scenario against it replaces its entry.
-    An entry holds its pipeline and scenario and goes when its topology is freed, so no
-    id is reused while cached.
+    An entry's Instance holds its pipeline and scenario, and it goes when its topology is
+    freed, so no id is reused while cached.
     """
-    memo = _memo.get(topology)
-    if memo and memo[0] is spec.pipeline and memo[1] is spec.scenario:
-        return memo[2]
-    instance = Instance(topology, spec.pipeline, spec.scenario)
-    _memo[topology] = (spec.pipeline, spec.scenario, instance)
+    instance = _memo.get(topology)
+    if instance and instance.pipeline is spec.pipeline and instance.scenario is spec.scenario:
+        return instance
+    instance = _memo[topology] = Instance(topology, spec.pipeline, spec.scenario)
     return instance
 
 
@@ -434,13 +433,6 @@ def min_alloc(topology: Topology, spec: ServiceSpec, placement: Placement) -> in
             f"aggregation node too small: {plan.agg_id} needs {instance.peak_demand:g} CPU"
         )
     return instance.min_reservation
-
-
-def check_budget(report: CostReport, budget: float) -> tuple[bool, float]:
-    """(within, excess): within is inclusive at the boundary; excess is 0 when within."""
-    if report.total_cost <= budget:
-        return True, 0.0
-    return False, report.total_cost - budget
 
 
 def evaluate(topology: Topology, spec: ServiceSpec, placement: Placement) -> CostReport:
@@ -467,26 +459,22 @@ def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
     stages = instance.pipeline.stages
     dispatch_cost = 0.0
     if plan.gateway_stages:
-        penalty_ms = _total([stages[k].dispatch_penalty_ms for k in plan.gateway_stages])
         cost_per_dispatch = _total([stages[k].dispatch_cost for k in plan.gateway_stages])
         for gateway, devices in instance.first_touch.items():
             if gateway not in plan.predeploy:
                 dispatch_cost += cost_per_dispatch
-                latency_sum += len(devices) * penalty_ms
-                max_latency = max(max_latency, max(map(latency.get, devices)) + penalty_ms)
+                latency_sum += len(devices) * plan.penalty_ms
+                max_latency = max(max_latency, max(map(latency.get, devices)) + plan.penalty_ms)
     demand = instance.peak_demand
     if plan.agg_id is not None and demand > plan.alloc:  # "alloc" sorts before the rest
         violations = (Violation("alloc", plan.agg_id, demand - plan.alloc),) + violations
 
-    per_gateway_deploy = _total([stages[k].deploy_cost for k in plan.gateway_stages])
-    deploy_cost = _total((per_gateway_deploy,) * len(plan.predeploy))
-
     server_cost = usage_cost + plan.reservation
-    total_cost = server_cost + network_cost + deploy_cost + dispatch_cost
+    total_cost = server_cost + network_cost + plan.deploy_cost + dispatch_cost
     return CostReport(
         server_cost=server_cost,
         network_cost=network_cost,
-        deploy_cost=deploy_cost,
+        deploy_cost=plan.deploy_cost,
         dispatch_cost=dispatch_cost,
         total_cost=total_cost,
         mean_latency_ms=latency_sum / instance.total_streams if instance.total_streams else 0.0,
@@ -502,11 +490,13 @@ def _stream_terms(instance: Instance, plan: _Plan) -> tuple:
     each route link's rate and GB, a (path index, CPU load, base_ms) row per per-stream
     stage, and each merged stage's latency on the aggregation host."""
     scenario, stages, loads = instance.scenario, instance.pipeline.stages, instance.loads
-    link_rates = [instance.rates[below] for below in plan.hosted_below]
+    pre_count = instance.pipeline.pre_count
+    # A link carries the rate out of the stages hosted at or below its child side.
+    link_rates = [instance.rates[sum(p <= i for p in plan.positions)] for i in range(3)]
     link_gbs = [rate * scenario.slot_seconds * GB_PER_MBPS_SECOND for rate in link_rates]
-    rows = [(plan.positions[k], loads[k], stages[k].base_ms) for k in range(plan.pre_count)]
+    rows = [(plan.positions[k], loads[k], stages[k].base_ms) for k in range(pre_count)]
     agg_speed = instance.topology.node(plan.agg_id or plan.sink).speed
-    merged_ms = [stage.base_ms / agg_speed for stage in stages[plan.pre_count:]]
+    merged_ms = [stage.base_ms / agg_speed for stage in stages[pre_count:]]
     return scenario.slot_seconds / scenario.period_seconds, link_rates, link_gbs, rows, merged_ms
 
 

@@ -77,10 +77,9 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
     plan = resolve_placement(topology, spec.pipeline, placement)
     instance = compile_instance(topology, spec)
     routes = instance.paths(plan)
-    stages = spec.pipeline.stages
+    stages, pre_count = spec.pipeline.stages, spec.pipeline.pre_count
     share, link_rates, link_gbs, stage_rows, merged_ms = _stream_terms(instance, plan)
-    penalty_ms = _total([stages[k].dispatch_penalty_ms for k in plan.gateway_stages])
-    merged_rate = instance.rates[plan.pre_count]
+    merged_rate = instance.rates[pre_count]
 
     caps = {}  # link key -> bandwidth
     terms = {}  # device -> (gateway, latency without penalty, link terms, host terms)
@@ -129,7 +128,7 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
                 node_cpu[host_id] = node_cpu.get(host_id, 0.0) + used
                 slot_server += cost
             if gateway in dispatching:
-                latency += penalty_ms
+                latency += plan.penalty_ms
             stream_latency[device_id] = latency
             latencies.append(latency)
             merged += merged_rate
@@ -137,7 +136,7 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
         agg_usage = 0.0
         if plan.agg_id is not None and active:
             rate_in = merged
-            for k in range(plan.pre_count, len(stages)):
+            for k in range(pre_count, len(stages)):
                 agg_usage += stages[k].cpu_per_unit * rate_in
                 rate_in *= stages[k].reduction
             if agg_usage != 0.0:
@@ -184,12 +183,9 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
             )
         )
 
-    per_gateway_deploy = _total([stages[k].deploy_cost for k in plan.gateway_stages])
-    deploy_cost = _total((per_gateway_deploy,) * len(plan.predeploy))
-
     return TimeSeriesReport(
         records=tuple(records),
-        deploy_cost=deploy_cost,
+        deploy_cost=plan.deploy_cost,
         reservation_cost=plan.reservation,
         network_cost=network_total,
         server_usage_cost=server_total,

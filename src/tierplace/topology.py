@@ -93,10 +93,6 @@ class Route:
     nodes: tuple[str, ...]
     links: tuple[Link, ...]
 
-    @property
-    def latency_ms(self) -> float:
-        return sum(link.latency_ms for link in self.links)
-
 
 class Topology:
     """Node/link graph over the four tiers.
@@ -130,23 +126,17 @@ class Topology:
         except KeyError:
             raise TopologyError(f"unknown node: {node_id}") from None
 
-    def has_node(self, node_id: str) -> bool:
-        return node_id in self.nodes
-
-    def in_layer(self, layer: Layer) -> list[Node]:
-        return list(self._layers.get(layer, ()))
-
     def devices(self) -> list[Node]:
-        return self.in_layer(Layer.DEVICE)
+        return list(self._layers.get(Layer.DEVICE, ()))
 
     def gateways(self) -> list[Node]:
-        return self.in_layer(Layer.GATEWAY)
+        return list(self._layers.get(Layer.GATEWAY, ()))
 
     def edges(self) -> list[Node]:
-        return self.in_layer(Layer.EDGE)
+        return list(self._layers.get(Layer.EDGE, ()))
 
     def clouds(self) -> list[Node]:
-        return self.in_layer(Layer.CLOUD)
+        return list(self._layers.get(Layer.CLOUD, ()))
 
     def parent_of(self, node_id: str) -> Node | None:
         parent = self.node(node_id).parent

@@ -119,6 +119,21 @@ def test_solve_budget_override_infeasible(mini_path):
     assert main(["solve", mini_path, "--budget", "0.1"]) == 2
 
 
+def test_solve_prints_whether_the_answer_is_within_budget(mini_path, tmp_path, capsys):
+    out = tmp_path / "solution.json"
+    solve = ["solve", mini_path, "--solver", "exact", "--out", str(out)]
+    assert main(solve) == 0
+    total = json.loads(out.read_text(encoding="utf-8"))["report"]["total_cost"]
+    capsys.readouterr()
+    # The bound is inclusive: an answer that costs the budget exactly is within it.
+    assert main([*solve, "--budget", repr(total)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["report"]["total_cost"] == total
+    assert f"budget: {total:.6g}  within: True  excess: 0\n" in capsys.readouterr().out
+    assert main([*solve, "--budget", "0.1"]) == 2
+    total = json.loads(out.read_text(encoding="utf-8"))["report"]["total_cost"]
+    assert f"budget: 0.1  within: False  excess: {total - 0.1:.6g}\n" in capsys.readouterr().out
+
+
 def test_solve_max_states_limit(mini_path):
     assert main(["solve", mini_path, "--solver", "exact", "--max-states", "5"]) == 4
 
@@ -514,6 +529,15 @@ def test_non_utf8_files_exit_3(mini_path, tmp_path, capsys):
     assert main(["solve", str(path)]) == 3
     assert main(["simulate", mini_path, str(path)]) == 3
     assert capsys.readouterr().err.count("not valid JSON") == 3
+
+
+def test_deeply_nested_json_exits_3(mini_path, tmp_path, capsys):
+    # The decoder runs out of stack on it with a RecursionError, not a ValueError.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+    assert main(["validate", str(path)]) == 3
+    assert main(["simulate", mini_path, str(path)]) == 3
+    assert capsys.readouterr().err.count("not valid JSON") == 2
 
 
 def test_integers_too_long_to_convert_exit_3(mini_path, tmp_path, capsys, p1):

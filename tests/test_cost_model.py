@@ -18,10 +18,11 @@ from tierplace import (
     Slot,
     Stage,
     Topology,
-    check_budget,
+    Violation,
     evaluate,
     min_alloc,
     simulate,
+    summarize,
 )
 from _instances import (
     random_instance,
@@ -141,16 +142,55 @@ def test_min_alloc_makes_evaluate_alloc_clean():
     assert [v for v in tight.violations if v.kind == "alloc"]
 
 
-def test_check_budget_examples():
-    class _R:
-        def __init__(self, total):
-            self.total_cost = total
+def _edge_aggregation_instance():
+    """Two cameras behind gw1; merged stages on edge1 (speed 4), sink dc1 (speed 10)."""
+    topology = Topology(
+        nodes=[
+            Node("cam1", Layer.DEVICE, parent="gw1", location=(0.0, 0.0)),
+            Node("cam2", Layer.DEVICE, parent="gw1", location=(1.0, 0.0)),
+            Node("gw1", Layer.GATEWAY, parent="edge1", capacity_cpu=4.0),
+            Node("edge1", Layer.EDGE, capacity_cpu=100.0, speed=4.0),
+            Node("dc1", Layer.CLOUD, capacity_cpu=100.0, speed=10.0),
+        ],
+        tree_links=[Link("cam1", "gw1", latency_ms=1.0), Link("cam2", "gw1", latency_ms=1.0),
+                    Link("gw1", "edge1", latency_ms=2.0)],
+        dc_links=[Link("edge1", "dc1", latency_ms=10.0)],
+    )
+    pipeline = Pipeline(
+        stages=(
+            Stage(name="pre", cpu_per_unit=0.0, reduction=0.5, base_ms=8.0),
+            Stage(name="merge", cpu_per_unit=0.125, reduction=0.25, base_ms=20.0),
+            Stage(name="post", cpu_per_unit=0.25, reduction=1.0, base_ms=12.0),
+        ),
+        aggregation_index=2,
+    )
+    scenario = Scenario(
+        slot_seconds=3600.0,
+        slots=(Slot.explicit(["cam1", "cam2"]), Slot.explicit(["cam1"])),
+        source_rate_mbps=40.0,
+    )
+    placement = Placement(layer_of=(Layer.GATEWAY,), agg_node="edge1", sink_dc="dc1", alloc=8)
+    return topology, ServiceSpec(pipeline=pipeline, scenario=scenario, budget=100.0), placement
 
-    assert check_budget(_R(1.9716), 5.0) == (True, 0.0)
-    assert check_budget(_R(2.81), 2.81) == (True, 0.0)
-    within, excess = check_budget(_R(2.81), 2.0)
-    assert not within
-    assert excess == pytest.approx(0.81, rel=1e-9)
+
+def test_merged_stages_run_at_the_edge_aggregation_hosts_speed():
+    topology, spec, placement = _edge_aggregation_instance()
+    # links 1 + 2 + 10, "pre" 8 / 1 on gw1, then "merge" 20 / 4 and "post" 12 / 4 on edge1;
+    # at the sink's speed the merged stages would take 2 + 1.2 ms.
+    for report in (evaluate(topology, spec, placement),
+                   summarize(simulate(topology, spec, placement))):
+        assert report.mean_latency_ms == report.max_latency_ms == 13.0 + 8.0 + 5.0 + 3.0
+
+
+def test_merged_demand_uses_each_merged_stages_input_rate():
+    topology, spec, placement = _edge_aggregation_instance()
+    # The busy slot merges 2 streams of 40 * 0.5 Mbps: "merge" draws 0.125 * 40 and "post"
+    # 0.25 * (40 * 0.25), 7.5 CPU; from output rates it would be 1.25 + 2.5.
+    assert min_alloc(topology, spec, placement) == 8
+    tight = replace(placement, alloc=7)
+    for report in (evaluate(topology, spec, tight), summarize(simulate(topology, spec, tight))):
+        assert report.peak_cpu == {"edge1": 7.5}
+        assert report.violations == (Violation("alloc", "edge1", 0.5),)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 3.0, 10.0])
