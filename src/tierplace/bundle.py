@@ -112,11 +112,20 @@ def _dump(record) -> dict:
     return {name: dump(getattr(record, name)) for name, _, _, _, dump in _FIELDS[type(record)]}
 
 
+def _unknown(data: dict, keys: frozenset, record: str) -> BundleError:
+    """The error for keys outside `keys`: a misspelled one would silently take the default."""
+    ident = data.get("id", data.get("name"))
+    named = record if ident is None else f"{record} {ident!r}"
+    return BundleError(f"{named} has unknown keys {sorted(map(str, data.keys() - keys))}")
+
+
 def _load(cls, data: dict):
     """One record from its JSON object. A missing key, or the default itself
-    (null for an optional field), takes the field's default."""
+    (null for an optional field), takes the field's default; an unknown key is an error."""
     if type(data) is not dict:
         raise BundleError(f"{cls.__name__.lower()} must be a JSON object, not {data!r}")
+    if not _KEYS[cls].issuperset(data):
+        raise _unknown(data, _KEYS[cls], cls.__name__.lower())
     args = []
     for name, default, kept, load, _ in _FIELDS[cls]:
         value = data[name] if default is MISSING else data.get(name, default)
@@ -177,6 +186,9 @@ _FIELDS = {
     cls: [(f.name, f.default, *_CODECS.get(f.name, (float, _number, _same))) for f in fields(cls)]
     for cls in (Node, Link, Stage, Pipeline, Scenario, Slot, Placement, CostReport)
 }
+_KEYS = {cls: frozenset(name for name, *_ in codecs) for cls, codecs in _FIELDS.items()}
+_BUNDLE_KEYS = frozenset({"topology", "pipeline", "scenario", "budget", "solver"})
+_TOPOLOGY_KEYS = frozenset({"nodes", "tree_links", "dc_links"})
 
 
 def bundle_to_json(bundle: ScenarioBundle) -> dict:
@@ -198,6 +210,9 @@ def bundle_to_json(bundle: ScenarioBundle) -> dict:
 def bundle_from_json(data: dict) -> ScenarioBundle:
     try:
         topo = data["topology"]
+        for record, keys in ((data, _BUNDLE_KEYS), (topo, _TOPOLOGY_KEYS)):
+            if type(record) is dict and not keys.issuperset(record):
+                raise _unknown(record, keys, "bundle" if record is data else "topology")
         return ScenarioBundle(
             topology=Topology(
                 nodes=[_load(Node, n) for n in _list(topo["nodes"], "nodes")],

@@ -154,22 +154,19 @@ def cmd_sweep(args) -> int:
         "dispatch_cost",
     ]
     rows = []
-    any_feasible = False
     for budget in args.budgets:
         spec = replace(bundle.service_spec(), budget=budget)
         solution = solve(bundle.topology, spec, cfg)
-        feasible = not solution.best_effort
-        any_feasible = any_feasible or feasible
-        if feasible:
-            rows.append([budget, "true"] + [getattr(solution.report, f) for f in header[2:]])
-        else:
+        if solution.best_effort:
             rows.append([budget, "false"] + [""] * len(header[2:]))
+        else:
+            rows.append([budget, "true"] + [getattr(solution.report, f) for f in header[2:]])
     if args.csv:
         _write_csv(args.csv, header, rows)
     print(",".join(header))
     for row in rows:
         print(",".join(str(cell) for cell in row))
-    return EXIT_OK if any_feasible else EXIT_INFEASIBLE
+    return EXIT_OK if any(row[1] == "true" for row in rows) else EXIT_INFEASIBLE
 
 
 def cmd_gen(args) -> int:

@@ -50,9 +50,10 @@ __all__ = [
 ]
 
 GB_PER_MBPS_SECOND = 1.0 / 8000.0
-# Entries an Instance keeps in `scored` (states, invalid ones too) and in `terms`. The
-# default anneal schedule (seed 1) stores 2,821 states and 30 terms on the multi_stream
-# benchmark bundle (seed 1); exhaustive fills all 8,192 states.
+# Entries an Instance keeps in `scored` (states, invalid ones too; a valid state's entry
+# holds its placement, report and violation magnitude sum) and in `terms`. The default
+# anneal schedule (seed 1) stores 2,821 states and 30 terms on the multi_stream benchmark
+# bundle (seed 1); exhaustive fills all 8,192 states.
 REPORT_MEMO_CAP = 8192
 
 
@@ -262,7 +263,8 @@ class Instance:
     Built by `compile_instance`: the fields set in __init__ on construction,
     every other one on first use. Treat it as read-only but for the memos:
     `scored` maps up to REPORT_MEMO_CAP solver states (layer vector, terminus,
-    predeploy set) to their evaluated (placement, report), or None if invalid;
+    predeploy set) to their (placement, report, sum of the report's violation magnitudes
+    by `_total`, in report order), or None if invalid; `solver._Best.score` fills it;
     `terms` maps up to as many valid (sink, agg host, positions) to their `_shared_terms`;
     `paths` keeps one table of device rows per sink and the (sink, edge host) pairs checked.
     The tree is walked once, in `_to_edge`, which every table and per-node stream count reads.
@@ -284,7 +286,7 @@ class Instance:
         self.busiest = max(map(len, self.streams), default=0)  # most streams in one slot
         self._rows: dict[str, dict[str, tuple | None]] = {}  # sink -> device -> row, see `paths`
         self._checked: set[tuple[str, str | None]] = set()  # (sink, edge host) pairs that passed
-        self.scored: dict[tuple, tuple[Placement, CostReport] | None] = {}
+        self.scored: dict[tuple, tuple[Placement, CostReport, float] | None] = {}
         self.terms: dict[tuple, tuple] = {}
 
     @property

@@ -75,11 +75,6 @@ class Solution:
     best_effort: bool = False  # True when no feasible in-budget state was found
 
 
-def _violation_score(report: CostReport, budget: float) -> float:
-    excess = max(0.0, report.total_cost - budget)
-    return excess + _total([v.magnitude for v in report.violations])
-
-
 def _within(report: CostReport, budget: float) -> bool:
     return report.feasible and report.total_cost <= budget
 
@@ -91,9 +86,10 @@ def _before(score: tuple, placement: Placement, kept: tuple | None) -> bool:
 
 
 class _Best:
-    """Score search states for a solver: `outcome` is the only place in this module
-    where a state becomes a placement and is evaluated. Keeps the best feasible
-    in-budget state, the least-violating fallback and how many valid states it was offered."""
+    """Score search states for a solver: `score` is the only place in this module
+    where a state becomes a placement and is evaluated, and where a valid state is
+    offered. Keeps the best feasible in-budget state, the least-violating fallback
+    and how many valid states it was offered."""
 
     def __init__(self, topology: Topology, spec: ServiceSpec, deadline: float = math.inf) -> None:
         self.topology = topology
@@ -105,71 +101,61 @@ class _Best:
         self.offers = 0
         self.energies: dict[tuple, float | None] = {}  # state -> energy, None if invalid
 
-    def outcome(self, state: tuple) -> tuple[Placement, CostReport] | None:
-        """The evaluated placement of a (vector, terminus, predeploy) state with the
-        minimal reservation; None if invalid, or if new once a state was valid and the
-        deadline has passed. `Instance.scored` keeps it for every later solve: a report
-        does not depend on the budget, and states hold only Layer tuples and frozensets."""
-        table = self.instance.scored
-        outcome = table.get(state, False)
-        if outcome is False:
-            if self.offers and time.monotonic() >= self.deadline:
-                return None
-            vector, (agg_id, sink), predeploy = state
-            alloc = self.instance.min_reservation if agg_id else 0
-            placement = Placement(vector, agg_id, sink, predeploy, alloc)
-            try:
-                outcome = placement, evaluate(self.topology, self.spec, placement)
-            except InvalidPlacement:
-                outcome = None
-            if len(table) < cost_model.REPORT_MEMO_CAP:
-                table[state] = outcome
-        return outcome
-
-    def offer(self, placement: Placement, report: CostReport, violation=None) -> None:
-        """Count a valid state and keep it if it beats best or fallback. Once there
-        is a best, the fallback is never used, so it is no longer updated."""
-        self.offers += 1
-        if _within(report, self.spec.budget):
-            score = (report.mean_latency_ms, report.total_cost)  # the total order, less encoding
-            if _before(score, placement, self.best):
-                self.best = (score, placement, report)
-        elif self.best is None:
-            if violation is None:
-                violation = _violation_score(report, self.spec.budget)
-            if _before((violation,), placement, self.fallback):
-                self.fallback = ((violation,), placement, report)
-
     def score(
         self,
         vector: tuple[Layer, ...],
         terminus: tuple[str | None, str],
         predeploy: frozenset[str] = frozenset(),
-    ) -> tuple[Placement, CostReport] | None:
-        """`outcome` of the state, offered when valid."""
-        outcome = self.outcome((vector, terminus, predeploy))
-        if outcome is not None:
-            self.offer(*outcome)
-        return outcome
+    ) -> tuple[Placement, CostReport, float] | None:
+        """The state's placement with the minimal reservation, its report and its
+        violation (budget excess plus violation magnitudes), offered: counted, and kept
+        if it beats best or, while there is no best, fallback. None if invalid, or if new
+        once a state was valid and the deadline has passed. `Instance.scored` keeps the
+        placement, report and magnitude sum for every later solve: none depends on the
+        budget, and states hold only Layer tuples and frozensets."""
+        state = (vector, terminus, predeploy)
+        table = self.instance.scored
+        scored = table.get(state, False)
+        if scored is False:
+            if self.offers and time.monotonic() >= self.deadline:
+                return None
+            alloc = self.instance.min_reservation if terminus[0] else 0
+            placement = Placement(vector, *terminus, predeploy, alloc)
+            try:
+                report = evaluate(self.topology, self.spec, placement)
+                scored = placement, report, _total([v.magnitude for v in report.violations])
+            except InvalidPlacement:
+                scored = None
+            if len(table) < cost_model.REPORT_MEMO_CAP:
+                table[state] = scored
+        if scored is None:
+            return None
+        placement, report, magnitudes = scored
+        violation = max(0.0, report.total_cost - self.spec.budget) + magnitudes
+        self.offers += 1
+        if _within(report, self.spec.budget):
+            key = (report.mean_latency_ms, report.total_cost)  # the total order, less encoding
+            if _before(key, placement, self.best):
+                self.best = (key, placement, report)
+        elif self.best is None and _before((violation,), placement, self.fallback):
+            self.fallback = ((violation,), placement, report)
+        return placement, report, violation
 
     def energy(self, state: tuple) -> float:
-        """Anneal's energy of a state: mean latency plus PENALTY times the budget excess
-        and violations, inf when invalid. A state this tracker has scored before costs a
-        lookup in `energies` and one more offer, which cannot change best or fallback."""
+        """Anneal's energy of a state: mean latency plus PENALTY times its violation, inf
+        when invalid. A state this tracker has scored before costs a lookup in `energies`
+        and one more offer, which cannot change best or fallback."""
         known = self.energies.get(state, False)
         if known is False:
-            outcome, known = self.outcome(state), None
-            if outcome is not None:
-                placement, report = outcome
-                violation = _violation_score(report, self.spec.budget)
-                self.offer(placement, report, violation)
-                known = report.mean_latency_ms + PENALTY * violation
+            scored = self.score(*state)
+            known = None if scored is None else scored[1].mean_latency_ms + PENALTY * scored[2]
             self.energies[state] = known
         elif known is not None:
             self.offers += 1
         return math.inf if known is None else known
 
-    def solution(self, kind: str, elapsed_ms: float, states: int) -> Solution:
+    def solution(self, kind: str, start: float, states: int) -> Solution:
+        elapsed_ms = (time.monotonic() - start) * 1000.0
         if self.best is not None:
             _, placement, report = self.best
             return Solution(placement, report, kind, elapsed_ms, states, False)
@@ -203,12 +189,6 @@ def _top(topology: Topology, agg_id: str | None) -> Layer:
     return topology.node(agg_id).layer if agg_id else Layer.CLOUD
 
 
-def _subsets(items: list[str]):
-    for size in range(len(items) + 1):
-        for combo in itertools.combinations(items, size):
-            yield frozenset(combo)
-
-
 def solve_exhaustive(
     topology: Topology, spec: ServiceSpec, cfg: SolverConfig | None = None
 ) -> Solution:
@@ -236,11 +216,10 @@ def solve_exhaustive(
 
     tracker = _Best(topology, spec)
     for vector, terminus in states:
-        predeploys = _subsets(visited) if Layer.GATEWAY in vector else [frozenset()]
-        for predeploy in predeploys:
-            tracker.score(vector, terminus, predeploy)
-    elapsed = (time.monotonic() - start) * 1000.0
-    return tracker.solution("exhaustive", elapsed, size)
+        for count in range(len(visited) + 1) if Layer.GATEWAY in vector else (0,):
+            for combo in itertools.combinations(visited, count):
+                tracker.score(vector, terminus, frozenset(combo))
+    return tracker.solution("exhaustive", start, size)
 
 
 def choose_dc(topology: Topology, spec: ServiceSpec) -> str:
@@ -354,8 +333,7 @@ def solve_greedy(
         # Initial all-at-DC placement did not fit; scan every terminus.
         for terminus in candidate_termini(topology, spec):
             _greedy_candidate(topology, spec, terminus, tracker)
-    elapsed = (time.monotonic() - start) * 1000.0
-    return tracker.solution("greedy", elapsed, tracker.offers)
+    return tracker.solution("greedy", start, tracker.offers)
 
 
 def _proposer(draw, termini: list, tops: dict, visited: list[str], pre_count: int):
@@ -488,8 +466,7 @@ def solve_anneal(
                 state, current_energy = candidate, candidate_energy
         temperature *= cfg.cooling
 
-    elapsed = (time.monotonic() - start) * 1000.0
-    return tracker.solution("anneal", elapsed, tracker.offers)
+    return tracker.solution("anneal", start, tracker.offers)
 
 
 _SOLVERS = {

@@ -522,6 +522,40 @@ def test_malformed_records_exit_3(tmp_path, capsys, path, value, message):
         assert message in "".join(capsys.readouterr())
 
 
+@pytest.mark.parametrize(
+    "path, key, new_key, message",
+    [
+        (("topology", "nodes", 6), "cpu_cost_rate", "cpu_cost", "node 'dc1' has unknown keys"),
+        (("pipeline", "stages", 0), "base_ms", "base", "stage 'analyze' has unknown keys"),
+        ((), "budget", "budgets", "bundle has unknown keys ['budgets']"),
+        (("topology",), "dc_links", "dc_link", "topology has unknown keys ['dc_link']"),
+    ],
+)
+def test_misspelled_bundle_keys_exit_3(tmp_path, capsys, p1, path, key, new_key, message):
+    data = json.loads(dumps(bundle_to_json(mini_bundle())))
+    owner = data
+    for step in path:
+        owner = owner[step]
+    owner[new_key] = owner.pop(key)
+    bundle_path, placement_path = tmp_path / "bundle.json", tmp_path / "p1.json"
+    bundle_path.write_text(json.dumps(data), encoding="utf-8")
+    placement_path.write_text(dumps(placement_to_json(p1)), encoding="utf-8")
+    for argv in (["validate"], ["solve", "--solver", "exact"], ["simulate"]):
+        extra = [str(placement_path)] if argv[0] == "simulate" else []
+        assert main([argv[0], str(bundle_path), *extra, *argv[1:]]) == 3
+        assert message in capsys.readouterr().err
+
+
+def test_misspelled_placement_key_exits_3(mini_path, tmp_path, capsys, p1):
+    data = placement_to_json(p1)
+    data["predeploy_gw"] = data.pop("predeploy")
+    path = tmp_path / "p1.json"
+    for payload in (data, {"placement": data}):  # a bare placement and a solution file
+        path.write_text(dumps(payload), encoding="utf-8")
+        assert main(["simulate", mini_path, str(path)]) == 3
+        assert "placement has unknown keys ['predeploy_gw']" in capsys.readouterr().err
+
+
 def test_non_utf8_files_exit_3(mini_path, tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"topology": "\xff"}')

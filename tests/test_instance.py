@@ -364,7 +364,7 @@ def test_cold_solves_compute_shared_terms_once_per_key(cold_memo, monkeypatch):
             computed.clear()
             solve(topology, spec, config)
             valid = filter(None, compile_instance(topology, spec).scored.values())
-            plans = (resolve_placement(topology, spec.pipeline, p) for p, _ in valid)
+            plans = (resolve_placement(topology, spec.pipeline, p) for p, _, _ in valid)
             assert len(computed) == len(set(computed)) > 0, (seed, config.kind)
             assert set(computed) == {(p.sink, p.agg_id, p.positions) for p in plans}
 

@@ -41,9 +41,18 @@ def _objective(solution):
 
 
 def _objective_key(state):
-    """The solvers' total order on (placement, report): latency, cost, then encoding."""
-    placement, report = state
+    """The solvers' total order on a scored (placement, report, violation): latency, cost,
+    then encoding."""
+    placement, report, _ = state
     return report.mean_latency_ms, report.total_cost, placement.encode()
+
+
+def _magnitude_sum(report):
+    """The report's violation magnitudes, added to 0.0 left to right."""
+    total = 0.0
+    for violation in report.violations:
+        total += violation.magnitude
+    return total
 
 
 def _with_deploy_cost(spec, deploy_cost):
@@ -336,41 +345,66 @@ def test_proposer_moves_and_draws_like_randrange_and_choice():
 
 
 def test_cold_anneal_scores_each_distinct_state_once(monkeypatch):
-    real_outcome, real_evaluate = solver_module._Best.outcome, solver_module.evaluate
-    real_violation = solver_module._violation_score
-    states, valid, evaluated, violation_of = set(), set(), [], []
+    real_score, real_evaluate = solver_module._Best.score, solver_module.evaluate
+    states, valid, evaluated = set(), set(), []
 
-    def recording_outcome(self, state):
-        outcome = real_outcome(self, state)
+    def recording_score(self, vector, terminus, predeploy=frozenset()):
+        scored = real_score(self, vector, terminus, predeploy)
+        state = (vector, terminus, predeploy)
         states.add(state)
-        if outcome is not None:
+        if scored is not None:
             valid.add(state)
-        return outcome
+        return scored
 
     def counting_evaluate(topology, spec, placement):
         evaluated.append(placement)
         return real_evaluate(topology, spec, placement)
 
-    def counting_violation(report, budget):
-        violation_of.append(report)
-        return real_violation(report, budget)
-
-    monkeypatch.setattr(solver_module._Best, "outcome", recording_outcome)
+    monkeypatch.setattr(solver_module._Best, "score", recording_score)
     monkeypatch.setattr(solver_module, "evaluate", counting_evaluate)
-    monkeypatch.setattr(solver_module, "_violation_score", counting_violation)
     for seed in range(6):
         topology, spec = random_instance(seed)
-        for collected in (states, valid, evaluated, violation_of):
+        for collected in (states, valid, evaluated):
             collected.clear()
         cfg = SolverConfig(kind="anneal", seed=seed, time_budget_ms=600000.0)
         solution = solve_anneal(topology, spec, cfg)
         assert solution.states_examined > 10 * len(valid)  # the walk revisits states
         assert len(evaluated) <= len(states)
         assert len({placement.encode() for placement in evaluated}) == len(evaluated)
-        # Greedy's first state fits the budget here, so the warm start needs no
-        # fallback and every violation score is the walk's, one per valid state.
-        assert len({id(report) for report in violation_of}) == len(violation_of)
-        assert len(violation_of) <= len(valid)
+        # Each valid state's magnitude sum is stored once, with its report.
+        stored = [entry for entry in compile_instance(topology, spec).scored.values() if entry]
+        assert len(stored) == len(valid)
+        for placement, report, magnitudes in stored:
+            assert magnitudes == _magnitude_sum(report), placement
+
+
+def test_warm_anneal_sums_no_violation_magnitudes():
+    """A re-solve reads each state's magnitude sum from the instance's table: no
+    magnitude is added again, though the walk is new to the solve's own tracker."""
+    added = []
+
+    class Counted(float):
+        def __radd__(self, other):
+            added.append(self)
+            return float(other) + float(self)
+
+    topology, generated = random_instance(4)
+    spec = replace(generated, budget=generated.budget * 0.2)
+    cfg = SolverConfig(kind="anneal", seed=3, time_budget_ms=600000.0)
+    cold = solve_anneal(topology, spec, cfg)
+    table = compile_instance(topology, spec).scored
+    wrapped = 0
+    for state, entry in table.items():
+        if entry is not None and entry[1].violations:
+            violations = tuple(replace(v, magnitude=Counted(v.magnitude))
+                               for v in entry[1].violations)
+            table[state] = (entry[0], replace(entry[1], violations=violations), *entry[2:])
+            wrapped += 1
+    assert wrapped > 10
+    warm = solve_anneal(topology, spec, cfg)
+    assert added == []
+    assert (warm.placement, warm.report, warm.states_examined) == (
+        cold.placement, cold.report, cold.states_examined)
 
 
 def test_anneal_solutions_respect_constraints():
@@ -725,15 +759,17 @@ def test_greedy_answers_with_the_best_state_it_scored(monkeypatch):
             scored.clear()
             solution = solve_greedy(topology, spec)
             answer = (solution.placement, solution.report)
+            for placement, report, violation in scored:
+                excess = max(0.0, report.total_cost - spec.budget)
+                assert violation == excess + _magnitude_sum(report), placement
             fits = [s for s in scored if s[1].feasible and s[1].total_cost <= spec.budget]
             if fits:
-                assert answer == min(fits, key=_objective_key)
+                assert answer == min(fits, key=_objective_key)[:2]
             else:
-                def violation(state):
-                    placement, report = state
-                    return solver_module._violation_score(report, spec.budget), placement.encode()
+                def least_violating(state):
+                    return state[2], state[0].encode()
 
-                assert answer == min(scored, key=violation)
+                assert answer == min(scored, key=least_violating)[:2]
             assert solution.best_effort == (not fits)
             outcomes.add(solution.best_effort)
     assert outcomes == {False, True}
