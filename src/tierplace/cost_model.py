@@ -25,9 +25,9 @@ replay it is tested against. `compile_instance` derives those counts and each
 stage's per-stream rate and CPU load once per problem into an `Instance`. It keeps
 one per live topology, for the last pipeline and scenario compiled against it, by
 identity, so none of the three may be mutated after first use; the Instance is freed
-with its topology. Both read its per-sink device rows and `_stream_terms`, and each
-adds up in its own way; the evaluator alone keeps the terms that all predeploy sets
-and allocs share and the outcome of each scored state.
+with its topology. Both read its per-sink device rows, which `Instance.paths` checks
+against the plan on every call, and `_stream_terms`, and each adds up in its own way;
+the evaluator alone keeps the terms that all predeploy sets and allocs share.
 """
 
 from __future__ import annotations
@@ -266,7 +266,7 @@ class Instance:
     predeploy set) to their (placement, report, sum of the report's violation magnitudes
     by `_total`, in report order), or None if invalid; `solver._Best.score` fills it;
     `terms` maps up to as many valid (sink, agg host, positions) to their `_shared_terms`;
-    `paths` keeps one table of device rows per sink and the (sink, edge host) pairs checked.
+    `paths` keeps one table of device rows per sink.
     The tree is walked once, in `_to_edge`, which every table and per-node stream count reads.
     It refers to its topology weakly, so its memo entry never keeps its key alive.
     """
@@ -285,7 +285,6 @@ class Instance:
         self.total_streams = sum(self.activations.values())  # stream activations, all slots
         self.busiest = max(map(len, self.streams), default=0)  # most streams in one slot
         self._rows: dict[str, dict[str, tuple | None]] = {}  # sink -> device -> row, see `paths`
-        self._checked: set[tuple[str, str | None]] = set()  # (sink, edge host) pairs that passed
         self.scored: dict[tuple, tuple[Placement, CostReport, float] | None] = {}
         self.terms: dict[tuple, tuple] = {}
 
@@ -375,8 +374,8 @@ class Instance:
         """Each active device's row for the plan's sink, equal to one built from its `route`:
         (count, 4 node ids, 3 link keys, 3 link prices, 3 bandwidths, path latency, 4 CPU prices,
         4 speeds), in tier order; built once per sink from `_to_edge` and each edge's hop to it.
-        Until a (sink, edge host) pair has passed, the first device in scenario order with no
-        route, or not via the edge host, raises why (`stream_route`'s message)."""
+        On every call, the first device in scenario order with no route, or not via the plan's
+        edge host, raises why (`stream_route`'s message)."""
         topology, sink, table = self.topology, plan.sink, self._rows.get(plan.sink)
         if table is None:
             table, dc = self._rows.setdefault(sink, {}), topology.nodes[sink]
@@ -392,11 +391,9 @@ class Instance:
                 table[device_id] = (count, d, g, e, sink, k0, k1, hop[0], p0, p1, hop[1], b0, b1,
                                     hop[2], latency + hop[3], cd, cg, ce, cc, sd, sg, se, sc)
         edge_host = plan.agg_id if plan.agg_id != plan.sink else None  # the sink ends each route
-        if (plan.sink, edge_host) not in self._checked:
-            for device_id, row in table.items():
-                if row is None or (edge_host is not None and edge_host not in row[1:5]):
-                    stream_route(topology, device_id, plan)  # raises InvalidPlacement
-            self._checked.add((plan.sink, edge_host))
+        for device_id, row in table.items():  # only index 3 of a row can hold an edge id
+            if row is None or (edge_host is not None and row[3] != edge_host):
+                stream_route(topology, device_id, plan)  # raises InvalidPlacement
         return table  # type: ignore[return-value]  # no None left once checked
 
 
@@ -440,17 +437,13 @@ def min_alloc(topology: Topology, spec: ServiceSpec, placement: Placement) -> in
 def evaluate(topology: Topology, spec: ServiceSpec, placement: Placement) -> CostReport:
     """Score a placement over the whole scenario in closed form, with no slot loop.
 
-    Every call validates the placement; the terms that its predeploy set and alloc leave
-    unchanged come from `Instance.terms` after the first call. The solvers keep the
-    reports of the states they score in `Instance.scored`.
+    Every call validates the placement. The report is the `_shared_terms` of its sink, agg
+    host and positions, from `Instance.terms` after the first call, plus the reservation,
+    deploy and dispatch costs, dispatch penalties and `alloc` violation of its predeploy set
+    and alloc. The solvers keep the reports of the states they score in `Instance.scored`.
     """
     plan = resolve_placement(topology, spec.pipeline, placement)
-    return _closed_form(compile_instance(topology, spec), plan)
-
-
-def _closed_form(instance: Instance, plan: _Plan) -> CostReport:
-    """A validated plan's report: its `_shared_terms`, plus the reservation, deploy and
-    dispatch costs, dispatch penalties and `alloc` violation of its predeploy set and alloc."""
+    instance = compile_instance(topology, spec)
     key = (plan.sink, plan.agg_id, plan.positions)
     terms = instance.terms.get(key)
     if terms is None:  # a hit skips `paths`, whose check each stored (sink, agg host) passed

@@ -150,8 +150,7 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
             for k in plan.gateway_stages:
                 slot_dispatch += stages[k].dispatch_cost
 
-        for node_id in sorted(node_cpu):
-            used = node_cpu[node_id]
+        for node_id, used in node_cpu.items():
             peak_cpu[node_id] = max(peak_cpu.get(node_id, 0.0), used)
             capacity = topology.node(node_id).capacity_cpu
             if used > capacity:
@@ -160,11 +159,11 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
         if plan.agg_id is not None and agg_usage > plan.alloc:
             key = ("alloc", plan.agg_id)
             worst[key] = max(worst.get(key, 0.0), agg_usage - plan.alloc)
-        for link_key in sorted(link_load):
+        for link_key, load in link_load.items():
             bandwidth = caps[link_key]
-            if bandwidth is not None and link_load[link_key] > bandwidth:
+            if bandwidth is not None and load > bandwidth:
                 key = ("bandwidth", link_key)
-                worst[key] = max(worst.get(key, 0.0), link_load[link_key] - bandwidth)
+                worst[key] = max(worst.get(key, 0.0), load - bandwidth)
 
         network_total += slot_network
         server_total += slot_server

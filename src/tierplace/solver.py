@@ -201,8 +201,8 @@ def solve_exhaustive(
     """
     cfg = cfg or SolverConfig(kind="exhaustive")
     start = time.monotonic()
-    instance = compile_instance(topology, spec)
-    visited = sorted(instance.first_touch)
+    tracker = _Best(topology, spec)
+    visited = sorted(tracker.instance.first_touch)
     states = [
         (tuple(map(Layer, combo)), terminus)
         for terminus in candidate_termini(topology, spec)
@@ -214,7 +214,6 @@ def solve_exhaustive(
     if size > cfg.max_states:
         raise SearchSpaceTooLarge(f"search space too large ({size} states)")
 
-    tracker = _Best(topology, spec)
     for vector, terminus in states:
         for count in range(len(visited) + 1) if Layer.GATEWAY in vector else (0,):
             for combo in itertools.combinations(visited, count):
@@ -224,14 +223,14 @@ def solve_exhaustive(
 
 def choose_dc(topology: Topology, spec: ServiceSpec) -> str:
     """DC minimizing activation-weighted edge latency; ties go to the smaller id."""
-    weight = compile_instance(topology, spec).edge_weights
+    edges = sorted(compile_instance(topology, spec).edge_weights.items())
     clouds = topology.clouds()
     if not clouds:
         raise InvalidPlacement("invalid placement: topology has no cloud DC")
     best: tuple[float, str] | None = None
     for dc in clouds:
         score = 0.0
-        for edge_id, count in sorted(weight.items()):
+        for edge_id, count in edges:
             link = topology.dc_link(edge_id, dc.id)
             if link is None:
                 score = math.inf
@@ -461,7 +460,7 @@ def solve_anneal(
             delta = candidate_energy - current_energy
             if delta <= 0 or (
                 math.isfinite(delta)
-                and rng.random() < math.exp(-delta / max(temperature, 1e-12))
+                and rng.random() < math.exp(-delta / temperature)
             ):
                 state, current_energy = candidate, candidate_energy
         temperature *= cfg.cooling

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import csv
 import json
+import shlex
+import shutil
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,21 @@ def mini_path(tmp_path):
     path = tmp_path / "mini.json"
     save_bundle(mini_bundle(), path)
     return str(path)
+
+
+def test_readme_command_line_examples_exit_0(tmp_path, monkeypatch):
+    """Every `tierplace ...` line of README's "Command line" block, in order, exits 0
+    from a directory that holds a copy of bundles/mini.json."""
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("tierplace ")]
+    assert len(commands) >= 7
+    (tmp_path / "bundles").mkdir()
+    shutil.copy(root / "bundles" / "mini.json", tmp_path / "bundles" / "mini.json")
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert main(shlex.split(command)[1:]) == 0, command
 
 
 def test_validate_ok(mini_path, capsys):

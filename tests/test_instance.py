@@ -252,18 +252,18 @@ def test_scored_states_change_no_answer(cold_memo, monkeypatch):
 def test_sweep_scores_each_distinct_placement_once(cold_memo, monkeypatch, tmp_path):
     bundle_path = tmp_path / "mini.json"
     save_bundle(mini_bundle(), bundle_path)
-    real_closed_form, real_evaluate = cost_model._closed_form, solver_module.evaluate
+    real_resolve, real_evaluate = cost_model.resolve_placement, solver_module.evaluate
     scored, evaluated = [], []
 
-    def counting_closed_form(instance, plan):
-        scored.append(plan)
-        return real_closed_form(instance, plan)
+    def recording_resolve(*args):
+        scored.append(real_resolve(*args))
+        return scored[-1]
 
     def counting_evaluate(*args):
         evaluated.append(real_evaluate(*args))
         return evaluated[-1]
 
-    monkeypatch.setattr(cost_model, "_closed_form", counting_closed_form)
+    monkeypatch.setattr(cost_model, "resolve_placement", recording_resolve)
     monkeypatch.setattr(solver_module, "evaluate", counting_evaluate)
     budgets = ["0.1", "1.95", "2.5"]
     assert main(["sweep", str(bundle_path), "--solver", "exhaustive", "--budgets", *budgets]) == 0
@@ -682,29 +682,29 @@ def test_devices_with_no_route_below_the_edge_touch_no_gateway_or_edge(cold_memo
         evaluate(topology, spec, placement)
 
 
-def test_aggregation_host_check_runs_once_per_sink_and_edge_host(cold_memo):
-    """A cold greedy sweep scans a sink's rows for the aggregation host once per (sink,
-    edge host) pair, however often it scores the pair; an off-path edge host is never
-    recorded, so it raises the same message on every call."""
+def test_aggregation_host_is_checked_on_every_call(cold_memo, monkeypatch):
+    """A warm greedy sweep over three budgets checks every (sink, edge host) pair and
+    gives the answers of cold solves; an off-path edge host raises the same message on
+    every call."""
     topology, spec = three_dc_instance(1, active_edges=1)
+    specs = [replace(spec, budget=factor * spec.budget) for factor in (0.005, 0.5, 1.0)]
+    cold = []
+    for budgeted in specs:
+        cost_model._memo.clear()
+        cold.append(solve(topology, budgeted, SolverConfig(kind="greedy")))
     cost_model._memo.clear()  # its budget was set by evaluating a placement
     instance = compile_instance(topology, spec)
-    scans, lookups = Counter(), Counter()
+    real_paths, checked = cost_model.Instance.paths, set()
 
-    class CountingSet(set):
-        def __contains__(self, pair):
-            found = super().__contains__(pair)
-            lookups[pair] += 1
-            scans[pair] += not found
-            return found
+    def recording_paths(self, plan):
+        checked.add((plan.sink, plan.agg_id if plan.agg_id != plan.sink else None))
+        return real_paths(self, plan)
 
-    instance._checked = CountingSet()
-    for factor in (0.005, 0.5, 1.0):
-        solve(topology, replace(spec, budget=factor * spec.budget), SolverConfig(kind="greedy"))
+    monkeypatch.setattr(cost_model.Instance, "paths", recording_paths)
+    warm = [solve(topology, budgeted, SolverConfig(kind="greedy")) for budgeted in specs]
+    assert list(map(solution_to_json, warm)) == list(map(solution_to_json, cold))
     dcs = ("dc1", "dc2", "dc3")
-    assert set(scans) == {(dc, host) for dc in dcs for host in (None, "edge1")}
-    assert scans == Counter(dict.fromkeys(instance._checked, 1))
-    assert sum(lookups.values()) > 2 * len(scans)
+    assert checked == {(dc, host) for dc in dcs for host in (None, "edge1")}
 
     alloc = instance.min_reservation
     off_path = Placement((Layer.GATEWAY, Layer.EDGE), "edge2", "dc1", alloc=alloc)
@@ -713,5 +713,6 @@ def test_aggregation_host_check_runs_once_per_sink_and_edge_host(cold_memo):
         with pytest.raises(InvalidPlacement, match="edge2 is off the path of cam") as raised:
             evaluate(topology, spec, off_path)
         messages.append(str(raised.value))
-    assert messages[0] == messages[1] and scans["dc1", "edge2"] == 2
-    assert ("dc1", "edge2") not in instance._checked
+    assert messages[0] == messages[1]
+    assert ("dc1", "edge2") in checked
+    assert not any(key[:2] == ("dc1", "edge2") for key in instance.terms)

@@ -165,8 +165,8 @@ def test_agreement_on_random_pairs():
 
 
 def test_replay_uses_neither_the_closed_form_nor_its_memos(monkeypatch):
-    """On a cold instance the replay gives the same report with the evaluator's
-    closed form made to raise, and leaves the evaluator's memos empty."""
+    """On a cold instance the replay gives the same report with the evaluator and its
+    shared terms made to raise, and leaves the evaluator's memos empty."""
 
     def refuse(*args):
         raise AssertionError("the replay called the closed-form evaluator")
@@ -180,7 +180,7 @@ def test_replay_uses_neither_the_closed_form_nor_its_memos(monkeypatch):
         cold_spec = replace(spec, scenario=replace(spec.scenario))  # compiles a new Instance
         with monkeypatch.context() as patch:
             patch.setattr(cost_model, "_shared_terms", refuse)
-            patch.setattr(cost_model, "_closed_form", refuse)
+            patch.setattr(cost_model, "evaluate", refuse)
             report = simulate(topology, cold_spec, placement)
         instance = compile_instance(topology, cold_spec)
         assert instance.terms == {} and instance.scored == {}
