@@ -66,11 +66,12 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _integer(value, field: str) -> int:
-    """A JSON integer as is: int() would truncate 2.7 and accept true or "3"."""
-    if type(value) is not int:
-        raise BundleError(f"{field} must be an integer, not {value!r}")
-    return value
+def _only(kind: str):
+    """The loader of a field whose own JSON type `_load` keeps as is, so any value it gets is
+    wrong: int() would truncate 2.7 and accept true or "3", str() would read null as "None"."""
+    def reject(value, field: str):
+        raise BundleError(f"{field} must be {kind}, not {value!r}")
+    return reject
 
 
 def _number(value, field: str) -> float:
@@ -84,11 +85,6 @@ def _point(value, field: str) -> tuple[float, float]:
     if type(value) is not list or len(value) != 2:
         raise BundleError(f"{field} must be two numbers or null, not {value!r}")
     return _number(value[0], field), _number(value[1], field)
-
-
-def _text(value, field: str):
-    """Reached only by a value that is not a JSON string: str() would read null as "None"."""
-    raise BundleError(f"{field} must be a string, not {value!r}")
 
 
 def _texts(value, field: str) -> tuple[str, ...]:
@@ -155,8 +151,8 @@ def _array(load_item, dump_item=_same):
 
 # Per record field: the JSON type whose values are kept as they are, the
 # loader of any other value, and the dumper. A field not listed is a number.
-_TEXT = (str, _text, _same)
-_INTEGER = (int, _integer, _same)
+_TEXT = (str, _only("a string"), _same)
+_INTEGER = (int, _only("an integer"), _same)
 _POINT = (None, _point, lambda point: None if point is None else list(point))
 _CODECS = {
     "id": _TEXT,

@@ -373,23 +373,22 @@ class Instance:
     def paths(self, plan: _Plan) -> dict[str, tuple]:
         """Each active device's row for the plan's sink, equal to one built from its `route`:
         (count, 4 node ids, 3 link keys, 3 link prices, 3 bandwidths, path latency, 4 CPU prices,
-        4 speeds), in tier order; built once per sink from `_to_edge` and each edge's hop to it.
-        On every call, the first device in scenario order with no route, or not via the plan's
-        edge host, raises why (`stream_route`'s message)."""
+        4 speeds), in tier order; built once per sink from `_to_edge` and the edge's hop to the
+        sink, read with `Topology.dc_link`. On every call, the first device in scenario order
+        with no route, or not via the plan's edge host, raises why (`stream_route`'s message)."""
         topology, sink, table = self.topology, plan.sink, self._rows.get(plan.sink)
         if table is None:
             table, dc = self._rows.setdefault(sink, {}), topology.nodes[sink]
             cc, sc = dc.cpu_cost_rate, dc.speed
-            hops = {l.src: (l.key, l.traffic_cost_rate, l.bandwidth_mbps, l.latency_ms)
-                    for l in topology.dc_link_list if l.dst == sink}  # last wins, as `dc_link`
             for device_id, part in self._to_edge.items():
-                hop = hops.get(part[3]) if part else None
+                hop = topology.dc_link(part[3], sink) if part else None
                 if hop is None:
                     table[device_id] = None
                     continue
                 count, d, g, e, k0, k1, p0, p1, b0, b1, latency, cd, cg, ce, sd, sg, se = part
-                table[device_id] = (count, d, g, e, sink, k0, k1, hop[0], p0, p1, hop[1], b0, b1,
-                                    hop[2], latency + hop[3], cd, cg, ce, cc, sd, sg, se, sc)
+                table[device_id] = (count, d, g, e, sink, k0, k1, hop.key, p0, p1,
+                                    hop.traffic_cost_rate, b0, b1, hop.bandwidth_mbps,
+                                    latency + hop.latency_ms, cd, cg, ce, cc, sd, sg, se, sc)
         edge_host = plan.agg_id if plan.agg_id != plan.sink else None  # the sink ends each route
         for device_id, row in table.items():  # only index 3 of a row can hold an edge id
             if row is None or (edge_host is not None and row[3] != edge_host):

@@ -180,7 +180,7 @@ def candidate_termini(topology: Topology, spec: ServiceSpec) -> list[tuple[str |
     edges_used = compile_instance(topology, spec).edge_weights.keys()
     for edge in topology.edges():
         if edges_used <= {edge.id}:
-            out.extend((edge.id, dc) for dc in topology.dcs_of_edge(edge.id))
+            out.extend((edge.id, dc) for dc in clouds if topology.dc_link(edge.id, dc))
     return out
 
 

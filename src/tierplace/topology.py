@@ -148,9 +148,6 @@ class Topology:
     def dc_link(self, edge_id: str, dc_id: str) -> Link | None:
         return self._dc.get((edge_id, dc_id))
 
-    def dcs_of_edge(self, edge_id: str) -> list[str]:
-        return sorted(dst for (src, dst) in self._dc if src == edge_id)
-
 
 def validate_topology(topology: Topology) -> list[tuple[str, str]]:
     """Check every structural invariant; return (kind, offender) pairs.
@@ -186,17 +183,17 @@ def validate_topology(topology: Topology) -> list[tuple[str, str]]:
         if node.location is not None and not all(map(math.isfinite, node.location)):
             violations.append(("invalid location", node.id))
 
-    seen_links: set[tuple[str, str]] = set()
+    seen_links: set[str] = set()  # by key: ("a", "b->c") and ("a->b", "c") share one
     for link in topology.tree_link_list + topology.dc_link_list:
-        if (link.src, link.dst) in seen_links:
-            violations.append(("duplicate link", link.key))
-        seen_links.add((link.src, link.dst))
+        if (key := link.key) in seen_links:
+            violations.append(("duplicate link", key))
+        seen_links.add(key)
         if link.src not in topology.nodes or link.dst not in topology.nodes:
-            violations.append(("unknown endpoint", link.key))
+            violations.append(("unknown endpoint", key))
             continue
         if not (0 <= link.latency_ms < math.inf and 0 <= link.traffic_cost_rate < math.inf
                 and (link.bandwidth_mbps is None or 0 < link.bandwidth_mbps < math.inf)):
-            violations.append(("invalid link value", link.key))
+            violations.append(("invalid link value", key))
 
     for link in topology.tree_link_list:
         child = topology.nodes.get(link.src)
@@ -256,24 +253,12 @@ def route(topology: Topology, device_id: str, dc_id: str) -> Route:
 
 
 def nearest_device(topology: Topology, target: tuple[float, float]) -> str:
-    """Locate the device closest (Euclidean) to target; ties go to the smaller id."""
-    best: tuple[float, str] | None = None
-    tx, ty = target
-    for node in topology.devices():
-        if node.location is None:
-            continue
-        dx = node.location[0] - tx
-        dy = node.location[1] - ty
-        key = (dx * dx + dy * dy, node.id)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise TopologyError("no candidate device")
-    return best[1]
+    """One `nearest_device_index` query; build the index once to ask for many targets."""
+    return nearest_device_index(topology)(target)
 
 
 def nearest_device_index(topology: Topology) -> Callable[[tuple[float, float]], str]:
-    """Build `nearest_device` for many targets: same answers, including ties.
+    """Build target -> the located device closest (Euclidean) to it, ties to the smaller id.
 
     Located devices are sorted by (x, id) once; each query bisects on the
     target's x and sweeps outward, nearer side first, until the next

@@ -17,6 +17,7 @@ from tierplace import (
     Slot,
     Stage,
     Topology,
+    TopologyError,
     candidate_termini,
     derive_active_streams,
     evaluate,
@@ -34,6 +35,24 @@ def first_touch_by_parent(topology: Topology, streams: list[list[str]]) -> dict[
             if gateway is not None and gateway.id not in first:
                 first[gateway.id] = index
     return first
+
+
+def brute_force_nearest_device(topology: Topology, target: tuple[float, float]) -> str:
+    """Reference: the located device closest (Euclidean) to target, ties to the smaller id,
+    found by checking every device."""
+    best: tuple[float, str] | None = None
+    tx, ty = target
+    for node in topology.devices():
+        if node.location is None:
+            continue
+        dx = node.location[0] - tx
+        dy = node.location[1] - ty
+        key = (dx * dx + dy * dy, node.id)
+        if best is None or key < best:
+            best = key
+    if best is None:
+        raise TopologyError("no candidate device")
+    return best[1]
 
 
 def random_instance(
@@ -225,6 +244,26 @@ def split_dc_bundle(*extra_dc_links: Link):
     dc_links = [t.dc_link("edge1", "dc1"), Link("edge2", "dc2", latency_ms=40.0),
                 *extra_dc_links]
     return replace(mini, topology=Topology(nodes, tree_links, dc_links))
+
+
+def colliding_link_keys_bundle(second_device: str = "a->b"):
+    """mini_bundle's edge1 and dc1 under two gateways `b->c` and `c`, with device `a` under
+    `b->c` and `second_device` under `c`, both active in one slot and each with an uplink
+    capped at 10 Mb/s. The two uplinks are distinct, but with the default second device
+    both have the key `a->b->c`."""
+    mini = mini_bundle()
+    t = mini.topology
+    gateway, camera = t.node("gw1"), t.node("cam1")
+    up_camera, up_gateway = t.uplink("cam1"), t.uplink("gw1")
+    nodes = [t.node("dc1"), t.node("edge1"), replace(gateway, id="b->c"),
+             replace(gateway, id="c"), replace(camera, id="a", parent="b->c"),
+             replace(camera, id=second_device, parent="c")]
+    tree_links = [replace(up_camera, src="a", dst="b->c", bandwidth_mbps=10.0),
+                  replace(up_camera, src=second_device, dst="c", bandwidth_mbps=10.0),
+                  replace(up_gateway, src="b->c"), replace(up_gateway, src="c")]
+    topology = Topology(nodes, tree_links, [t.dc_link("edge1", "dc1")])
+    slots = (Slot.explicit(["a", second_device]),)
+    return replace(mini, topology=topology, scenario=replace(mini.scenario, slots=slots))
 
 
 def unlocated_bundle():

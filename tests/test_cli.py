@@ -20,9 +20,12 @@ from _instances import (
     _huge_stage_latency,
     _huge_stage_load,
     _long_period,
+    colliding_link_keys_bundle,
     split_dc_bundle,
     unlocated_bundle,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -32,19 +35,30 @@ def mini_path(tmp_path):
     return str(path)
 
 
+def _readme_block(heading: str, language: str) -> str:
+    """The first ```language block under README's `## heading`."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split(f"## {heading}", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_command_line_examples_exit_0(tmp_path, monkeypatch):
     """Every `tierplace ...` line of README's "Command line" block, in order, exits 0
     from a directory that holds a copy of bundles/mini.json."""
-    root = Path(__file__).resolve().parents[1]
-    section = (root / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
-    block = section.split("```bash\n", 1)[1].split("```", 1)[0]
+    block = _readme_block("Command line", "bash")
     commands = [line for line in block.splitlines() if line.startswith("tierplace ")]
     assert len(commands) >= 7
     (tmp_path / "bundles").mkdir()
-    shutil.copy(root / "bundles" / "mini.json", tmp_path / "bundles" / "mini.json")
+    shutil.copy(ROOT / "bundles" / "mini.json", tmp_path / "bundles" / "mini.json")
     monkeypatch.chdir(tmp_path)
     for command in commands:
         assert main(shlex.split(command)[1:]) == 0, command
+
+
+def test_readme_library_example_runs():
+    """README's "Library use" block runs as written, its own assert included."""
+    block = _readme_block("Library use", "python")
+    assert "import tierplace as tp" in block and "assert " in block
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_validate_ok(mini_path, capsys):
@@ -86,6 +100,9 @@ def test_validate_non_object_bundle_exits_3(tmp_path, capsys):
     [
         (split_dc_bundle, "no common DC: dc_links"),
         (unlocated_bundle, "unresolvable slot: no candidate device"),
+        # Two uplinks keyed "a->b->c" each fit their 10 Mb/s cap alone, but the replay loads
+        # links by key and would put both 8 Mb/s streams on one cap.
+        (colliding_link_keys_bundle, "duplicate link: a->b->c"),
     ],
 )
 def test_bundles_no_solver_can_place_exit_3(tmp_path, capsys, make, violation):

@@ -36,7 +36,6 @@ from tierplace import (
     derive_active_streams,
     evaluate,
     mini_bundle,
-    nearest_device,
     save_bundle,
     simulate,
     solve,
@@ -52,6 +51,7 @@ from tierplace.cost_model import compile_instance, first_touch_slots, resolve_pl
 from tierplace.topology import nearest_device_index, route
 from _instances import (
     baseline_placement,
+    brute_force_nearest_device,
     first_touch_by_parent,
     random_instance,
     random_placement,
@@ -396,7 +396,7 @@ def test_index_matches_brute_force_nearest_device(points, targets):
     for tx, ty in targets:
         target = (tx / 2, ty / 2)  # half steps put many targets midway between devices
         try:
-            expected = nearest_device(topology, target)
+            expected = brute_force_nearest_device(topology, target)
         except TopologyError:
             with pytest.raises(TopologyError, match="no candidate device"):
                 nearest(target)

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -137,7 +138,7 @@ def _brute_force_best(topology, spec):
         termini += [(dc, dc) for dc in clouds]
         for edge in topology.edges():
             if edges_used <= {edge.id}:
-                termini += [(edge.id, dc) for dc in topology.dcs_of_edge(edge.id)]
+                termini += [(edge.id, dc) for dc in clouds if topology.dc_link(edge.id, dc)]
     else:
         termini += [(None, dc) for dc in clouds]
     visited = sorted({topology.parent_of(d).id for active in streams for d in active})
@@ -267,6 +268,43 @@ def test_anneal_with_no_time_left_scores_no_new_state_after_the_first(monkeypatc
         assert solution.states_examined <= 2
         assert len(evaluated) <= 2
         assert real_evaluate(topology, spec, solution.placement) == solution.report
+
+
+def test_anneal_stops_mid_temperature_at_its_deadline(monkeypatch):
+    # The clock passes the deadline on the walk's third move, after the 16 probe moves:
+    # the first temperature step stops there, 47 moves short, and the answer is the best
+    # feasible in-budget state the anneal tracker was offered.
+    proposed, trackers = [], []
+    real_proposer, real_best = solver_module._proposer, solver_module._Best
+
+    def counting_proposer(*args):
+        propose = real_proposer(*args)
+
+        def counted(state):
+            proposed.append(state)
+            return propose(state)
+        return counted
+
+    class Tracker(real_best):
+        def __init__(self, *args):
+            super().__init__(*args)
+            trackers.append(self)
+
+    clock = SimpleNamespace(monotonic=lambda: 1e9 if len(proposed) >= 16 + 3 else 0.0)
+    monkeypatch.setattr(solver_module, "time", clock)
+    monkeypatch.setattr(solver_module, "_proposer", counting_proposer)
+    monkeypatch.setattr(solver_module, "_Best", Tracker)
+    topology, spec = random_instance(3)
+    solution = solve_anneal(topology, spec, SolverConfig(kind="anneal", seed=3))
+    assert len(proposed) == 16 + 3
+    tracker = trackers[0]  # anneal's own; the greedy warm start builds the second
+    offered = [tracker.instance.scored[state] for state, energy in tracker.energies.items()
+               if energy is not None]
+    within = [(r.mean_latency_ms, r.total_cost, p.encode()) for p, r, _ in offered
+              if r.feasible and r.total_cost <= spec.budget]
+    assert not solution.best_effort
+    assert solution.placement.encode() == min(within)[2]
+    assert (solution.placement, solution.report) == tracker.best[1:]
 
 
 def _reference_proposer(rng, termini, tops, visited):

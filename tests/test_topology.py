@@ -14,8 +14,10 @@ from tierplace import (
     TopologyError,
     nearest_device,
     route,
+    validate_bundle,
     validate_topology,
 )
+from _instances import colliding_link_keys_bundle
 
 
 def test_mini_topology_validates_clean(mini):
@@ -50,6 +52,14 @@ def test_duplicate_ids_and_unknown_endpoints_flagged():
     assert "duplicate id" in kinds
     assert "unknown endpoint" in kinds
     assert ("duplicate link", "ghost->dc1") in validate_topology(t)
+
+
+def test_links_are_told_apart_by_key():
+    # Link("a", "b->c") and Link("a->b", "c") differ as (src, dst) pairs, but every route
+    # row, load and violation names a link by its key, and both keys are "a->b->c".
+    colliding = colliding_link_keys_bundle().topology
+    assert validate_topology(colliding) == [("duplicate link", "a->b->c")]
+    assert validate_bundle(colliding_link_keys_bundle("x")) == []
 
 
 def test_missing_parent_and_bad_values_flagged(mini):
