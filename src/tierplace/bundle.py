@@ -286,12 +286,9 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     # With every check above passed the instance compiles, memoized for the command.
     try:
         instance = compile_instance(bundle.topology, bundle.service_spec())
-        edges = instance.edge_weights
     except TopologyError as exc:  # a target slot with no located device
         return [("unresolvable slot", str(exc))]
-    # A sink DC must be linked from every edge a stream passes through.
-    clouds, dc_link = bundle.topology.clouds(), bundle.topology.dc_link
-    if not any(all(dc_link(edge, dc.id) is not None for edge in edges) for dc in clouds):
+    if not instance.serving_dcs:  # a sink DC must be linked from every edge a stream uses
         violations.append(("no common DC", "dc_links"))
     # Finite inputs can still overflow once multiplied out, into inf or NaN costs.
     rates, loads = instance.rates, instance.loads

@@ -232,15 +232,16 @@ def stream_route(topology: Topology, device_id: str, plan: _Plan) -> Route:
     return path
 
 
-def first_touch_slots(parts: Mapping[str, tuple | None], streams: Iterable) -> dict[str, int]:
-    """Visited gateway -> first slot it serves a stream, from active devices' `_to_edge` parts."""
-    first: dict[str, int] = {}
+def first_touch_slots(parts: Mapping[str, tuple | None], streams: Iterable) -> dict[str, tuple]:
+    """Visited gateway, in order of first touch -> the devices it serves in its first slot, in
+    one scan of the slots; each active device's gateway is read from its `_to_edge` part."""
+    first, served = {}, {}  # gateway -> index of its first slot, and its devices there
     for index, active in enumerate(streams):
         for device_id in active:
             part = parts[device_id]
-            if part is not None:
-                first.setdefault(part[2], index)
-    return first
+            if part is not None and first.setdefault(part[2], index) == index:
+                served.setdefault(part[2], []).append(device_id)
+    return {gateway: tuple(devices) for gateway, devices in served.items()}
 
 
 def peak_aggregated_demand(topology: Topology, spec: ServiceSpec) -> float:
@@ -309,15 +310,8 @@ class Instance:
 
     @cached_property
     def first_touch(self) -> dict[str, tuple[str, ...]]:
-        """Visited gateway, in order of first touch -> the devices it serves in that slot."""
-        parts, first = self._to_edge, first_touch_slots(self._to_edge, self.streams)
-        served = {gateway: [] for gateway in first}
-        for index in dict.fromkeys(first.values()):
-            for device_id in self.streams[index]:
-                part = parts[device_id]
-                if part is not None and first[part[2]] == index:
-                    served[part[2]].append(device_id)
-        return {gateway: tuple(devices) for gateway, devices in served.items()}
+        """`first_touch_slots` of the active streams: gateway -> its first slot's devices."""
+        return first_touch_slots(self._to_edge, self.streams)
 
     @cached_property
     def predeploy_order(self) -> tuple[str, ...]:
@@ -332,6 +326,14 @@ class Instance:
             if part is not None:
                 weights[part[3]] += part[0]
         return weights
+
+    @cached_property
+    def serving_dcs(self) -> dict[str, float]:
+        """Each DC linked from every edge a stream uses, in id order -> its activation-weighted
+        edge latency, added by `_total` in edge id order."""
+        dc_link, edges = self.topology.dc_link, sorted(self.edge_weights.items())
+        return {dc.id: _total([count * dc_link(edge, dc.id).latency_ms for edge, count in edges])
+                for dc in self.topology.clouds() if all(dc_link(edge, dc.id) for edge, _ in edges)}
 
     @cached_property
     def peak_demand(self) -> float:

@@ -222,23 +222,13 @@ def solve_exhaustive(
 
 
 def choose_dc(topology: Topology, spec: ServiceSpec) -> str:
-    """DC minimizing activation-weighted edge latency; ties go to the smaller id."""
-    edges = sorted(compile_instance(topology, spec).edge_weights.items())
-    clouds = topology.clouds()
+    """Of the `Instance.serving_dcs`, the one with the least activation-weighted edge
+    latency; ties go to the smaller id. When no DC is linked from every used edge, the
+    first DC by id."""
+    clouds, latency = topology.clouds(), compile_instance(topology, spec).serving_dcs
     if not clouds:
         raise InvalidPlacement("invalid placement: topology has no cloud DC")
-    best: tuple[float, str] | None = None
-    for dc in clouds:
-        score = 0.0
-        for edge_id, count in edges:
-            link = topology.dc_link(edge_id, dc.id)
-            if link is None:
-                score = math.inf
-                break
-            score += count * link.latency_ms
-        if best is None or (score, dc.id) < best:
-            best = (score, dc.id)
-    return best[1]
+    return min(latency, key=latency.__getitem__, default=clouds[0].id)
 
 
 def choose_predeploy(
@@ -447,7 +437,7 @@ def solve_anneal(
         if math.isfinite(probe_energy):
             deltas.append(abs(probe_energy - current_energy))
     temperature = max(2.0 * (_total(deltas) / len(deltas)), max(deltas), 1.0) if deltas else 1.0
-    floor = max(temperature * 1e-3, 1e-9)
+    floor = temperature * 1e-3
 
     while temperature > floor and time.monotonic() < deadline:
         for _ in range(cfg.iters_per_temp):

@@ -75,15 +75,16 @@ class Node:
 
 @dataclass(frozen=True)
 class Link:
+    """A directed link. Its `key`, "src->dst", is built on construction, not a dataclass field."""
+
     src: str
     dst: str
     latency_ms: float = 0.0
     traffic_cost_rate: float = 0.0  # cost per decimal GB (8000 Mb)
     bandwidth_mbps: float | None = None  # None means unbounded
 
-    @property
-    def key(self) -> str:
-        return f"{self.src}->{self.dst}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", f"{self.src}->{self.dst}")
 
 
 @dataclass(frozen=True)
@@ -185,15 +186,15 @@ def validate_topology(topology: Topology) -> list[tuple[str, str]]:
 
     seen_links: set[str] = set()  # by key: ("a", "b->c") and ("a->b", "c") share one
     for link in topology.tree_link_list + topology.dc_link_list:
-        if (key := link.key) in seen_links:
-            violations.append(("duplicate link", key))
-        seen_links.add(key)
+        if link.key in seen_links:
+            violations.append(("duplicate link", link.key))
+        seen_links.add(link.key)
         if link.src not in topology.nodes or link.dst not in topology.nodes:
-            violations.append(("unknown endpoint", key))
+            violations.append(("unknown endpoint", link.key))
             continue
         if not (0 <= link.latency_ms < math.inf and 0 <= link.traffic_cost_rate < math.inf
                 and (link.bandwidth_mbps is None or 0 < link.bandwidth_mbps < math.inf)):
-            violations.append(("invalid link value", key))
+            violations.append(("invalid link value", link.key))
 
     for link in topology.tree_link_list:
         child = topology.nodes.get(link.src)

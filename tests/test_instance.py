@@ -669,7 +669,7 @@ def test_devices_with_no_route_below_the_edge_touch_no_gateway_or_edge(cold_memo
     assert validate_bundle(bundle) == [("missing uplink", "cam3")]
     instance = compile_instance(topology, spec)
     assert instance.first_touch == {"gw1": ("cam1",)}
-    assert first_touch_slots(instance._to_edge, instance.streams) == {"gw1": 0}
+    assert first_touch_slots(instance._to_edge, instance.streams) == {"gw1": ("cam1",)}
     assert instance.edge_weights == {"edge1": 1}
     assert "gw2" not in instance.peak_streams and instance.peak_streams["edge1"] == 1
     for kind in ("greedy", "anneal", "exhaustive"):

@@ -534,10 +534,19 @@ def test_choose_dc_weighted_edges(mini):
     scenario = Scenario(slot_seconds=3600.0, slots=tuple(slots), source_rate_mbps=4.0)
     spec = ServiceSpec(pipeline=mini.pipeline, scenario=scenario, budget=1000.0)
     # dc1: 3*10 + 1*50 = 80; dc2: 3*30 + 1*5 = 95.
+    assert compile_instance(topology, spec).serving_dcs == {"dc1": 80.0, "dc2": 95.0}
     assert choose_dc(topology, spec) == "dc1"
     # A DC that a used edge does not reach cannot be the sink.
     links = [l for l in topology.dc_link_list if l.key != "edgeB->dc1"]
-    assert choose_dc(Topology(topology.node_list, topology.tree_link_list, links), spec) == "dc2"
+    one = Topology(topology.node_list, topology.tree_link_list, links)
+    assert compile_instance(one, spec).serving_dcs == {"dc2": 95.0}
+    assert choose_dc(one, spec) == "dc2"
+    # With no DC linked from every used edge, the first DC by id, although dc2's one link
+    # (edgeB, weight 1, 5 ms) is cheaper than dc1's (edgeA, weight 3, 10 ms).
+    links = [l for l in links if l.key != "edgeA->dc2"]
+    split = Topology(topology.node_list, topology.tree_link_list, links)
+    assert compile_instance(split, spec).serving_dcs == {}
+    assert choose_dc(split, spec) == "dc1"
 
 
 def test_choose_dc_tie_breaks_by_id(mini):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from tierplace import (
     validate_bundle,
     validate_topology,
 )
+from tierplace.bundle import bundle_to_json
 from _instances import colliding_link_keys_bundle
 
 
@@ -60,6 +62,17 @@ def test_links_are_told_apart_by_key():
     colliding = colliding_link_keys_bundle().topology
     assert validate_topology(colliding) == [("duplicate link", "a->b->c")]
     assert validate_bundle(colliding_link_keys_bundle("x")) == []
+
+
+def test_link_key_is_built_once_and_is_no_field(mini):
+    link = mini.topology.dc_link("edge1", "dc1")
+    assert link.key is link.key and link.key == "edge1->dc1"
+    assert replace(link, dst="dc2").key == "edge1->dc2"
+    assert "key" not in {field.name for field in fields(Link)}
+    links = bundle_to_json(mini)["topology"]
+    assert {"src": "edge1", "dst": "dc1", "latency_ms": 15.0, "traffic_cost_rate": 0.2,
+            "bandwidth_mbps": None} in links["dc_links"]
+    assert not any("key" in entry for entry in links["tree_links"] + links["dc_links"])
 
 
 def test_missing_parent_and_bad_values_flagged(mini):
