@@ -220,16 +220,11 @@ def resolve_placement(
 
 
 def stream_route(topology: Topology, device_id: str, plan: _Plan) -> Route:
-    """Route one stream to the plan's sink, checking the aggregation host is on it."""
+    """Route one stream to the plan's sink; no route raises why, as an InvalidPlacement."""
     try:
-        path = route(topology, device_id, plan.sink)
+        return route(topology, device_id, plan.sink)
     except TopologyError as exc:
         raise InvalidPlacement(f"invalid placement: {exc}") from exc
-    if plan.agg_id is not None and plan.agg_id not in path.nodes:
-        raise InvalidPlacement(
-            f"invalid placement: aggregation host {plan.agg_id} is off the path of {device_id}"
-        )
-    return path
 
 
 def first_touch_slots(parts: Mapping[str, tuple | None], streams: Iterable) -> dict[str, tuple]:
@@ -377,7 +372,7 @@ class Instance:
         (count, 4 node ids, 3 link keys, 3 link prices, 3 bandwidths, path latency, 4 CPU prices,
         4 speeds), in tier order; built once per sink from `_to_edge` and the edge's hop to the
         sink, read with `Topology.dc_link`. On every call, the first device in scenario order
-        with no route, or not via the plan's edge host, raises why (`stream_route`'s message)."""
+        with no route (worded by `stream_route`), or off the plan's edge host, raises why."""
         topology, sink, table = self.topology, plan.sink, self._rows.get(plan.sink)
         if table is None:
             table, dc = self._rows.setdefault(sink, {}), topology.nodes[sink]
@@ -393,8 +388,11 @@ class Instance:
                                     latency + hop.latency_ms, cd, cg, ce, cc, sd, sg, se, sc)
         edge_host = plan.agg_id if plan.agg_id != plan.sink else None  # the sink ends each route
         for device_id, row in table.items():  # only index 3 of a row can hold an edge id
-            if row is None or (edge_host is not None and row[3] != edge_host):
+            if row is None:
                 stream_route(topology, device_id, plan)  # raises InvalidPlacement
+            if edge_host is not None and row[3] != edge_host:
+                raise InvalidPlacement(f"invalid placement: aggregation host {edge_host} "
+                                       f"is off the path of {device_id}")
         return table  # type: ignore[return-value]  # no None left once checked
 
 

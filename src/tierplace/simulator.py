@@ -73,7 +73,8 @@ class TimeSeriesReport:
 def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> TimeSeriesReport:
     """Replay every slot in order, accruing realized costs and latencies: what one stream
     of each active device adds in any slot is computed once per call, then added up slot
-    by slot, stream by stream, never multiplied by how often a device is active."""
+    by slot, stream by stream, never multiplied by how often a device is active. The period's
+    totals and latency statistics are read off the slot records, in slot then device order."""
     plan = resolve_placement(topology, spec.pipeline, placement)
     instance = compile_instance(topology, spec)
     routes = instance.paths(plan)
@@ -99,12 +100,8 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
 
     dispatched: set[str] = set()
     records: list[SlotRecord] = []
-    latencies: list[float] = []
     peak_cpu: dict[str, float] = {}
     worst: dict[tuple[str, str], float] = {}
-    network_total = 0.0
-    server_total = 0.0
-    dispatch_total = 0.0
 
     for slot_index, active in enumerate(instance.streams):
         dispatching = ({terms[d][0] for d in active} - plan.predeploy - dispatched
@@ -130,7 +127,6 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
             if gateway in dispatching:
                 latency += plan.penalty_ms
             stream_latency[device_id] = latency
-            latencies.append(latency)
             merged += merged_rate
 
         agg_usage = 0.0
@@ -142,12 +138,10 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
             if agg_usage != 0.0:
                 node_cpu[plan.agg_id] = node_cpu.get(plan.agg_id, 0.0) + agg_usage
 
-        events = tuple(
-            (g, stages[k].name) for g in sorted(dispatching) for k in plan.gateway_stages
-        )
-        slot_dispatch = 0.0
-        for _ in dispatching:  # the same costs for each gateway, so any order adds up alike
+        events, slot_dispatch = [], 0.0
+        for gateway in sorted(dispatching):
             for k in plan.gateway_stages:
+                events.append((gateway, stages[k].name))
                 slot_dispatch += stages[k].dispatch_cost
 
         for node_id, used in node_cpu.items():
@@ -165,16 +159,13 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
                 key = ("bandwidth", link_key)
                 worst[key] = max(worst.get(key, 0.0), load - bandwidth)
 
-        network_total += slot_network
-        server_total += slot_server
-        dispatch_total += slot_dispatch
         records.append(
             SlotRecord(
                 index=slot_index,
                 active=tuple(active),
                 link_traffic_gb=link_gb,
                 node_cpu=node_cpu,
-                dispatches=events,
+                dispatches=tuple(events),
                 network_cost=slot_network,
                 server_cost=slot_server,
                 dispatch_cost=slot_dispatch,
@@ -182,13 +173,14 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
             )
         )
 
+    latencies = [ms for record in records for ms in record.stream_latency_ms.values()]
     return TimeSeriesReport(
         records=tuple(records),
         deploy_cost=plan.deploy_cost,
         reservation_cost=plan.reservation,
-        network_cost=network_total,
-        server_usage_cost=server_total,
-        dispatch_cost=dispatch_total,
+        network_cost=_total([record.network_cost for record in records]),
+        server_usage_cost=_total([record.server_cost for record in records]),
+        dispatch_cost=_total([record.dispatch_cost for record in records]),
         mean_latency_ms=_total(latencies) / len(latencies) if latencies else 0.0,
         max_latency_ms=max(latencies) if latencies else 0.0,
         peak_cpu=peak_cpu,

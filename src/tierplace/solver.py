@@ -156,13 +156,11 @@ class _Best:
 
     def solution(self, kind: str, start: float, states: int) -> Solution:
         elapsed_ms = (time.monotonic() - start) * 1000.0
-        if self.best is not None:
-            _, placement, report = self.best
-            return Solution(placement, report, kind, elapsed_ms, states, False)
-        if self.fallback is None:
+        kept = self.best or self.fallback
+        if kept is None:
             raise InvalidPlacement("invalid placement: no candidate placements")
-        _, placement, report = self.fallback
-        return Solution(placement, report, kind, elapsed_ms, states, True)
+        _, placement, report = kept
+        return Solution(placement, report, kind, elapsed_ms, states, self.best is None)
 
 
 def candidate_termini(topology: Topology, spec: ServiceSpec) -> list[tuple[str | None, str]]:

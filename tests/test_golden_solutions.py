@@ -17,6 +17,10 @@ every valid state exhaustive scores on the first six instances. Each covers
 every slot record, with its order-dependent `traffic_gb` and
 `mean_latency_ms`, and the report's totals, peak CPU and violations.
 
+The command line's files are pinned too: the `simulate --csv` file of each solver's
+solution file and each solver's `sweep --csv` file, all written through `cli.main` for
+`bundles/mini.json` and two `gen` bundles, one digest each.
+
 The package adds every float total left to right with `cost_model._total`, never
 with `sum()`, which compensates from CPython 3.12, so the files and these digests
 are the same on CPython 3.10 to 3.13.
@@ -28,18 +32,23 @@ and say why in the change.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 from tierplace import SolverConfig, mini_bundle, simulate, solve
 from tierplace import solver as solver_module
 from tierplace.bundle import dumps, report_to_json, solution_to_json
+from tierplace.cli import main
 from _instances import random_instance
 
 DIGESTS = Path(__file__).with_name("golden_solutions.json")
+MINI_PATH = Path(__file__).resolve().parents[1] / "bundles" / "mini.json"
 CONFIGS = {
     "exact": SolverConfig(kind="exact", seed=3, time_budget_ms=600000.0),
     "greedy": SolverConfig(kind="greedy", seed=3, time_budget_ms=600000.0),
@@ -79,6 +88,36 @@ def _digests() -> dict[str, str]:
             replays.update(dumps(_replay_json(topology, spec, solution.placement)).encode("utf-8"))
         out[f"{name} replays"] = replays.hexdigest()
     out["exhaustive reports"], out["exhaustive replays"] = _exhaustive_reports()
+    out.update(_cli_digests())
+    return out
+
+
+def _cli_digests() -> dict[str, str]:
+    """sha256 of each CSV file `simulate` and `sweep` write, run through `cli.main` on the
+    mini bundle file and on two `gen` bundles; solve and sweep run each solver, seeded,
+    under a time budget they never reach."""
+    out = {}
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
+        solution, table = Path(work, "solution.json"), Path(work, "table.csv")
+
+        def run(*argv) -> None:
+            assert main([str(arg) for arg in argv]) in (0, 2), argv  # ok, or infeasible
+
+        def csv_digest(*argv) -> str:
+            run(*argv, "--csv", table)
+            return hashlib.sha256(table.read_bytes()).hexdigest()
+
+        bundles = {"mini": MINI_PATH}
+        for devices, slots, seed in ((40, 30, 3), (12, 8, 5)):
+            path = bundles[f"gen({devices}, {slots}, {seed})"] = Path(work, f"gen{devices}.json")
+            run("gen", "--devices", devices, "--slots", slots, "--seed", seed, "--out", path)
+        for name, bundle in bundles.items():
+            for kind in ("exact", "greedy", "anneal"):
+                options = ("--solver", kind, "--seed", 3, "--time-budget-ms", 600000)
+                run("solve", bundle, *options, "--out", solution)
+                out[f"cli {name} {kind} simulate csv"] = csv_digest("simulate", bundle, solution)
+                out[f"cli {name} {kind} sweep csv"] = csv_digest(
+                    "sweep", bundle, *options, "--budgets", 0.1, 2.0, 5.0, 50)
     return out
 
 

@@ -326,8 +326,10 @@ def test_sibling_states_share_terms_and_match_cold_reports(cold_memo, monkeypatc
     assert edge_vs_dc > 0
 
 
-def test_off_route_aggregation_host_raises_after_a_valid_sibling(cold_memo):
+def test_off_route_aggregation_host_raises_after_a_valid_sibling(cold_memo, monkeypatch):
     # random_instance(11): every active stream runs through edge2; edge1 links to dc1 too.
+    # Every stream has a route, so rejecting an off-path host walks none with `route`.
+    monkeypatch.setattr(cost_model, "route", lambda *args: pytest.fail("route walked"))
     topology, spec = random_instance(11)
     assert ("edge2", "dc1") in candidate_termini(topology, spec)
     vector = (Layer.GATEWAY,) * spec.pipeline.pre_count
@@ -453,6 +455,8 @@ def test_route_errors_name_the_first_offending_device_on_every_call(cold_memo):
     cases = [
         (Placement((), agg_node="edge1", sink_dc="dc1", alloc=1), "edge1 is off the path of cam2"),
         (Placement((), agg_node="dc2", sink_dc="dc2", alloc=1), "edge2 is not linked to dc2"),
+        # cam2 is off edge1's path and has no route to dc2: the missing route is named
+        (Placement((), agg_node="edge1", sink_dc="dc2", alloc=1), "edge2 is not linked to dc2"),
     ]
     for placement, reason in cases * 2:
         for replay in (evaluate, simulate):

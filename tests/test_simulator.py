@@ -103,7 +103,8 @@ def test_single_slot_summary_is_slot_plus_period_costs(mini, mini_spec, p1):
 
 def test_cumulative_fields_are_exact_sums(mini, mini_spec, p3):
     """Each total is its slots' values added left to right, as `cost_model._total` adds
-    them; builtin `sum()` compensates from CPython 3.12 and can differ in the last bit."""
+    them; builtin `sum()` compensates from CPython 3.12 and can differ in the last bit.
+    The latency statistics are taken over every stream's latency, in slot then device order."""
     cases = [(mini.topology, mini_spec, p3)]
     for seed in range(10):
         topology, spec = random_instance(seed)
@@ -114,6 +115,9 @@ def test_cumulative_fields_are_exact_sums(mini, mini_spec, p3):
         assert report.network_cost == total([r.network_cost for r in report.records])
         assert report.server_usage_cost == total([r.server_cost for r in report.records])
         assert report.dispatch_cost == total([r.dispatch_cost for r in report.records])
+        latencies = [ms for r in report.records for ms in r.stream_latency_ms.values()]
+        assert report.mean_latency_ms == total(latencies) / len(latencies)
+        assert report.max_latency_ms == max(latencies)
 
 
 def test_slot_record_totals_add_left_to_right_on_every_interpreter():
