@@ -4,8 +4,8 @@ The replay is the semantic ground truth for dispatch caching: the first
 slot in which a non-pre-installed gateway serves a stream triggers one
 dispatch per gateway-tier stage (cost plus latency penalty on that slot's
 streams through it), after which the function stays cached for the rest of
-the period. `summarize` collapses the time series into a report that must
-match `cost_model.evaluate` field for field. So that this check means something,
+the period. `simulate` returns the slot records and the `CostReport` read off them,
+which must match `cost_model.evaluate` field for field. So that this check means something,
 the replay adds up every slot stream by stream from per-device terms computed
 once per call, where `evaluate` multiplies by activation counts. It shares the
 per-stream terms and the per-sink device rows, never a memo (`Instance.terms`, `Instance.scored`).
@@ -59,22 +59,19 @@ class SlotRecord:
 @dataclass(frozen=True)
 class TimeSeriesReport:
     records: tuple[SlotRecord, ...]
-    deploy_cost: float  # booked once for the period
-    reservation_cost: float  # booked once for the period
-    network_cost: float  # cumulative over slots
-    server_usage_cost: float  # cumulative over slots
-    dispatch_cost: float  # cumulative over slots
-    mean_latency_ms: float
-    max_latency_ms: float
-    peak_cpu: dict[str, float]
-    violations: tuple[Violation, ...]
+    summary: CostReport  # read off the records; what `evaluate` must equal
+
+    @property
+    def violations(self) -> tuple[Violation, ...]:
+        return self.summary.violations
 
 
 def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> TimeSeriesReport:
     """Replay every slot in order, accruing realized costs and latencies: what one stream
     of each active device adds in any slot is computed once per call, then added up slot
-    by slot, stream by stream, never multiplied by how often a device is active. The period's
-    totals and latency statistics are read off the slot records, in slot then device order."""
+    by slot, stream by stream, never multiplied by how often a device is active. The summary
+    is read off the slot records: its totals and latency statistics in slot then device order,
+    its violations from the peak CPU of each node, merged demand and load of each capped link."""
     plan = resolve_placement(topology, spec.pipeline, placement)
     instance = compile_instance(topology, spec)
     routes = instance.paths(plan)
@@ -101,7 +98,8 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
     dispatched: set[str] = set()
     records: list[SlotRecord] = []
     peak_cpu: dict[str, float] = {}
-    worst: dict[tuple[str, str], float] = {}
+    peak_load: dict[str, float] = {}  # capped link key -> peak load
+    peak_demand = 0.0  # merged stages' CPU on the aggregation host
 
     for slot_index, active in enumerate(instance.streams):
         dispatching = ({terms[d][0] for d in active} - plan.predeploy - dispatched
@@ -129,14 +127,14 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
             stream_latency[device_id] = latency
             merged += merged_rate
 
-        agg_usage = 0.0
         if plan.agg_id is not None and active:
-            rate_in = merged
+            agg_usage, rate_in = 0.0, merged
             for k in range(pre_count, len(stages)):
                 agg_usage += stages[k].cpu_per_unit * rate_in
                 rate_in *= stages[k].reduction
             if agg_usage != 0.0:
                 node_cpu[plan.agg_id] = node_cpu.get(plan.agg_id, 0.0) + agg_usage
+                peak_demand = max(peak_demand, agg_usage)
 
         events, slot_dispatch = [], 0.0
         for gateway in sorted(dispatching):
@@ -146,18 +144,9 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
 
         for node_id, used in node_cpu.items():
             peak_cpu[node_id] = max(peak_cpu.get(node_id, 0.0), used)
-            capacity = topology.node(node_id).capacity_cpu
-            if used > capacity:
-                key = ("cpu_capacity", node_id)
-                worst[key] = max(worst.get(key, 0.0), used - capacity)
-        if plan.agg_id is not None and agg_usage > plan.alloc:
-            key = ("alloc", plan.agg_id)
-            worst[key] = max(worst.get(key, 0.0), agg_usage - plan.alloc)
-        for link_key, load in link_load.items():
-            bandwidth = caps[link_key]
-            if bandwidth is not None and load > bandwidth:
-                key = ("bandwidth", link_key)
-                worst[key] = max(worst.get(key, 0.0), load - bandwidth)
+        for key, load in link_load.items():
+            if caps[key] is not None:
+                peak_load[key] = max(peak_load.get(key, 0.0), load)
 
         records.append(
             SlotRecord(
@@ -173,38 +162,33 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
             )
         )
 
+    # (kind, id, peak, limit); rounding is monotone, so a peak's excess is the worst slot's.
+    limits = [("cpu_capacity", node_id, peak, topology.node(node_id).capacity_cpu)
+              for node_id, peak in peak_cpu.items()]
+    limits += [("bandwidth", key, peak, caps[key]) for key, peak in peak_load.items()]
+    if plan.agg_id is not None:
+        limits.append(("alloc", plan.agg_id, peak_demand, plan.alloc))
+    violations = tuple(Violation(kind, ident, peak - limit)
+                       for kind, ident, peak, limit in sorted(limits) if peak > limit)
+
+    network_cost = _total([record.network_cost for record in records])
+    dispatch_cost = _total([record.dispatch_cost for record in records])
+    server_cost = _total([record.server_cost for record in records]) + plan.reservation
     latencies = [ms for record in records for ms in record.stream_latency_ms.values()]
-    return TimeSeriesReport(
-        records=tuple(records),
+    return TimeSeriesReport(tuple(records), CostReport(
+        server_cost=server_cost,
+        network_cost=network_cost,
         deploy_cost=plan.deploy_cost,
-        reservation_cost=plan.reservation,
-        network_cost=_total([record.network_cost for record in records]),
-        server_usage_cost=_total([record.server_cost for record in records]),
-        dispatch_cost=_total([record.dispatch_cost for record in records]),
+        dispatch_cost=dispatch_cost,
+        total_cost=server_cost + network_cost + plan.deploy_cost + dispatch_cost,
         mean_latency_ms=_total(latencies) / len(latencies) if latencies else 0.0,
         max_latency_ms=max(latencies) if latencies else 0.0,
         peak_cpu=peak_cpu,
-        violations=tuple(
-            Violation(kind, ident, worst[(kind, ident)]) for kind, ident in sorted(worst)
-        ),
-    )
+        feasible=not violations,
+        violations=violations,
+    ))
 
 
 def summarize(report: TimeSeriesReport) -> CostReport:
-    """Collapse a time series into the equivalent one-shot cost report."""
-    server_cost = report.server_usage_cost + report.reservation_cost
-    total_cost = (
-        server_cost + report.network_cost + report.deploy_cost + report.dispatch_cost
-    )
-    return CostReport(
-        server_cost=server_cost,
-        network_cost=report.network_cost,
-        deploy_cost=report.deploy_cost,
-        dispatch_cost=report.dispatch_cost,
-        total_cost=total_cost,
-        mean_latency_ms=report.mean_latency_ms,
-        max_latency_ms=report.max_latency_ms,
-        peak_cpu=report.peak_cpu,
-        feasible=not report.violations,
-        violations=report.violations,
-    )
+    """The replay's one-shot cost report, which `simulate` reads off its slot records."""
+    return report.summary

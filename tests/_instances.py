@@ -87,7 +87,8 @@ def random_instance(
                 speed=rng.uniform(0.8, 1.5),
             )
         )
-        tree.append(Link(gw, edge, latency_ms=rng.uniform(3, 8), traffic_cost_rate=rng.uniform(0.05, 0.2)))
+        tree.append(Link(gw, edge, latency_ms=rng.uniform(3, 8),
+                         traffic_cost_rate=rng.uniform(0.05, 0.2)))
         for _ in range(rng.randint(1, 2)):
             cam_i += 1
             cam = f"cam{cam_i:02d}"
@@ -137,7 +138,8 @@ def random_instance(
     ]
     if rng.random() < 0.8:
         stages.append(
-            Stage(name="agg", cpu_per_unit=rng.uniform(0.05, 0.2), reduction=1.0, base_ms=rng.uniform(10, 30))
+            Stage(name="agg", cpu_per_unit=rng.uniform(0.05, 0.2), reduction=1.0,
+                  base_ms=rng.uniform(10, 30))
         )
     pipeline = Pipeline(stages=tuple(stages), aggregation_index=n_pre + 1)
 
@@ -176,7 +178,8 @@ def random_placement(topology: Topology, spec: ServiceSpec, rng: random.Random) 
     max_layer = int(topology.node(agg).layer) if agg else int(Layer.CLOUD)
     pre = spec.pipeline.pre_count
     vector = tuple(sorted(Layer(rng.randint(0, max_layer)) for _ in range(pre)))
-    visited = sorted(first_touch_by_parent(topology, derive_active_streams(topology, spec.scenario)))
+    visited = sorted(
+        first_touch_by_parent(topology, derive_active_streams(topology, spec.scenario)))
     if Layer.GATEWAY in vector:
         predeploy = frozenset(g for g in visited if rng.random() < 0.5)
     else:
@@ -192,7 +195,8 @@ def random_placement(topology: Topology, spec: ServiceSpec, rng: random.Random) 
 def scale_costs(topology: Topology, pipeline: Pipeline, alpha: float) -> tuple[Topology, Pipeline]:
     """Multiply every cost rate (CPU, traffic, deploy, dispatch) by alpha."""
     nodes = [replace(n, cpu_cost_rate=n.cpu_cost_rate * alpha) for n in topology.node_list]
-    tree = [replace(l, traffic_cost_rate=l.traffic_cost_rate * alpha) for l in topology.tree_link_list]
+    tree = [replace(l, traffic_cost_rate=l.traffic_cost_rate * alpha)
+            for l in topology.tree_link_list]
     dc = [replace(l, traffic_cost_rate=l.traffic_cost_rate * alpha) for l in topology.dc_link_list]
     stages = tuple(
         replace(s, deploy_cost=s.deploy_cost * alpha, dispatch_cost=s.dispatch_cost * alpha)

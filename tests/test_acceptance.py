@@ -57,7 +57,8 @@ def test_criterion_1_oracle_equivalence():
         instance_ok = True
         for solution in (
             solve_greedy(topology, spec),
-            solve_anneal(topology, spec, SolverConfig(kind="anneal", seed=1234, time_budget_ms=1000.0)),
+            solve_anneal(topology, spec,
+                         SolverConfig(kind="anneal", seed=1234, time_budget_ms=1000.0)),
         ):
             assert not solution.best_effort
             recheck = evaluate(topology, spec, solution.placement)
@@ -87,7 +88,8 @@ def test_criterion_2_mini_ground_truth():
         and solution.report.total_cost == pytest.approx(1.9716, rel=1e-9)
         and solution.report.mean_latency_ms == pytest.approx(92.0, rel=1e-9)
     )
-    _check(2, "canonical ground truth", ok, f"objective ({solution.report.mean_latency_ms}, {solution.report.total_cost})")
+    _check(2, "canonical ground truth", ok,
+           f"objective ({solution.report.mean_latency_ms}, {solution.report.total_cost})")
 
 
 def test_criterion_3_model_simulator_agreement():
@@ -200,7 +202,8 @@ def test_criterion_6_predeploy_limit_cases():
             )
             if solution.placement.predeploy != visited:
                 ok = False
-    _check(6, "predeploy limit cases", ok and gateway_optima >= 1, f"{gateway_optima} gateway optima")
+    _check(6, "predeploy limit cases", ok and gateway_optima >= 1,
+           f"{gateway_optima} gateway optima")
 
 
 def test_criterion_7_determinism(tmp_path):

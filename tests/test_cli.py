@@ -199,7 +199,8 @@ def test_simulate_replays_an_empty_slot_at_zero_latency(tmp_path):
     assert main(["validate", str(bundle_path)]) == 0
     solution_path, csv_path = tmp_path / "solution.json", tmp_path / "slots.csv"
     for solver in ("exact", "greedy", "anneal"):
-        assert main(["solve", str(bundle_path), "--solver", solver, "--out", str(solution_path)]) == 0
+        assert main(["solve", str(bundle_path), "--solver", solver,
+                     "--out", str(solution_path)]) == 0
         assert main(["simulate", str(bundle_path), str(solution_path), "--csv", str(csv_path)]) == 0
         rows = list(csv.DictReader(csv_path.read_text(encoding="utf-8").splitlines()))
         assert [row["active_devices"] for row in rows] == ["cam1", "cam3", ""]
@@ -369,7 +370,8 @@ def test_alloc_whose_cost_overflows_exits_3(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "edit, ident",
-    [(_huge_link_prices, "cost"), (_huge_stage_latency, "latency"), (_huge_stage_load, "peak load")],
+    [(_huge_link_prices, "cost"), (_huge_stage_latency, "latency"),
+     (_huge_stage_load, "peak load")],
 )
 def test_report_fields_that_overflow_exit_3(tmp_path, capsys, p1, edit, ident):
     """Finite prices, latencies or loads whose report fields overflow fail validation,

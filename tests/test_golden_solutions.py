@@ -15,7 +15,10 @@ The replay is pinned bit for bit the same way: one digest per instance over
 the `simulate` report of each solver's answer, and one over the replay of
 every valid state exhaustive scores on the first six instances. Each covers
 every slot record, with its order-dependent `traffic_gb` and
-`mean_latency_ms`, and the report's totals, peak CPU and violations.
+`mean_latency_ms`, and the summary's totals, peak CPU and violations. The
+summary is laid out in the fields these digests were first taken over, when
+the replay had a report type of its own: the server cost split into the usage
+total over the records and the reservation, and no total cost or feasibility.
 
 The command line's files are pinned too: the `simulate --csv` file of each solver's
 solution file and each solver's `sweep --csv` file, all written through `cli.main` for
@@ -44,6 +47,7 @@ from pathlib import Path
 from tierplace import SolverConfig, mini_bundle, simulate, solve
 from tierplace import solver as solver_module
 from tierplace.bundle import dumps, report_to_json, solution_to_json
+from tierplace.cost_model import _total
 from tierplace.cli import main
 from _instances import random_instance
 
@@ -67,10 +71,20 @@ def _instances():
 
 
 def _replay_json(topology, spec, placement) -> dict:
-    """Every field of the `simulate` report, plus each record's sums, which
-    depend on the insertion order of its dicts (dumps sorts their keys)."""
+    """The `simulate` report in the fields the replay digests were first taken over (see
+    above), plus each record's sums, which depend on the insertion order of its dicts
+    (dumps sorts their keys)."""
     report = simulate(topology, spec, placement)
-    out = asdict(report)
+    summary = report.summary
+    usage = _total([record.server_cost for record in report.records])
+    agg = placement.agg_node
+    reservation = placement.alloc * topology.node(agg).cpu_cost_rate if agg else 0.0
+    assert summary.server_cost == usage + reservation
+    out = asdict(summary)
+    for name in ("server_cost", "total_cost", "feasible"):
+        del out[name]
+    out.update(records=[asdict(record) for record in report.records],
+               server_usage_cost=usage, reservation_cost=reservation)
     for record, fields in zip(report.records, out["records"]):
         fields["traffic_gb"] = record.traffic_gb
         fields["mean_latency_ms"] = record.mean_latency_ms

@@ -58,7 +58,7 @@ def test_dispatch_caching_on_repeat_visits(mini, mini_spec, p3):
     spec = replace(mini_spec, scenario=scenario)
     report = simulate(mini.topology, spec, p3)
     assert [r.stream_latency_ms["cam1"] for r in report.records] == [592.0, 92.0]
-    assert report.mean_latency_ms == pytest.approx(342.0, rel=1e-9)
+    assert report.summary.mean_latency_ms == pytest.approx(342.0, rel=1e-9)
     assert report.records[0].dispatches == (("gw1", "analyze"),)
     assert report.records[1].dispatches == ()
     assert summarize(report) == evaluate(mini.topology, spec, p3)
@@ -95,29 +95,37 @@ def test_single_slot_summary_is_slot_plus_period_costs(mini, mini_spec, p1):
     report = simulate(mini.topology, spec, p1)
     slot = report.records[0]
     summary = summarize(report)
+    plan = resolve_placement(mini.topology, spec.pipeline, p1)
+    assert summary is report.summary
     assert summary.network_cost == slot.network_cost
     assert summary.dispatch_cost == slot.dispatch_cost
-    assert summary.server_cost == slot.server_cost + report.reservation_cost
-    assert summary.deploy_cost == report.deploy_cost
+    assert summary.server_cost == slot.server_cost + plan.reservation
+    assert summary.deploy_cost == plan.deploy_cost
 
 
 def test_cumulative_fields_are_exact_sums(mini, mini_spec, p3):
     """Each total is its slots' values added left to right, as `cost_model._total` adds
     them; builtin `sum()` compensates from CPython 3.12 and can differ in the last bit.
-    The latency statistics are taken over every stream's latency, in slot then device order."""
+    The latency statistics are taken over every stream's latency, in slot then device order.
+    The server cost adds the reservation to the usage total, and the total cost adds server,
+    network, deploy and dispatch cost, left to right."""
     cases = [(mini.topology, mini_spec, p3)]
     for seed in range(10):
         topology, spec = random_instance(seed)
         cases.append((topology, spec, random_placement(topology, spec, random.Random(seed))))
     for topology, spec, placement in cases:
         report = simulate(topology, spec, placement)
-        total = cost_model._total
-        assert report.network_cost == total([r.network_cost for r in report.records])
-        assert report.server_usage_cost == total([r.server_cost for r in report.records])
-        assert report.dispatch_cost == total([r.dispatch_cost for r in report.records])
+        summary, total = report.summary, cost_model._total
+        reservation = resolve_placement(topology, spec.pipeline, placement).reservation
+        assert summary.network_cost == total([r.network_cost for r in report.records])
+        usage = total([r.server_cost for r in report.records])
+        assert summary.server_cost == usage + reservation
+        assert summary.dispatch_cost == total([r.dispatch_cost for r in report.records])
+        assert summary.total_cost == (summary.server_cost + summary.network_cost
+                                      + summary.deploy_cost + summary.dispatch_cost)
         latencies = [ms for r in report.records for ms in r.stream_latency_ms.values()]
-        assert report.mean_latency_ms == total(latencies) / len(latencies)
-        assert report.max_latency_ms == max(latencies)
+        assert summary.mean_latency_ms == total(latencies) / len(latencies)
+        assert summary.max_latency_ms == max(latencies)
 
 
 def test_slot_record_totals_add_left_to_right_on_every_interpreter():
@@ -221,7 +229,8 @@ def _crowded_instance(seed: int) -> tuple[Topology, ServiceSpec]:
                                  bandwidth_mbps=rate * rng.uniform(2.0, 10.0)))
         for g in range(1, gateways_per_edge + 1):
             gw = f"gw{e}{g}"
-            nodes.append(Node(gw, Layer.GATEWAY, parent=edge, capacity_cpu=rate * rng.uniform(0.1, 1.0),
+            nodes.append(Node(gw, Layer.GATEWAY, parent=edge,
+                              capacity_cpu=rate * rng.uniform(0.1, 1.0),
                               cpu_cost_rate=rng.uniform(0.5, 2.0), speed=rng.uniform(0.8, 1.5)))
             tree.append(Link(gw, edge, latency_ms=rng.uniform(3, 8),
                              traffic_cost_rate=rng.uniform(0.05, 0.2),
@@ -231,7 +240,8 @@ def _crowded_instance(seed: int) -> tuple[Topology, ServiceSpec]:
                 nodes.append(Node(cam, Layer.DEVICE, parent=gw))
                 tree.append(Link(cam, gw, latency_ms=rng.uniform(1, 3)))
     for dc in ("dc1", "dc2"):
-        nodes.append(Node(dc, Layer.CLOUD, capacity_cpu=1000.0, cpu_cost_rate=rng.uniform(0.1, 0.5)))
+        nodes.append(Node(dc, Layer.CLOUD, capacity_cpu=1000.0,
+                          cpu_cost_rate=rng.uniform(0.1, 0.5)))
 
     n_pre = rng.randint(1, 2)
     stages = [
@@ -302,6 +312,36 @@ def test_closed_form_agrees_with_replay_on_crowded_slots():
     assert violated >= 0.6 * pairs
     assert kinds == {"alloc", "bandwidth", "cpu_capacity"}
     assert edge_hosted > 0 and dispatched > 0
+
+
+def test_summary_peaks_and_cpu_violations_are_read_off_the_records():
+    """On crowded slots the summary's peak CPU of each node is its largest CPU over the slot
+    records, each `cpu_capacity` violation is that peak minus the node's capacity, one for
+    every node whose peak is over it, and the violations are sorted by (kind, id)."""
+    replays = over = 0
+    for seed in range(24):
+        topology, spec = _crowded_instance(seed)
+        alloc = compile_instance(topology, spec).min_reservation
+        for agg, sink in candidate_termini(topology, spec):
+            top = topology.node(agg).layer if agg else Layer.CLOUD
+            for layer in list(Layer)[:top + 1]:
+                placement = Placement((layer,) * spec.pipeline.pre_count, agg, sink,
+                                      alloc=alloc if agg else 0)
+                report = simulate(topology, spec, placement)
+                peaks: dict[str, float] = {}
+                for record in report.records:
+                    for node_id, used in record.node_cpu.items():
+                        peaks[node_id] = max(peaks.get(node_id, 0.0), used)
+                assert report.summary.peak_cpu == peaks
+                excess = {node_id: peak - topology.node(node_id).capacity_cpu
+                          for node_id, peak in peaks.items()}
+                cpu = {v.ident: v.magnitude for v in report.violations if v.kind == "cpu_capacity"}
+                assert cpu == {node_id: e for node_id, e in excess.items() if e > 0.0}
+                keys = [(v.kind, v.ident) for v in report.violations]
+                assert keys == sorted(keys)
+                replays += 1
+                over += len(cpu)
+    assert replays >= 250 and over >= 1000
 
 
 def test_peaks_round_like_the_replay_at_an_exact_boundary():

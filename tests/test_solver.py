@@ -151,7 +151,8 @@ def _brute_force_best(topology, spec):
             alloc = 0
         else:
             alloc = min_alloc(
-                topology, spec, Placement(layer_of=(Layer.DEVICE,) * pre, agg_node=agg, sink_dc=sink)
+                topology, spec,
+                Placement(layer_of=(Layer.DEVICE,) * pre, agg_node=agg, sink_dc=sink)
             )
         for combo in product(range(4), repeat=pre):
             if any(combo[i] > combo[i + 1] for i in range(pre - 1)):
