@@ -310,7 +310,7 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
     link_price = max([link.traffic_cost_rate for link in links], default=0.0)
     per_stream = (3 * link_price * max(volumes) * GB_PER_MBPS_SECOND
                   + _total(loads) * cpu_price * scenario.slot_seconds / scenario.period_seconds)
-    gateways = [node.layer for node in nodes].count(Layer.GATEWAY)
+    gateways = len(bundle.topology.layer(Layer.GATEWAY))  # ids are unique here
     cost = (instance.total_streams * per_stream + (instance.peak_demand + 1) * cpu_price
             + gateways * _total([stage.deploy_cost + stage.dispatch_cost for stage in stages]))
     latency = (3 * max([link.latency_ms for link in links], default=0.0)

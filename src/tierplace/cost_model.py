@@ -300,7 +300,7 @@ class Instance:
             for node_id, count in through.items():
                 if count > peak.get(node_id, 0):
                     peak[node_id] = count
-        peak.update((dc.id, self.busiest) for dc in self.topology.clouds())
+        peak.update((dc.id, self.busiest) for dc in self.topology.layer(Layer.CLOUD))
         return peak
 
     @cached_property
@@ -328,7 +328,8 @@ class Instance:
         edge latency, added by `_total` in edge id order."""
         dc_link, edges = self.topology.dc_link, sorted(self.edge_weights.items())
         return {dc.id: _total([count * dc_link(edge, dc.id).latency_ms for edge, count in edges])
-                for dc in self.topology.clouds() if all(dc_link(edge, dc.id) for edge, _ in edges)}
+                for dc in self.topology.layer(Layer.CLOUD)
+                if all(dc_link(edge, dc.id) for edge, _ in edges)}
 
     @cached_property
     def peak_demand(self) -> float:

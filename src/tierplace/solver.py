@@ -171,12 +171,12 @@ def candidate_termini(topology: Topology, spec: ServiceSpec) -> list[tuple[str |
     pairs with each DC it is linked to. Without a merged stage the choice
     reduces to the sink DC alone.
     """
-    clouds = [n.id for n in topology.clouds()]
+    clouds = [n.id for n in topology.layer(Layer.CLOUD)]
     if not spec.pipeline.has_aggregation:
         return [(None, dc) for dc in clouds]
     out: list[tuple[str | None, str]] = [(dc, dc) for dc in clouds]
     edges_used = compile_instance(topology, spec).edge_weights.keys()
-    for edge in topology.edges():
+    for edge in topology.layer(Layer.EDGE):
         if edges_used <= {edge.id}:
             out.extend((edge.id, dc) for dc in clouds if topology.dc_link(edge.id, dc))
     return out
@@ -223,7 +223,7 @@ def choose_dc(topology: Topology, spec: ServiceSpec) -> str:
     """Of the `Instance.serving_dcs`, the one with the least activation-weighted edge
     latency; ties go to the smaller id. When no DC is linked from every used edge, the
     first DC by id."""
-    clouds, latency = topology.clouds(), compile_instance(topology, spec).serving_dcs
+    clouds, latency = topology.layer(Layer.CLOUD), compile_instance(topology, spec).serving_dcs
     if not clouds:
         raise InvalidPlacement("invalid placement: topology has no cloud DC")
     return min(latency, key=latency.__getitem__, default=clouds[0].id)

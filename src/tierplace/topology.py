@@ -100,7 +100,7 @@ class Topology:
 
     Raw construction lists are kept alongside the lookup tables so that
     validate_topology can report duplicates instead of silently collapsing
-    them. Treat instances as immutable after construction.
+    them. `layer` answers every tier query. Treat instances as immutable.
     """
 
     def __init__(
@@ -117,9 +117,8 @@ class Topology:
         self._dc: dict[tuple[str, str], Link] = {
             (l.src, l.dst): l for l in self.dc_link_list
         }
-        self._layers: dict[Layer, list[Node]] = {}  # layer -> its nodes in id order
-        for n in sorted(self.nodes.values(), key=lambda n: n.id):
-            self._layers.setdefault(n.layer, []).append(n)
+        ordered = sorted(self.nodes.values(), key=lambda n: n.id)
+        self._layers = {layer: tuple(n for n in ordered if n.layer == layer) for layer in Layer}
 
     def node(self, node_id: str) -> Node:
         try:
@@ -127,21 +126,9 @@ class Topology:
         except KeyError:
             raise TopologyError(f"unknown node: {node_id}") from None
 
-    def devices(self) -> list[Node]:
-        return list(self._layers.get(Layer.DEVICE, ()))
-
-    def gateways(self) -> list[Node]:
-        return list(self._layers.get(Layer.GATEWAY, ()))
-
-    def edges(self) -> list[Node]:
-        return list(self._layers.get(Layer.EDGE, ()))
-
-    def clouds(self) -> list[Node]:
-        return list(self._layers.get(Layer.CLOUD, ()))
-
-    def parent_of(self, node_id: str) -> Node | None:
-        parent = self.node(node_id).parent
-        return self.nodes.get(parent) if parent is not None else None
+    def layer(self, layer: Layer) -> tuple[Node, ...]:
+        """The tier's nodes in id order, () when it has none; built once, not copied."""
+        return self._layers[layer]
 
     def uplink(self, node_id: str) -> Link | None:
         return self._uplink.get(node_id)
@@ -213,7 +200,7 @@ def validate_topology(topology: Topology) -> list[tuple[str, str]]:
         if src.layer != Layer.EDGE or dst.layer != Layer.CLOUD:
             violations.append(("invalid dc link", link.key))
     linked = {link.src for link in topology.dc_link_list}
-    for edge in topology.edges():
+    for edge in topology.layer(Layer.EDGE):
         if edge.id not in linked:
             violations.append(("edge without DC", edge.id))
 
@@ -234,10 +221,10 @@ def route(topology: Topology, device_id: str, dc_id: str) -> Route:
             f"invalid endpoint: expected Device -> Cloud, got "
             f"{device.layer.label} -> {dc.layer.label}"
         )
-    gateway = topology.parent_of(device_id)
+    gateway = topology.nodes.get(device.parent)
     if gateway is None or gateway.layer != Layer.GATEWAY:
         raise TopologyError(f"no route: {device_id} has no gateway")
-    edge = topology.parent_of(gateway.id)
+    edge = topology.nodes.get(gateway.parent)
     if edge is None or edge.layer != Layer.EDGE:
         raise TopologyError(f"no route: {gateway.id} has no edge")
     up_device = topology.uplink(device_id)
@@ -267,8 +254,8 @@ def nearest_device_index(topology: Topology) -> Callable[[tuple[float, float]], 
     """
     located = sorted(
         (n.location[0], n.id, n.location[1])
-        for n in topology.nodes.values()
-        if n.layer == Layer.DEVICE and n.location is not None
+        for n in topology.layer(Layer.DEVICE)
+        if n.location is not None
     )
     xs = [x for x, _, _ in located]
 

@@ -156,7 +156,7 @@ def gen_random_walk(
     slot moves by a uniform angle in [0, 2*pi) and a uniform length in
     [0, step], so identical seeds reproduce identical scenarios.
     """
-    located = [d for d in topology.devices() if d.location is not None]
+    located = [d for d in topology.layer(Layer.DEVICE) if d.location is not None]
     if not located:
         raise TopologyError("no candidate device")
     rng = random.Random(seed)

@@ -27,11 +27,11 @@ from tierplace import (
 
 
 def first_touch_by_parent(topology: Topology, streams: list[list[str]]) -> dict[str, int]:
-    """Reference: each gateway -> the first slot it serves a stream, found by `parent_of`."""
+    """Reference: each gateway -> the first slot it serves a stream, found by parent pointers."""
     first: dict[str, int] = {}
     for index, active in enumerate(streams):
         for device_id in active:
-            gateway = topology.parent_of(device_id)
+            gateway = topology.nodes.get(topology.nodes[device_id].parent)
             if gateway is not None and gateway.id not in first:
                 first[gateway.id] = index
     return first
@@ -42,7 +42,7 @@ def brute_force_nearest_device(topology: Topology, target: tuple[float, float]) 
     found by checking every device."""
     best: tuple[float, str] | None = None
     tx, ty = target
-    for node in topology.devices():
+    for node in topology.layer(Layer.DEVICE):
         if node.location is None:
             continue
         dx = node.location[0] - tx

@@ -245,7 +245,7 @@ def test_criterion_7_determinism(tmp_path):
 
 def test_criterion_8_anneal_time_budget():
     bundle = synth_bundle(devices=200, slots=50, step=15.0, seed=8)
-    assert len(bundle.topology.gateways()) == 100
+    assert len(bundle.topology.layer(Layer.GATEWAY)) == 100
     assert len(bundle.scenario.slots) == 50
     cfg = SolverConfig(kind="anneal", seed=3, time_budget_ms=1000.0)
     started = time.monotonic()

@@ -168,12 +168,12 @@ def test_load_placement_accepts_solution_files(tmp_path, p1):
 def test_synth_bundle_validates_and_scales():
     tiny = synth_bundle(devices=1, slots=1, seed=1)
     assert validate_bundle(tiny) == []
-    assert len(tiny.topology.devices()) == 1
+    assert len(tiny.topology.layer(Layer.DEVICE)) == 1
     wide = synth_bundle(devices=8, slots=10, seed=1)
     assert validate_bundle(wide) == []
-    assert len(wide.topology.gateways()) == 4
-    assert len(wide.topology.edges()) == 2
-    assert len(wide.topology.clouds()) == 2
+    assert len(wide.topology.layer(Layer.GATEWAY)) == 4
+    assert len(wide.topology.layer(Layer.EDGE)) == 2
+    assert len(wide.topology.layer(Layer.CLOUD)) == 2
     assert len(wide.scenario.slots) == 10
 
 

@@ -276,7 +276,7 @@ def _sibling_placements(topology, spec):
     predeploy subset of up to three visited gateways and one unvisited gateway, at alloc 0
     (no merged stage) or min - 1, min and min + 1."""
     instance = compile_instance(topology, spec)
-    unvisited = [g.id for g in topology.gateways() if g.id not in instance.first_touch]
+    unvisited = [g.id for g in topology.layer(Layer.GATEWAY) if g.id not in instance.first_touch]
     gateways = sorted(instance.first_touch)[:3] + unvisited[:1]
     subsets = [frozenset(c) for n in range(len(gateways) + 1) for c in combinations(gateways, n)]
     least = instance.min_reservation
@@ -483,7 +483,7 @@ def _sink_tables(topology, spec):
     """Each DC's table of device rows, None rows included: `paths` builds a sink's table
     before its check raises on a device with no route."""
     instance, pre = compile_instance(topology, spec), spec.pipeline.pre_count
-    for dc in topology.clouds():
+    for dc in topology.layer(Layer.CLOUD):
         agg = dc.id if spec.pipeline.has_aggregation else None
         placement = Placement((Layer.CLOUD,) * pre, agg, dc.id, alloc=int(agg is not None))
         try:
@@ -495,7 +495,7 @@ def _sink_tables(topology, spec):
 
 def _assert_rows_match_route(topology, spec):
     instance, tables = _sink_tables(topology, spec)
-    assert sorted(tables) == sorted(dc.id for dc in topology.clouds())
+    assert sorted(tables) == sorted(dc.id for dc in topology.layer(Layer.CLOUD))
     for dc, table in tables.items():
         assert list(table) == list(instance.activations)
         assert table == {device_id: _route_row(topology, device_id, dc, count)
@@ -523,7 +523,7 @@ def test_sink_tables_are_built_once_without_calling_route(cold_memo, monkeypatch
             solve(topology, replace(spec, budget=factor * spec.budget), SolverConfig(kind="greedy"))
         instance = compile_instance(topology, spec)
         tables = dict(instance._rows)
-        dcs = [dc.id for dc in topology.clouds()]
+        dcs = [dc.id for dc in topology.layer(Layer.CLOUD)]
         assert len(dcs) == 2 and sorted(tables) == dcs
         base = baseline_placement(topology, spec)
         for dc in dcs:
@@ -543,7 +543,7 @@ def test_rows_built_below_the_edge_equal_rows_built_from_route(cold_memo, monkey
         _assert_rows_match_route(*random_instance(seed))
 
     base, spec = three_dc_instance(1)
-    cams = [n.id for n in base.devices()]
+    cams = [n.id for n in base.layer(Layer.DEVICE)]
     scenario = replace(spec.scenario, slots=spec.scenario.slots + (Slot.explicit(cams),))
     spec = replace(spec, scenario=scenario)
     unlinked = Topology(base.node_list, base.tree_link_list,
@@ -625,27 +625,27 @@ def test_missing_route_to_a_dc_host_raises_on_every_call(cold_memo):
 
 
 def _brute_peak_streams(topology, streams):
-    """Node id -> most streams through it in one slot, walking parent_of per stream."""
+    """Node id -> most streams through it in one slot, walking parent pointers per stream."""
     peak = {}
     for active in streams:
         through = Counter()
         for device_id in active:
             through[device_id] += 1
-            gateway = topology.parent_of(device_id)
+            gateway = topology.nodes.get(topology.nodes[device_id].parent)
             if gateway is not None:
                 through[gateway.id] += 1
-                edge = topology.parent_of(gateway.id)
+                edge = topology.nodes.get(gateway.parent)
                 if edge is not None:
                     through[edge.id] += 1
         for node_id, count in through.items():
             peak[node_id] = max(peak.get(node_id, 0), count)
-    for dc in topology.clouds():
+    for dc in topology.layer(Layer.CLOUD):
         peak[dc.id] = max(map(len, streams), default=0)
     return peak
 
 
 def test_one_pass_peaks_and_first_touch_match_brute_force(cold_memo):
-    """Instance.peak_streams and Instance.first_touch equal references built from parent_of:
+    """Instance.peak_streams and Instance.first_touch equal references built from parent pointers:
     first_touch in dict order (the order of first touch) and in each gateway's device order."""
     cases = [random_instance(seed) for seed in range(20)]
     cases += [three_dc_instance(seed) for seed in (1, 2)]
@@ -655,7 +655,7 @@ def test_one_pass_peaks_and_first_touch_match_brute_force(cold_memo):
         assert instance.peak_streams == _brute_peak_streams(topology, streams)
         first = first_touch_by_parent(topology, streams)
         expected = [(gateway, tuple(d for d in streams[slot]
-                                    if topology.parent_of(d).id == gateway))
+                                    if topology.nodes[d].parent == gateway))
                     for gateway, slot in first.items()]
         assert list(instance.first_touch.items()) == expected
     # The three-DC cases crowd their slots and touch some gateways first in later slots.

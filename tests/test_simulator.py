@@ -270,10 +270,11 @@ def _crowded_instance(seed: int) -> tuple[Topology, ServiceSpec]:
 def _peak_slots_avoid_the_busiest(topology: Topology, spec: ServiceSpec) -> bool:
     streams = derive_active_streams(topology, spec.scenario)
     busiest = max(range(len(streams)), key=lambda s: len(streams[s]))
-    single_edge = len(topology.edges()) == 1
-    for node in topology.gateways() + ([] if single_edge else topology.edges()):
+    edges = topology.layer(Layer.EDGE)
+    for node in topology.layer(Layer.GATEWAY) + (() if len(edges) == 1 else edges):
         through = [
-            sum(node.id in (topology.parent_of(d).id, topology.parent_of(d).parent) for d in active)
+            sum(node.id in (gateway := topology.nodes[d].parent, topology.nodes[gateway].parent)
+                for d in active)
             for active in streams
         ]
         if through[busiest] >= max(through):

@@ -127,21 +127,21 @@ def _brute_force_best(topology, spec):
     from tierplace import InvalidPlacement, Placement, derive_active_streams, min_alloc
 
     streams = derive_active_streams(topology, spec.scenario)
-    clouds = [n.id for n in topology.clouds()]
+    clouds = [n.id for n in topology.layer(Layer.CLOUD)]
     edges_used = {
-        topology.parent_of(topology.parent_of(d).id).id
+        topology.nodes[topology.nodes[d].parent].parent
         for active in streams
         for d in active
     }
     termini = []
     if spec.pipeline.has_aggregation:
         termini += [(dc, dc) for dc in clouds]
-        for edge in topology.edges():
+        for edge in topology.layer(Layer.EDGE):
             if edges_used <= {edge.id}:
                 termini += [(edge.id, dc) for dc in clouds if topology.dc_link(edge.id, dc)]
     else:
         termini += [(None, dc) for dc in clouds]
-    visited = sorted({topology.parent_of(d).id for active in streams for d in active})
+    visited = sorted({topology.nodes[d].parent for active in streams for d in active})
 
     pre = spec.pipeline.pre_count
     best = None
@@ -623,7 +623,7 @@ def _predeploy_instances(seeds):
         topology, spec = random_instance(seed)
         yield topology, spec
         rng = random.Random(seed)
-        cams = [node.id for node in topology.devices()]
+        cams = [node.id for node in topology.layer(Layer.DEVICE)]
         slots = tuple(Slot.explicit(rng.sample(cams, rng.randint(1, len(cams)))) for _ in range(3))
         yield topology, replace(spec, scenario=replace(spec.scenario, slots=slots))
 

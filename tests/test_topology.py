@@ -11,6 +11,9 @@ from tierplace import (
     Layer,
     Link,
     Node,
+    Pipeline,
+    Scenario,
+    Slot,
     Topology,
     TopologyError,
     nearest_device,
@@ -95,6 +98,78 @@ def test_missing_parent_and_bad_values_flagged(mini):
             Link("cam2", "gw1", bandwidth_mbps=0.0), *t.tree_link_list[2:]]
     violations = validate_topology(Topology(t.node_list, tree, t.dc_link_list))
     assert violations == [("invalid link value", "cam1->gw1"), ("invalid link value", "cam2->gw1")]
+
+
+def test_validation_reports_every_kind_in_check_order(mini):
+    """The exact `validate_bundle` list for a topology breaking every rule at once: each
+    check in turn, nodes and links in construction order, edges without a DC in id order."""
+    t = mini.topology
+    nodes = [*t.node_list, t.node("dc2"),
+             Node("gw9", Layer.GATEWAY), Node("cam8", Layer.DEVICE, parent="ghost"),
+             Node("cam9", Layer.DEVICE, parent="edge1"), Node("dc9", Layer.CLOUD, parent="edge1"),
+             Node("gw8", Layer.GATEWAY, parent="edge1", capacity_cpu=-1.0,
+                  cpu_cost_rate=math.nan, speed=0.0, location=(math.inf, 0.0)),
+             Node("edge9", Layer.EDGE), Node("edge3", Layer.EDGE)]
+    tree = [*t.tree_link_list, Link("cam1", "gw1"), Link("ghost", "gw1"),
+            Link("cam9", "gw1", latency_ms=-1.0)]
+    dc = [*t.dc_link_list, Link("gw1", "dc1")]
+    broken = replace(mini, topology=Topology(nodes, tree, dc))
+    assert validate_bundle(broken) == [
+        ("duplicate id", "dc2"),
+        ("missing parent", "gw9"),
+        ("unknown parent", "cam8"),
+        ("parent-layer mismatch", "cam9"),
+        ("unexpected parent", "dc9"),
+        ("invalid capacity", "gw8"),
+        ("invalid cost rate", "gw8"),
+        ("invalid speed", "gw8"),
+        ("invalid location", "gw8"),
+        ("duplicate link", "cam1->gw1"),
+        ("unknown endpoint", "ghost->gw1"),
+        ("invalid link value", "cam9->gw1"),
+        ("link-parent mismatch", "cam9->gw1"),
+        ("missing uplink", "gw8"),
+        ("invalid dc link", "gw1->dc1"),
+        ("edge without DC", "edge3"),
+        ("edge without DC", "edge9"),
+    ]
+
+    analyze, detect = mini.pipeline.stages
+    slots = (Slot.explicit(["cam1"]), Slot.at(math.nan, 0.0), Slot.explicit(["gw1", "ghost"]))
+    broken = replace(
+        mini, pipeline=Pipeline((analyze, replace(detect, reduction=0.0)), aggregation_index=4),
+        scenario=Scenario(slot_seconds=0.0, slots=slots, source_rate_mbps=math.inf, seed=-1),
+        budget=-1.0, solver={"kind": "fast", "seed": -1, "time_budget_ms": "1", "zeta": 0,
+                             "alpha": 1})
+    assert validate_bundle(broken) == [
+        ("invalid aggregation index", "4"),
+        ("invalid stage value", "detect"),
+        ("invalid scenario value", "slot_seconds"),
+        ("invalid scenario value", "source_rate_mbps"),
+        ("invalid scenario value", "seed"),
+        ("invalid scenario value", "target"),
+        ("unknown device", "ghost"),
+        ("unknown device", "gw1"),
+        ("invalid budget", "-1.0"),
+        ("invalid solver value", "kind"),
+        ("invalid solver value", "time_budget_ms"),
+        ("invalid solver value", "seed"),
+        ("invalid solver value", "alpha"),
+        ("invalid solver value", "zeta"),
+    ]
+
+
+def test_layer_lists_each_tier_in_id_order():
+    nodes = [Node("dc2", Layer.CLOUD), Node("gw2", Layer.GATEWAY, parent="e1"),
+             Node("cam2", Layer.DEVICE, parent="gw1"), Node("dc1", Layer.CLOUD),
+             Node("gw1", Layer.GATEWAY, parent="e1"), Node("cam10", Layer.DEVICE, parent="gw2")]
+    t = Topology(nodes)  # no edge tier
+    for layer in Layer:
+        expected = tuple(sorted((n for n in nodes if n.layer == layer), key=lambda n: n.id))
+        assert t.layer(layer) == expected and type(t.layer(layer)) is tuple
+        assert t.layer(layer) is t.layer(layer)
+    assert [n.id for n in t.layer(Layer.DEVICE)] == ["cam10", "cam2"]
+    assert t.layer(Layer.EDGE) == ()
 
 
 def test_route_to_each_dc(mini):
