@@ -24,7 +24,7 @@ placement-independent counts, and `simulator.simulate` is the slot-by-slot
 replay it is tested against. `compile_instance` derives those counts and each
 stage's per-stream rate and CPU load once per problem into an `Instance`. It keeps
 one per live topology, for the last pipeline and scenario compiled against it, by
-identity, so none of the three may be mutated after first use; the Instance is freed
+identity, which holds because none of the three can be changed; the Instance is freed
 with its topology. Both read its per-sink device rows, which `Instance.paths` checks
 against the plan on every call, and `_stream_terms`, and each adds up in its own way;
 the evaluator alone keeps the terms that all predeploy sets and allocs share.

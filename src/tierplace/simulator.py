@@ -67,11 +67,11 @@ class TimeSeriesReport:
 
 
 def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> TimeSeriesReport:
-    """Replay every slot in order, accruing realized costs and latencies: what one stream
-    of each active device adds in any slot is computed once per call, then added up slot
-    by slot, stream by stream, never multiplied by how often a device is active. The summary
-    is read off the slot records: its totals and latency statistics in slot then device order,
-    its violations from the peak CPU of each node, merged demand and load of each capped link."""
+    """Replay every slot in order: what one stream of each active device adds in any slot
+    (per-link GB and network cost, load per capped link, host CPU and usage cost, latency)
+    is computed once per call, then added up slot by slot, stream by stream, never multiplied.
+    The summary is read off the slot records: its totals and latency statistics in slot then
+    device order, its violations from the peak CPU of each node, merged demand and capped load."""
     plan = resolve_placement(topology, spec.pipeline, placement)
     instance = compile_instance(topology, spec)
     routes = instance.paths(plan)
@@ -79,32 +79,33 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
     share, link_rates, link_gbs, stage_rows, merged_ms = _stream_terms(instance, plan)
     merged_rate = instance.rates[pre_count]
 
-    caps = {}  # link key -> bandwidth
-    terms = {}  # device -> (gateway, latency without penalty, link terms, host terms)
+    caps = {}  # capped link key -> bandwidth
+    terms = {}  # device -> (gateway, latency without penalty, link terms, capped links, hosts)
     for device_id, row in routes.items():  # loops, not comprehensions: fewer calls
-        links, hosts, latency = [], [], row[14]
+        links, capped, hosts, latency = [], [], [], row[14]
         for li in range(3):
-            key, gb = row[5 + li], link_gbs[li]
-            caps[key] = row[11 + li]
-            links.append((key, gb, link_rates[li], gb * row[8 + li]))
+            key, gb, bandwidth = row[5 + li], link_gbs[li], row[11 + li]
+            links.append((key, gb, gb * row[8 + li]))
+            if bandwidth is not None:  # only a capped link's load reaches the verdict
+                caps[key] = bandwidth
+                capped.append((key, link_rates[li]))
         for position, used, base_ms in stage_rows:
             if used != 0.0:
                 hosts.append((row[1 + position], used, used * row[15 + position] * share))
             latency += base_ms / row[19 + position]
         for ms in merged_ms:
             latency += ms
-        terms[device_id] = row[2], latency, links, hosts
+        terms[device_id] = row[2], latency, links, capped, hosts
 
-    dispatched: set[str] = set()
+    pending = {row[2] for row in routes.values()} - plan.predeploy if plan.gateway_stages else set()
     records: list[SlotRecord] = []
     peak_cpu: dict[str, float] = {}
     peak_load: dict[str, float] = {}  # capped link key -> peak load
     peak_demand = 0.0  # merged stages' CPU on the aggregation host
 
     for slot_index, active in enumerate(instance.streams):
-        dispatching = ({terms[d][0] for d in active} - plan.predeploy - dispatched
-                       if plan.gateway_stages else set())
-        dispatched |= dispatching
+        dispatching = pending.intersection([terms[d][0] for d in active]) if pending else ()
+        pending.difference_update(dispatching)  # a gateway dispatches in its first slot only
 
         link_gb: dict[str, float] = {}
         link_load: dict[str, float] = {}
@@ -114,10 +115,11 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
         slot_server = 0.0
         merged = 0.0
         for device_id in active:
-            gateway, latency, links, hosts = terms[device_id]
-            for key, gb, rate, cost in links:
+            gateway, latency, links, capped, hosts = terms[device_id]
+            for key, gb, cost in links:
                 slot_network += cost
                 link_gb[key] = link_gb.get(key, 0.0) + gb
+            for key, rate in capped:
                 link_load[key] = link_load.get(key, 0.0) + rate
             for host_id, used, cost in hosts:
                 node_cpu[host_id] = node_cpu.get(host_id, 0.0) + used
@@ -142,25 +144,15 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
                 events.append((gateway, stages[k].name))
                 slot_dispatch += stages[k].dispatch_cost
 
-        for node_id, used in node_cpu.items():
-            peak_cpu[node_id] = max(peak_cpu.get(node_id, 0.0), used)
+        for node_id, used in node_cpu.items():  # every load is >= 0: a first slot inserts
+            if used > peak_cpu.get(node_id, -1.0):
+                peak_cpu[node_id] = used
         for key, load in link_load.items():
-            if caps[key] is not None:
-                peak_load[key] = max(peak_load.get(key, 0.0), load)
+            if load > peak_load.get(key, -1.0):
+                peak_load[key] = load
 
-        records.append(
-            SlotRecord(
-                index=slot_index,
-                active=tuple(active),
-                link_traffic_gb=link_gb,
-                node_cpu=node_cpu,
-                dispatches=tuple(events),
-                network_cost=slot_network,
-                server_cost=slot_server,
-                dispatch_cost=slot_dispatch,
-                stream_latency_ms=stream_latency,
-            )
-        )
+        records.append(SlotRecord(slot_index, active, link_gb, node_cpu, tuple(events),
+                                  slot_network, slot_server, slot_dispatch, stream_latency))
 
     # (kind, id, peak, limit); rounding is monotone, so a peak's excess is the worst slot's.
     limits = [("cpu_capacity", node_id, peak, topology.node(node_id).capacity_cpu)

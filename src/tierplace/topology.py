@@ -4,18 +4,19 @@ edges, edges linked to cloud data centers.
 Containment below the edge tier is a forest (one gateway per device, one
 edge per gateway); the only routing freedom is which data center an edge
 talks to. All types are immutable and all queries are pure, so a topology
-can be shared freely across threads. A `Topology` must not be mutated after
-its first use: `cost_model` memoizes derived data keyed by its identity, and
-frees it when the topology is freed.
+can be shared freely across threads. A `Topology` cannot be changed once built,
+which `cost_model` relies on: it memoizes derived data keyed by a topology's
+identity, and frees it when the topology is freed.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from enum import IntEnum
+from types import MappingProxyType
 
 __all__ = [
     "Layer",
@@ -100,7 +101,7 @@ class Topology:
 
     Raw construction lists are kept alongside the lookup tables so that
     validate_topology can report duplicates instead of silently collapsing
-    them. `layer` answers every tier query. Treat instances as immutable.
+    them. `layer` answers every tier query. An instance cannot be changed.
     """
 
     def __init__(
@@ -112,13 +113,21 @@ class Topology:
         self.node_list: tuple[Node, ...] = tuple(nodes)
         self.tree_link_list: tuple[Link, ...] = tuple(tree_links)
         self.dc_link_list: tuple[Link, ...] = tuple(dc_links)
-        self.nodes: dict[str, Node] = {n.id: n for n in self.node_list}
-        self._uplink: dict[str, Link] = {l.src: l for l in self.tree_link_list}
-        self._dc: dict[tuple[str, str], Link] = {
-            (l.src, l.dst): l for l in self.dc_link_list
-        }
+        self.nodes: Mapping[str, Node] = MappingProxyType({n.id: n for n in self.node_list})
+        self._uplink: Mapping[str, Link] = MappingProxyType({l.src: l for l in self.tree_link_list})
+        self._dc: Mapping[tuple[str, str], Link] = MappingProxyType({
+            (l.src, l.dst): l for l in self.dc_link_list})
         ordered = sorted(self.nodes.values(), key=lambda n: n.id)
-        self._layers = {layer: tuple(n for n in ordered if n.layer == layer) for layer in Layer}
+        self._layers: Mapping[Layer, tuple[Node, ...]] = MappingProxyType(
+            {layer: tuple(n for n in ordered if n.layer == layer) for layer in Layer})
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if hasattr(self, "_layers"):  # bound last in __init__
+            raise AttributeError(f"a Topology cannot be changed: cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"a Topology cannot be changed: cannot delete {name!r}")
 
     def node(self, node_id: str) -> Node:
         try:

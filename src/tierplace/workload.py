@@ -85,8 +85,7 @@ class Slot:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Like a `Topology`, must not be mutated after first use: `cost_model`
-    memoizes derived data keyed by its identity."""
+    """Frozen, like a `Topology`: `cost_model` memoizes derived data keyed by its identity."""
 
     slot_seconds: float
     slots: tuple[Slot, ...]

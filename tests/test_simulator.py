@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -26,13 +27,14 @@ from tierplace import (
     derive_active_streams,
     evaluate,
     mini_bundle,
+    route,
     simulate,
     summarize,
     validate_bundle,
 )
 from tierplace import cost_model
 from tierplace.bundle import bundle_from_json, bundle_to_json
-from tierplace.cost_model import compile_instance, resolve_placement
+from tierplace.cost_model import _total, compile_instance, resolve_placement
 from _instances import (
     _huge_link_prices,
     _huge_stage_latency,
@@ -343,6 +345,84 @@ def test_summary_peaks_and_cpu_violations_are_read_off_the_records():
                 replays += 1
                 over += len(cpu)
     assert replays >= 250 and over >= 1000
+
+
+def test_bandwidth_violations_are_read_off_capped_links_only():
+    """On crowded slots each `bandwidth` violation names a capped link, and each capped link
+    whose busiest slot's load, added up stream by stream along `route`, is over its bandwidth
+    has exactly one, of that load minus the bandwidth."""
+    replays = over = 0
+    for seed in range(24):
+        topology, spec = _crowded_instance(seed)
+        instance = compile_instance(topology, spec)
+        links = {link.key: link for link in topology.tree_link_list + topology.dc_link_list}
+        pre, stage_count = spec.pipeline.pre_count, len(spec.pipeline.stages)
+        for agg, sink in candidate_termini(topology, spec):
+            top = topology.node(agg).layer if agg else Layer.CLOUD
+            for layer in list(Layer)[:top + 1]:
+                placement = Placement((layer,) * pre, agg, sink,
+                                      alloc=instance.min_reservation if agg else 0)
+                report = simulate(topology, spec, placement)
+                # A stream crosses route link i at its rate into the first stage hosted above i.
+                rates = [instance.rates[pre * (layer <= i) + (stage_count - pre) * (top <= i)]
+                         for i in range(3)]
+                most: dict[tuple[int, str], int] = {}  # (route index, key) -> streams in a slot
+                for active in instance.streams:
+                    through = Counter((i, link.key) for d in active
+                                      for i, link in enumerate(route(topology, d, sink).links))
+                    for link, n in through.items():
+                        most[link] = max(n, most.get(link, 0))
+                expected = {}
+                for (i, key), n in most.items():
+                    load, bandwidth = _total((rates[i],) * n), links[key].bandwidth_mbps
+                    if bandwidth is not None and load > bandwidth:
+                        expected[key] = load - bandwidth
+                seen = [v for v in report.violations if v.kind == "bandwidth"]
+                assert all(links[v.ident].bandwidth_mbps is not None for v in seen)
+                assert {v.ident: v.magnitude for v in seen} == expected
+                assert len(seen) == len(expected)
+                replays += 1
+                over += len(seen)
+    assert replays >= 250 and over >= 400
+
+
+def test_each_record_dispatches_exactly_the_gateways_new_to_it():
+    """A record dispatches, once per gateway-tier stage and in gateway id order, the gateways
+    of its active devices that are neither pre-installed nor served in an earlier slot, and
+    exactly their streams pay the penalty. With every visited gateway pre-installed, no
+    record dispatches."""
+    rng = random.Random(17)
+    dispatched = preinstalled = repeated = 0
+    for seed in range(20):
+        topology, spec = random_instance(seed)
+        for _ in range(4):
+            placement = random_placement(topology, spec, rng)
+            stages = spec.pipeline.stages
+            gateway_stages = [k for k, layer in enumerate(placement.layer_of)
+                              if layer == Layer.GATEWAY]
+            penalty = _total([stages[k].dispatch_penalty_ms for k in gateway_stages])
+            report = simulate(topology, spec, placement)
+            gateway_of = {d: topology.nodes[d].parent for r in report.records for d in r.active}
+            visited = frozenset(gateway_of.values())
+            everywhere = visited if gateway_stages else frozenset()
+            quiet = simulate(topology, spec, replace(placement, predeploy=everywhere))
+            assert all(record.dispatches == () for record in quiet.records)
+            base = {d: ms for record in quiet.records for d, ms in record.stream_latency_ms.items()}
+            served: set[str] = set()
+            for record in report.records:
+                here = {gateway_of[d] for d in record.active}
+                new = sorted(here - placement.predeploy - served) if gateway_stages else []
+                assert record.dispatches == tuple((g, stages[k].name) for g in new
+                                                  for k in gateway_stages)
+                for d in record.active:
+                    expected = base[d] + penalty if gateway_of[d] in new else base[d]
+                    assert record.stream_latency_ms[d] == expected
+                if gateway_stages:
+                    dispatched += len(new)
+                    preinstalled += len(here & placement.predeploy)
+                    repeated += len(here & served - placement.predeploy)
+                served |= here
+    assert dispatched >= 30 and preinstalled >= 40 and repeated >= 15
 
 
 def test_peaks_round_like_the_replay_at_an_exact_boundary():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import fields, replace
 
 import pytest
@@ -16,6 +17,7 @@ from tierplace import (
     Slot,
     Topology,
     TopologyError,
+    evaluate,
     nearest_device,
     route,
     validate_bundle,
@@ -265,3 +267,35 @@ def test_nearest_device_translation_invariant(coords, target, shift):
 def test_node_lookup_errors(mini):
     with pytest.raises(TopologyError, match="unknown node"):
         mini.topology.node("nope")
+
+
+def test_a_compiled_topology_cannot_be_changed(mini, mini_spec, p3):
+    """Every way of changing a topology that `cost_model` has compiled raises, and leaves
+    `evaluate` answering as a topology built afresh from the same lists does."""
+    topology = mini.topology
+    before = evaluate(topology, mini_spec, p3)
+    pricey = replace(topology.nodes["gw1"], cpu_cost_rate=1e6)
+    uplink, dc_link = topology.uplink("gw1"), topology.dc_link("edge1", "dc1")
+    tables = {"nodes": ("gw1", pricey), "_uplink": ("gw1", replace(uplink, latency_ms=1e6)),
+              "_dc": (("edge1", "dc1"), replace(dc_link, latency_ms=1e6)),
+              "_layers": (Layer.GATEWAY, ())}
+    for name, (key, value) in tables.items():
+        table = getattr(topology, name)
+        with pytest.raises(TypeError):
+            table[key] = value
+        with pytest.raises(TypeError):
+            del table[key]
+        for method, args in (("update", ({key: value},)), ("pop", (key,)), ("clear", ()),
+                             ("setdefault", (key, value)), ("popitem", ())):
+            with pytest.raises(AttributeError):
+                getattr(table, method)(*args)
+    for name in ("node_list", "tree_link_list", "dc_link_list", *tables, "node", "added"):
+        with pytest.raises(AttributeError, match="cannot be changed"):
+            setattr(topology, name, {})
+        with pytest.raises(AttributeError, match="cannot be changed"):
+            delattr(topology, name)
+    with pytest.raises(AttributeError, match="cannot be changed"):
+        topology.node_list += (pricey,)
+    rebuilt = Topology(topology.node_list, topology.tree_link_list, topology.dc_link_list)
+    assert evaluate(topology, mini_spec, p3) == before == evaluate(rebuilt, mini_spec, p3)
+    assert weakref.ref(topology)() is topology  # `cost_model` keys its memo by weak reference
