@@ -33,8 +33,10 @@ from .workload import ServiceSpec, derive_active_streams  # noqa: F401
 __all__ = ["SlotRecord", "TimeSeriesReport", "simulate", "summarize"]
 
 
-@dataclass(frozen=True)
+@dataclass
 class SlotRecord:
+    """Plain data that each replay builds fresh and shares with nothing; its dicts were always
+    mutable. The summary is read off the records as the replay ends: later edits don't move it."""
     index: int
     active: tuple[str, ...]
     link_traffic_gb: dict[str, float]
@@ -78,6 +80,8 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
     stages, pre_count = spec.pipeline.stages, spec.pipeline.pre_count
     share, link_rates, link_gbs, stage_rows, merged_ms = _stream_terms(instance, plan)
     merged_rate = instance.rates[pre_count]
+    merged_stages = [(stage.cpu_per_unit, stage.reduction) for stage in stages[pre_count:]]
+    gateway_stages = [stages[k] for k in plan.gateway_stages]
 
     caps = {}  # capped link key -> bandwidth
     terms = {}  # device -> (gateway, latency without penalty, link terms, capped links, hosts)
@@ -105,7 +109,6 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
 
     for slot_index, active in enumerate(instance.streams):
         dispatching = pending.intersection([terms[d][0] for d in active]) if pending else ()
-        pending.difference_update(dispatching)  # a gateway dispatches in its first slot only
 
         link_gb: dict[str, float] = {}
         link_load: dict[str, float] = {}
@@ -131,18 +134,18 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
 
         if plan.agg_id is not None and active:
             agg_usage, rate_in = 0.0, merged
-            for k in range(pre_count, len(stages)):
-                agg_usage += stages[k].cpu_per_unit * rate_in
-                rate_in *= stages[k].reduction
+            for cpu_per_unit, reduction in merged_stages:
+                agg_usage += cpu_per_unit * rate_in
+                rate_in *= reduction
             if agg_usage != 0.0:
                 node_cpu[plan.agg_id] = node_cpu.get(plan.agg_id, 0.0) + agg_usage
                 peak_demand = max(peak_demand, agg_usage)
 
-        events, slot_dispatch = [], 0.0
-        for gateway in sorted(dispatching):
-            for k in plan.gateway_stages:
-                events.append((gateway, stages[k].name))
-                slot_dispatch += stages[k].dispatch_cost
+        events, slot_dispatch = (), 0.0
+        if dispatching:
+            pending -= dispatching  # a gateway dispatches in its first slot only
+            events = tuple((g, s.name) for g in sorted(dispatching) for s in gateway_stages)
+            slot_dispatch = _total([s.dispatch_cost for s in gateway_stages] * len(dispatching))
 
         for node_id, used in node_cpu.items():  # every load is >= 0: a first slot inserts
             if used > peak_cpu.get(node_id, -1.0):
@@ -151,7 +154,7 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
             if load > peak_load.get(key, -1.0):
                 peak_load[key] = load
 
-        records.append(SlotRecord(slot_index, active, link_gb, node_cpu, tuple(events),
+        records.append(SlotRecord(slot_index, active, link_gb, node_cpu, events,
                                   slot_network, slot_server, slot_dispatch, stream_latency))
 
     # (kind, id, peak, limit); rounding is monotone, so a peak's excess is the worst slot's.

@@ -24,6 +24,7 @@ from tierplace import (
     simulate,
     summarize,
 )
+from tierplace.cost_model import _total
 from _instances import (
     random_instance,
     random_placement,
@@ -191,6 +192,27 @@ def test_merged_demand_uses_each_merged_stages_input_rate():
     for report in (evaluate(topology, spec, tight), summarize(simulate(topology, spec, tight))):
         assert report.peak_cpu == {"edge1": 7.5}
         assert report.violations == (Violation("alloc", "edge1", 0.5),)
+
+
+def test_each_slots_merged_demand_adds_each_merged_stages_input_rate():
+    """Bit for bit, per record: each slot's streams into the aggregation host are added one by
+    one, then each merged stage draws its CPU on its input rate; an idle slot draws none."""
+    topology, spec, placement = _edge_aggregation_instance()
+    slots = (Slot.explicit(["cam1", "cam2"]), Slot.explicit([]), Slot.explicit(["cam1"]))
+    spec = replace(spec, scenario=replace(spec.scenario, slots=slots))
+    merged = spec.pipeline.stages[spec.pipeline.pre_count:]
+    rate = 40.0 * 0.5  # one stream after "pre"
+    records = simulate(topology, spec, placement).records
+    for record in records:
+        if not record.active:
+            assert "edge1" not in record.node_cpu
+            continue
+        demand, rate_in = 0.0, _total((rate,) * len(record.active))
+        for stage in merged:
+            demand += stage.cpu_per_unit * rate_in
+            rate_in *= stage.reduction
+        assert record.node_cpu["edge1"] == demand
+    assert [record.node_cpu.get("edge1") for record in records] == [7.5, None, 3.75]
 
 
 @pytest.mark.parametrize("alpha", [0.5, 3.0, 10.0])

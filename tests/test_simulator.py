@@ -178,6 +178,32 @@ def test_agreement_on_random_pairs():
         assert reports_close(summary, direct)
 
 
+def test_replays_share_no_records(mini, mini_spec, p1, p2, p3):
+    """Each replay builds its records and their dicts fresh: clearing one replay's dicts
+    changes neither another replay's records nor any summary, its own included."""
+    rng = random.Random(17)
+    cases = [(mini.topology, mini_spec, placement) for placement in (p1, p2, p3)]
+    for seed in range(10):
+        topology, spec = random_instance(seed)
+        cases.append((topology, spec, random_placement(topology, spec, rng)))
+    fields = ("link_traffic_gb", "node_cpu", "stream_latency_ms")
+    cleared = 0
+    for topology, spec, placement in cases:
+        first, second = (simulate(topology, spec, placement) for _ in range(2))
+        assert len(first.records) == len(second.records) > 0
+        for a, b in zip(first.records, second.records):
+            assert a is not b
+            assert all(getattr(a, field) is not getattr(b, field) for field in fields)
+        for record in first.records:
+            for field in fields:
+                cleared += bool(getattr(record, field))
+                getattr(record, field).clear()
+        fresh = simulate(topology, spec, placement)
+        assert second.records == fresh.records
+        assert second.summary == fresh.summary == first.summary
+    assert cleared >= 100
+
+
 def test_replay_uses_neither_the_closed_form_nor_its_memos(monkeypatch):
     """On a cold instance the replay gives the same report with the evaluator and its
     shared terms made to raise, and leaves the evaluator's memos empty."""
