@@ -293,10 +293,9 @@ class Instance:
     @cached_property
     def peak_streams(self) -> dict[str, int]:
         """Node id -> most streams through it in one slot; each DC gets the busiest slot."""
-        parts, peak = self._to_edge, {}
+        parts, peak = self._to_edge, dict.fromkeys(self.activations, 1)  # a device: 1 a slot
         for active in self.streams:
-            through = Counter(active)
-            through.update([node for d in active if (part := parts[d]) for node in part[2:4]])
+            through = Counter([node for d in active if (part := parts[d]) for node in part[2:4]])
             for node_id, count in through.items():
                 if count > peak.get(node_id, 0):
                     peak[node_id] = count

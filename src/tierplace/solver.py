@@ -86,10 +86,10 @@ def _before(score: tuple, placement: Placement, kept: tuple | None) -> bool:
 
 
 class _Best:
-    """Score search states for a solver: `score` is the only place in this module
-    where a state becomes a placement and is evaluated, and where a valid state is
-    offered. Keeps the best feasible in-budget state, the least-violating fallback
-    and how many valid states it was offered."""
+    """Score search states for a solver: `score` is the only place in this module where a
+    state becomes a placement and is evaluated, and where a new valid state is offered.
+    Keeps the best feasible in-budget state, the least-violating fallback and `offers`,
+    the valid states offered, to which anneal adds its walk's revisits of valid states."""
 
     def __init__(self, topology: Topology, spec: ServiceSpec, deadline: float = math.inf) -> None:
         self.topology = topology
@@ -99,7 +99,6 @@ class _Best:
         self.best: tuple | None = None
         self.fallback: tuple | None = None
         self.offers = 0
-        self.energies: dict[tuple, float | None] = {}  # state -> energy, None if invalid
 
     def score(
         self,
@@ -140,19 +139,6 @@ class _Best:
         elif self.best is None and _before((violation,), placement, self.fallback):
             self.fallback = ((violation,), placement, report)
         return placement, report, violation
-
-    def energy(self, state: tuple) -> float:
-        """Anneal's energy of a state: mean latency plus PENALTY times its violation, inf
-        when invalid. A state this tracker has scored before costs a lookup in `energies`
-        and one more offer, which cannot change best or fallback."""
-        known = self.energies.get(state, False)
-        if known is False:
-            scored = self.score(*state)
-            known = None if scored is None else scored[1].mean_latency_ms + PENALTY * scored[2]
-            self.energies[state] = known
-        elif known is not None:
-            self.offers += 1
-        return math.inf if known is None else known
 
     def solution(self, kind: str, start: float, states: int) -> Solution:
         elapsed_ms = (time.monotonic() - start) * 1000.0
@@ -323,28 +309,36 @@ def solve_greedy(
     return tracker.solution("greedy", start, tracker.offers)
 
 
-def _proposer(draw, termini: list, tops: dict, visited: list[str], pre_count: int):
-    """Anneal's move, `propose(state)`: up to 8 tries of a random move, returning the
-    first new state, else None. A move puts stage k one tier down or up (keeping the
-    vector monotone and under the terminus's top), changes the terminus (clamping
-    stages to its top), or, while a stage sits on the gateway tier, toggles a visited
-    gateway in the predeploy set, which is empty otherwise. Draws are `randrange`'s:
-    n.bit_length() bits of `draw` (a Random's getrandbits) until one is below n.
-    Each state's successors sit in a table as long-lived as the proposer: 2*pre_count
-    slots for stage moves, one per terminus, then one per gateway (added on the state's
-    first gateway move), each filled on its first draw with the new state or None."""
+def _proposer(draw, termini: list, tops: dict, visited: list[str], pre_count: int, start: tuple):
+    """Anneal's move over numbered states, (propose, states, energies): `propose(i)` makes up
+    to 8 tries of a random move from state i and returns the first new state's number, else
+    None. A move puts stage k one tier down or up (keeping the vector monotone and under the
+    terminus's top), changes the terminus (clamping stages to its top), or, while a stage sits
+    on the gateway tier, toggles a visited gateway in the predeploy set, empty otherwise.
+    Draws are `randrange`'s: n.bit_length() bits of `draw` (a Random's getrandbits) until one
+    is below n. A state is numbered when first proposed (`start` is 0); `energies[i]` is False
+    until the walk scores `states[i]`. Its slots, 2*pre_count stage moves, one per terminus,
+    then one per gateway from its first gateway move, get a number or None on first draw."""
     gateway_tier = Layer.GATEWAY  # a local: enum attribute lookups are slow
     n_termini, n_gateways = len(termini), len(visited)
     k_bits, t_bits, g_bits = map(int.bit_length, (pre_count, n_termini, n_gateways))
     first_terminus = 2 * pre_count
     first_gateway = first_terminus + n_termini
     gateway_slots = [False] * n_gateways
-    successors: dict[tuple, list] = {}
+    ids, states, energies, successors = {}, [], [], []  # state -> number; the rest by number
 
-    def successor(state, slot: int) -> tuple | None:
+    def number(state: tuple) -> int:
+        i = ids.setdefault(state, len(states))
+        if i == len(states):
+            states.append(state)
+            energies.append(False)
+            successors.append([False] * first_gateway)
+        return i
+
+    def successor(state, slot: int) -> int | None:
         vector, terminus, predeploy = state
         if slot >= first_gateway:
-            return vector, terminus, predeploy ^ {visited[slot - first_gateway]}
+            return number((vector, terminus, predeploy ^ {visited[slot - first_gateway]}))
         if slot >= first_terminus:
             new_terminus = termini[slot - first_terminus]
             if new_terminus == terminus:
@@ -357,12 +351,11 @@ def _proposer(draw, termini: list, tops: dict, visited: list[str], pre_count: in
             if not (vector[k - 1] if k else 0) <= level <= high:
                 return None
             new_vector, new_terminus = vector[:k] + (_LAYERS[level],) + vector[k + 1:], terminus
-        return new_vector, new_terminus, predeploy if gateway_tier in new_vector else frozenset()
+        empty = gateway_tier not in new_vector
+        return number((new_vector, new_terminus, frozenset() if empty else predeploy))
 
-    def propose(state):
-        slots = successors.get(state)
-        if slots is None:
-            slots = successors[state] = [False] * first_gateway
+    def propose(i: int) -> int | None:
+        slots = successors[i]
         for _ in range(8):
             while (move := draw(2)) == 3:
                 pass
@@ -376,7 +369,7 @@ def _proposer(draw, termini: list, tops: dict, visited: list[str], pre_count: in
                 while (slot := draw(t_bits)) >= n_termini:
                     pass
                 slot += first_terminus
-            elif move == 2 and n_gateways and gateway_tier in state[0]:
+            elif move == 2 and n_gateways and gateway_tier in states[i][0]:
                 while (slot := draw(g_bits)) >= n_gateways:
                     pass
                 if len(slots) == first_gateway:
@@ -384,14 +377,15 @@ def _proposer(draw, termini: list, tops: dict, visited: list[str], pre_count: in
                 slot += first_gateway
             else:
                 continue
-            new_state = slots[slot]
-            if new_state is False:
-                new_state = slots[slot] = successor(state, slot)
-            if new_state is not None:
-                return new_state
+            new = slots[slot]
+            if new is False:
+                new = slots[slot] = successor(states[i], slot)
+            if new is not None:
+                return new
         return None
 
-    return propose
+    number(start)
+    return propose, states, energies
 
 
 def solve_anneal(
@@ -399,15 +393,14 @@ def solve_anneal(
 ) -> Solution:
     """Simulated annealing over (layer vector, terminus, predeploy set).
 
-    Energy is mean latency plus PENALTY times the sum of the budget
-    excess and all capacity/bandwidth violation magnitudes, so the walk may
-    cross infeasible regions; the returned state is the best strictly
-    feasible in-budget one seen. The walk starts from the greedy
-    construction (a deterministic warm start) at a temperature calibrated
-    from 16 probe moves, cools geometrically, and stops at the temperature
-    floor or the wall-clock budget, which cuts the warm start and the probes
-    short too. A revisited state costs a lookup of its energy in this solve's
-    tracker and one more offer. With a fixed seed the run is fully
+    Energy is mean latency plus PENALTY times the sum of the budget excess and all
+    capacity/bandwidth violation magnitudes, so the walk may cross infeasible regions; the
+    returned state is the best strictly feasible in-budget one seen. The walk starts from
+    the greedy construction (a deterministic warm start) at a temperature calibrated from
+    16 probe moves, cools geometrically, and stops at the temperature floor or the
+    wall-clock budget, which cuts the warm start and the probes short too. It carries
+    state numbers (`_proposer`), so a revisited state costs one read of this solve's
+    energy list and, when valid, one more offer. With a fixed seed the run is fully
     deterministic whenever the schedule completes inside the time budget.
     """
     cfg = cfg or SolverConfig(kind="anneal")
@@ -417,39 +410,47 @@ def solve_anneal(
     tracker = _Best(topology, spec)
     termini = candidate_termini(topology, spec)
     tops = {terminus: _top(topology, terminus[0]) for terminus in termini}
-    visited = sorted(tracker.instance.first_touch)
-    propose = _proposer(rng.getrandbits, termini, tops, visited, spec.pipeline.pre_count)
-
     warm = solve_greedy(topology, spec, deadline=deadline).placement
-    state = (warm.layer_of, (warm.agg_node, warm.sink_dc), warm.predeploy)
-    current_energy = tracker.energy(state)
+    propose, states, energies = _proposer(
+        rng.getrandbits, termini, tops, sorted(tracker.instance.first_touch),
+        spec.pipeline.pre_count, (warm.layer_of, (warm.agg_node, warm.sink_dc), warm.predeploy))
+    monotonic, uniform, exp, inf = time.monotonic, rng.random, math.exp, math.inf  # read per step
 
+    def energy(i: int) -> float:  # scored on the first visit; a valid revisit is an offer
+        known = energies[i]
+        if known is False:
+            scored = tracker.score(*states[i])
+            known = inf if scored is None else scored[1].mean_latency_ms + PENALTY * scored[2]
+            energies[i] = known
+        elif known != inf:
+            tracker.offers += 1
+        return known
+
+    state, current_energy = 0, energy(0)
     deltas = []
     for _ in range(16):
-        if time.monotonic() >= deadline:
+        if monotonic() >= deadline:
             break
         probe = propose(state)
-        if probe is None:
-            continue
-        probe_energy = tracker.energy(probe)
-        if math.isfinite(probe_energy):
+        if probe is not None and (probe_energy := energy(probe)) < inf:
             deltas.append(abs(probe_energy - current_energy))
     temperature = max(2.0 * (_total(deltas) / len(deltas)), max(deltas), 1.0) if deltas else 1.0
     floor = temperature * 1e-3
 
-    while temperature > floor and time.monotonic() < deadline:
+    while temperature > floor and monotonic() < deadline:
         for _ in range(cfg.iters_per_temp):
-            if time.monotonic() >= deadline:
+            if monotonic() >= deadline:
                 break
             candidate = propose(state)
             if candidate is None:
                 continue
-            candidate_energy = tracker.energy(candidate)
+            candidate_energy = energies[candidate]  # energy(), inlined: most steps revisit
+            if candidate_energy is False:
+                candidate_energy = energy(candidate)
+            elif candidate_energy != inf:
+                tracker.offers += 1
             delta = candidate_energy - current_energy
-            if delta <= 0 or (
-                math.isfinite(delta)
-                and rng.random() < math.exp(-delta / temperature)
-            ):
+            if delta <= 0 or (delta < inf and uniform() < exp(-delta / temperature)):
                 state, current_energy = candidate, candidate_energy
         temperature *= cfg.cooling
 

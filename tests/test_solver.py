@@ -33,7 +33,7 @@ from tierplace import (
     solve_exhaustive,
     solve_greedy,
 )
-from tierplace.cost_model import compile_instance
+from tierplace.cost_model import _total, compile_instance
 from _instances import first_touch_by_parent, random_instance, reports_close, three_dc_instance
 
 
@@ -275,16 +275,17 @@ def test_anneal_stops_mid_temperature_at_its_deadline(monkeypatch):
     # The clock passes the deadline on the walk's third move, after the 16 probe moves:
     # the first temperature step stops there, 47 moves short, and the answer is the best
     # feasible in-budget state the anneal tracker was offered.
-    proposed, trackers = [], []
+    proposed, trackers, tables = [], [], []
     real_proposer, real_best = solver_module._proposer, solver_module._Best
 
     def counting_proposer(*args):
-        propose = real_proposer(*args)
+        propose, states, energies = real_proposer(*args)
+        tables.append((states, energies))
 
-        def counted(state):
-            proposed.append(state)
-            return propose(state)
-        return counted
+        def counted(i):
+            proposed.append(i)
+            return propose(i)
+        return counted, states, energies
 
     class Tracker(real_best):
         def __init__(self, *args):
@@ -299,8 +300,9 @@ def test_anneal_stops_mid_temperature_at_its_deadline(monkeypatch):
     solution = solve_anneal(topology, spec, SolverConfig(kind="anneal", seed=3))
     assert len(proposed) == 16 + 3
     tracker = trackers[0]  # anneal's own; the greedy warm start builds the second
-    offered = [tracker.instance.scored[state] for state, energy in tracker.energies.items()
-               if energy is not None]
+    states, energies = tables[0]
+    offered = [tracker.instance.scored[states[i]] for i, energy in enumerate(energies)
+               if energy is not False and energy < math.inf]
     within = [(r.mean_latency_ms, r.total_cost, p.encode()) for p, r, _ in offered
               if r.feasible and r.total_cost <= spec.budget]
     assert not solution.best_effort
@@ -345,9 +347,10 @@ def _single_dc(topology):
 
 
 def test_proposer_moves_and_draws_like_randrange_and_choice():
-    """In lockstep with the reference, anneal's proposer returns the same state or None
-    at every step of a seeded walk that revisits states, and leaves its Random in the
-    same state: the successor table and the inline draws change no seeded walk."""
+    """In lockstep with the reference, anneal's proposer returns the number of the same
+    state, or None, at every step of a seeded walk that revisits states, and leaves its
+    Random in the same state: the numbering, the successor table and the inline draws
+    change no seeded walk."""
     cases = [random_instance(seed) for seed in range(10)]
     cases += [three_dc_instance(seed, active_edges=1) for seed in range(2)]
     topology, spec = random_instance(4)  # two per-stream stages and a merged one
@@ -368,19 +371,105 @@ def test_proposer_moves_and_draws_like_randrange_and_choice():
         seen["no stage"] += pre == 0
         for seed in (1, 7):
             ours, theirs, walk = random.Random(seed), random.Random(seed), random.Random(-seed)
-            propose = solver_module._proposer(ours.getrandbits, termini, tops, visited, pre)
+            state, i = ((tops[termini[0]],) * pre, termini[0], frozenset()), 0
+            propose, states, _ = solver_module._proposer(
+                ours.getrandbits, termini, tops, visited, pre, state)
             reference = _reference_proposer(theirs, termini, tops, visited)
-            state = ((tops[termini[0]],) * pre, termini[0], frozenset())
             for step in range(300):
-                expected = reference(state)
-                assert propose(state) == expected, (spec.pipeline, seed, step)
+                expected, proposed = reference(state), propose(i)
+                got = None if proposed is None else states[proposed]
+                assert got == expected, (spec.pipeline, seed, step)
                 if expected is None:
                     seen["none"] += 1
                 elif walk.random() < 0.5:
-                    state = expected
+                    state, i = expected, proposed
                     seen["predeploy"] += bool(state[2])
             assert ours.getstate() == theirs.getstate()
     assert all(seen.values()), seen
+
+
+def _reference_anneal(topology, spec, cfg, proposed):
+    """Anneal as first written, without a deadline: states are tuples, their energies sit
+    in a dict keyed by state, and moves come from `_reference_proposer`. Appends each
+    proposal (a state or None) to `proposed`."""
+    rng = random.Random(cfg.seed)
+    tracker = solver_module._Best(topology, spec)
+    termini = candidate_termini(topology, spec)
+    tops = {terminus: solver_module._top(topology, terminus[0]) for terminus in termini}
+    propose = _reference_proposer(rng, termini, tops, sorted(tracker.instance.first_touch))
+    energies = {}
+
+    def energy(state):
+        if state not in energies:
+            scored = tracker.score(*state)
+            energies[state] = None if scored is None else (
+                scored[1].mean_latency_ms + solver_module.PENALTY * scored[2])
+        elif energies[state] is not None:
+            tracker.offers += 1
+        return math.inf if energies[state] is None else energies[state]
+
+    warm = solve_greedy(topology, spec).placement
+    state = (warm.layer_of, (warm.agg_node, warm.sink_dc), warm.predeploy)
+    current = energy(state)
+    deltas = []
+    for _ in range(16):
+        proposed.append(probe := propose(state))
+        if probe is not None and math.isfinite(probe_energy := energy(probe)):
+            deltas.append(abs(probe_energy - current))
+    temperature = max(2.0 * (_total(deltas) / len(deltas)), max(deltas), 1.0) if deltas else 1.0
+    floor = temperature * 1e-3
+    while temperature > floor:
+        for _ in range(cfg.iters_per_temp):
+            proposed.append(candidate := propose(state))
+            if candidate is None:
+                continue
+            candidate_energy = energy(candidate)
+            delta = candidate_energy - current
+            if delta <= 0 or (
+                math.isfinite(delta) and rng.random() < math.exp(-delta / temperature)
+            ):
+                state, current = candidate, candidate_energy
+        temperature *= cfg.cooling
+    return tracker.solution("anneal", 0.0, tracker.offers)
+
+
+def test_anneal_walks_like_the_tuple_keyed_reference(monkeypatch):
+    """Seeded anneal, which numbers its states, proposes the same states in the same order
+    as the tuple-keyed reference walk and returns its placement, report, best-effort flag
+    and states_examined, under the default schedule and a short one, the latter also at a
+    fifth of the budget, where most answers are best effort."""
+    real_proposer, proposed = solver_module._proposer, []
+
+    def recording_proposer(*args):
+        propose, states, energies = real_proposer(*args)
+
+        def recorded(i):
+            new = propose(i)
+            proposed.append(None if new is None else states[new])
+            return new
+        return recorded, states, energies
+
+    monkeypatch.setattr(solver_module, "_proposer", recording_proposer)
+    cases = [random_instance(seed) for seed in range(10)] + [three_dc_instance(1)]
+    short = {"cooling": 0.8, "iters_per_temp": 10}
+    moves, best_effort = 0, 0
+    for index, (topology, generated) in enumerate(cases):
+        for factor, schedule in ((1.0, {}), (1.0, short), (0.2, short)):
+            spec = replace(generated, budget=generated.budget * factor)
+            cfg = SolverConfig(kind="anneal", seed=index, time_budget_ms=600000.0, **schedule)
+            expected_moves = []
+            expected = _reference_anneal(topology, spec, cfg, expected_moves)
+            proposed.clear()
+            solution = solve_anneal(topology, spec, cfg)
+            case = (index, factor, schedule)
+            assert proposed == expected_moves, case
+            assert (solution.placement, solution.report, solution.best_effort) == (
+                expected.placement, expected.report, expected.best_effort), case
+            assert solution.states_examined == expected.states_examined, case
+            moves += len(proposed)
+            best_effort += solution.best_effort
+    assert moves > 10 * 6000  # the default schedules ran to their temperature floors
+    assert best_effort >= 10
 
 
 def test_cold_anneal_scores_each_distinct_state_once(monkeypatch):
@@ -675,8 +764,8 @@ def test_choose_predeploy_is_the_per_vector_optimum():
 
 
 def test_states_examined_counts_returned_evaluations(monkeypatch):
-    real_score, real_energy = solver_module._Best.score, solver_module._Best.energy
-    returned, walked = [], []
+    real_score, real_proposer = solver_module._Best.score, solver_module._proposer
+    returned, walked, tables = [], [], []
 
     def counting_score(self, *args):
         scored = real_score(self, *args)
@@ -684,27 +773,34 @@ def test_states_examined_counts_returned_evaluations(monkeypatch):
             returned.append(scored)
         return scored
 
-    def counting_energy(self, state):
-        value = real_energy(self, state)
-        if math.isfinite(value):
-            walked.append(state)
-        return value
+    def recording_proposer(*args):
+        propose, states, energies = real_proposer(*args)
+        tables.append(energies)
+
+        def recorded(i):
+            new = propose(i)
+            walked.append(new)
+            return new
+        return recorded, states, energies
 
     monkeypatch.setattr(solver_module._Best, "score", counting_score)
-    monkeypatch.setattr(solver_module._Best, "energy", counting_energy)
+    monkeypatch.setattr(solver_module, "_proposer", recording_proposer)
     for seed in range(6):
         topology, spec = random_instance(seed)
         returned.clear()
         assert solve_greedy(topology, spec).states_examined == len(returned)
 
-        walked.clear()
+        walked[:] = [0]  # the warm start, scored before any move
         cfg = SolverConfig(
             kind="anneal", seed=seed, time_budget_ms=600000.0, cooling=0.8, iters_per_temp=10
         )
         solution = solve_anneal(topology, spec, cfg)
         # Every valid state of the walk counts, revisits included; the greedy
         # warm start's states, scored through `score`, do not.
-        assert solution.states_examined == len(walked)
+        energies = tables[-1]
+        valid = [i for i in walked if i is not None and energies[i] is not False
+                 and energies[i] < math.inf]
+        assert solution.states_examined == len(valid)
 
 
 def test_greedy_step_keeps_the_tied_trial_of_least_encoding(monkeypatch):
