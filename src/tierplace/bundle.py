@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, replace
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 from .cost_model import (
@@ -129,6 +131,30 @@ def _load(cls, data: dict):
     return cls(*args)  # positional: a keyword call from a dict costs more
 
 
+def _records(cls, items, field: str) -> list:
+    """A JSON array's records: column by column in `save_bundle`'s form (objects with exactly
+    the class's keys, values of their kept types or a null default, layer labels, float pairs),
+    else record by record through `_load`, which words the first error."""
+    codecs, items, columns = _FIELDS[cls], _list(items, field), []
+    if set(map(type, items)) == {dict} and set(map(len, items)) == {len(codecs)}:
+        try:
+            transposed = zip(*map(_GETTERS[cls], items))
+        except KeyError:  # another key in place of one of the class's
+            transposed = ()
+        for (name, default, kept, _, _), column in zip(codecs, transposed):
+            types = set(map(type, column))
+            points = [point for point in column if point is not None] if name == "location" else ()
+            if types <= {kept, type(default)}:
+                columns.append(column)
+            elif name == "layer" and types == {str} and _LAYERS.keys() >= set(column):
+                columns.append(list(map(_LAYERS.__getitem__, column)))
+            elif (types <= {list, type(None)} and set(map(len, points)) == {2}
+                  and set(map(type, chain.from_iterable(points))) == {float}):
+                columns.append([point and tuple(point) for point in column])
+    loaded = map(cls, *columns) if len(columns) == len(codecs) else map(_load, repeat(cls), items)
+    return list(loaded)
+
+
 def _slot_to_json(slot: Slot) -> dict:
     if slot.target is not None:
         return {"target": list(slot.target)}
@@ -183,6 +209,8 @@ _FIELDS = {
     for cls in (Node, Link, Stage, Pipeline, Scenario, Slot, Placement, CostReport)
 }
 _KEYS = {cls: frozenset(name for name, *_ in codecs) for cls, codecs in _FIELDS.items()}
+_GETTERS = {cls: itemgetter(*[name for name, *_ in _FIELDS[cls]]) for cls in (Node, Link)}
+_LAYERS = {layer.label: layer for layer in Layer}
 _BUNDLE_KEYS = frozenset({"topology", "pipeline", "scenario", "budget", "solver"})
 _TOPOLOGY_KEYS = frozenset({"nodes", "tree_links", "dc_links"})
 
@@ -210,12 +238,9 @@ def bundle_from_json(data: dict) -> ScenarioBundle:
             if type(record) is dict and not keys.issuperset(record):
                 raise _unknown(record, keys, "bundle" if record is data else "topology")
         return ScenarioBundle(
-            topology=Topology(
-                nodes=[_load(Node, n) for n in _list(topo["nodes"], "nodes")],
-                tree_links=[_load(Link, l)
-                            for l in _list(topo.get("tree_links", []), "tree_links")],
-                dc_links=[_load(Link, l) for l in _list(topo.get("dc_links", []), "dc_links")],
-            ),
+            topology=Topology(_records(Node, topo["nodes"], "nodes"),
+                              _records(Link, topo.get("tree_links", []), "tree_links"),
+                              _records(Link, topo.get("dc_links", []), "dc_links")),
             pipeline=_load(Pipeline, data["pipeline"]),
             scenario=_load(Scenario, data["scenario"]),
             budget=_number(data["budget"], "budget"),
@@ -257,13 +282,12 @@ def validate_bundle(bundle: ScenarioBundle) -> list[tuple[str, str]]:
         violations.append(("invalid scenario value", "source_rate_mbps"))
     if scenario.seed < 0:
         violations.append(("invalid scenario value", "seed"))
+    devices = {node.id for node in bundle.topology.layer(Layer.DEVICE)}
     for slot in scenario.slots:
         if slot.target is not None and not all(map(math.isfinite, slot.target)):
             violations.append(("invalid scenario value", "target"))
-        for device_id in slot.devices or ():
-            node = bundle.topology.nodes.get(device_id)
-            if node is None or node.layer != Layer.DEVICE:
-                violations.append(("unknown device", device_id))
+        if not devices.issuperset(slot.devices or ()):
+            violations += [("unknown device", d) for d in slot.devices if d not in devices]
 
     if not 0 <= bundle.budget < math.inf:
         violations.append(("invalid budget", str(bundle.budget)))

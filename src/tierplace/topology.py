@@ -257,19 +257,22 @@ def nearest_device(topology: Topology, target: tuple[float, float]) -> str:
 def nearest_device_index(topology: Topology) -> Callable[[tuple[float, float]], str]:
     """Build target -> the located device closest (Euclidean) to it, ties to the smaller id.
 
-    Located devices are sorted by (x, id) once; each query bisects on the
-    target's x and sweeps outward, nearer side first, until the next
-    device's squared x distance alone exceeds the best squared distance.
+    Located devices are sorted by (x, id) once; each query bisects on the target's x and
+    sweeps outward, nearer side first, until the next device's squared x distance plus the
+    squared gap from the target's y to the devices' y band (a lower bound for every device
+    left, float rounding being monotone) is strictly above the best, so ties go to the smaller id.
     """
     located = sorted(
         (n.location[0], n.id, n.location[1])
         for n in topology.layer(Layer.DEVICE)
         if n.location is not None
     )
-    xs = [x for x, _, _ in located]
+    xs, _, ys = zip(*located) if located else ((), (), (0.0,))  # no device: every query raises
+    low, high = min(ys), max(ys)
 
     def nearest(target: tuple[float, float]) -> str:
         tx, ty = target
+        gap = low - ty if ty < low else ty - high if ty > high else 0.0
         best: tuple[float, str] | None = None
         right = bisect_left(xs, tx)
         left = right - 1
@@ -281,7 +284,7 @@ def nearest_device_index(topology: Topology) -> Callable[[tuple[float, float]], 
                 x, node_id, y = located[left]
                 left -= 1
             dx = x - tx
-            if best is not None and dx * dx > best[0]:
+            if best is not None and dx * dx + gap * gap > best[0]:
                 break  # every device left on either side is at least this far
             dy = y - ty
             key = (dx * dx + dy * dy, node_id)

@@ -122,24 +122,22 @@ def flow_profile(pipeline: Pipeline, source_rate: float) -> list[float]:
 def derive_active_streams(topology: Topology, scenario: Scenario) -> list[list[str]]:
     """Resolve each slot to the sorted list of active device ids.
 
-    Coordinate slots pick the single nearest located device (as
-    `nearest_device` would, through an index built on the first such slot);
-    explicit slots pass through after an existence check.
+    Coordinate slots pick the single nearest located device (as `nearest_device` would, through
+    an index built on the first such slot). Explicit slots pass one subset check against a set
+    of the device ids built once; only a failing slot is walked, to name its first unknown id.
     """
     out: list[list[str]] = []
-    nearest = None
+    nearest = known = None
     for slot in scenario.slots:
         if slot.target is not None:
             nearest = nearest or nearest_device_index(topology)
             out.append([nearest(slot.target)])
             continue
-        active: set[str] = set()
-        for device_id in slot.devices or ():
-            node = topology.nodes.get(device_id)
-            if node is None or node.layer != Layer.DEVICE:
-                raise UnknownDevice(f"unknown device: {device_id}")
-            active.add(device_id)
-        out.append(sorted(active))
+        devices = slot.devices or ()
+        known = known or {node.id for node in topology.layer(Layer.DEVICE)}
+        if not known.issuperset(devices):
+            raise UnknownDevice(f"unknown device: {next(d for d in devices if d not in known)}")
+        out.append(sorted(set(devices)))
     return out
 
 

@@ -406,6 +406,52 @@ def test_index_matches_brute_force_nearest_device(points, targets):
         assert nearest(target) == expected
 
 
+@settings(max_examples=300)
+@given(
+    count=st.integers(1, 12),
+    spacing=st.sampled_from([1.0, 10.0, 0.1, 2.7]),
+    line_y=st.sampled_from([0.0, -0.3, 1e3 / 3]),
+    rows=st.integers(1, 3),
+    targets=st.lists(
+        st.tuples(st.integers(-30, 80), st.integers(-100, 100)), min_size=1, max_size=8
+    ),
+)
+# Targets far above or below a line, midway between two cameras: the tie goes to cam00.
+@example(count=8, spacing=1.0, line_y=0.0, rows=1, targets=[(2, 100), (2, -100)])
+# Inside the band the gap is 0: a middle-row camera may be nearer than either edge row.
+@example(count=3, spacing=1.0, line_y=0.0, rows=3, targets=[(3, 3)])
+def test_index_matches_brute_force_far_from_the_devices_y_band(
+    count, spacing, line_y, rows, targets
+):
+    # Cameras on one horizontal line, or taking turns on rows 0, 3 and 1 spacings above
+    # it, ids permuted as above; targets on quarter spacings in x, so some sit midway
+    # between two cameras, and up to 50 spacings above or below the line.
+    nodes = [
+        Node(
+            f"cam{(7 * i) % 13:02d}",
+            Layer.DEVICE,
+            location=(i * spacing, line_y + (0, 3, 1)[i % rows] * spacing),
+        )
+        for i in range(count)
+    ]
+    topology = Topology(nodes)
+    nearest = nearest_device_index(topology)
+    for tx, ty in targets:
+        target = (tx * spacing / 4, line_y + ty * spacing / 2)
+        assert nearest(target) == brute_force_nearest_device(topology, target), target
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_index_matches_brute_force_on_drifting_walks(seed):
+    """The walk_large shape: cameras on y = 0, targets drifting far off the line."""
+    bundle = synth_bundle(120, 200, step=25.0, seed=seed)
+    nearest = nearest_device_index(bundle.topology)
+    targets = [slot.target for slot in bundle.scenario.slots]
+    assert max(abs(y) for _, y in targets) > 50.0
+    for target in targets:
+        assert nearest(target) == brute_force_nearest_device(bundle.topology, target), target
+
+
 def test_anneal_derives_placement_independent_data_once(monkeypatch):
     bundle = synth_bundle(60, 30)
     spec = bundle.service_spec()

@@ -79,6 +79,15 @@ def test_derive_active_streams_unknown_device(mini):
         derive_active_streams(mini.topology, gateway_slot)
 
 
+def test_derive_active_streams_names_the_first_unknown_id_in_slot_order(mini):
+    slots = (Slot.explicit(["cam1"]), Slot(devices=("cam2", "zzz", "cam1", "gw1", "aaa")))
+    with pytest.raises(UnknownDevice, match="^unknown device: zzz$"):
+        derive_active_streams(mini.topology, replace(mini.scenario, slots=slots))
+    slots = (Slot(devices=("cam3", "cam1", "cam3")), Slot(devices=()), Slot.at(15.0, 0.0))
+    streams = derive_active_streams(mini.topology, replace(mini.scenario, slots=slots))
+    assert streams == [["cam1", "cam3"], [], ["cam2"]]
+
+
 def test_derive_active_streams_ignores_node_order(mini):
     scenario = replace(mini.scenario, slots=(Slot.at(15.0, 0.0),))
     reversed_topology = Topology(
