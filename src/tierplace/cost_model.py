@@ -136,8 +136,8 @@ def resolve_placement(
 
     The first failed check raises InvalidPlacement. The checks, in order: pipeline;
     stage layer count, type and order; aggregation host and sink; sink DC; edge-host
-    link to the sink; stage layers within the aggregation tier; predeploy; alloc; alloc
-    times the aggregation host's CPU price, at most half the largest float.
+    link to the sink; stage layers within the aggregation tier; predeploy ids, in `str`
+    order; alloc; alloc times the aggregation host's CPU price, at most half the largest float.
     """
     stages = pipeline.stages
     if not stages or not 1 <= pipeline.aggregation_index <= len(stages) + 1:
@@ -187,7 +187,7 @@ def resolve_placement(
         )
 
     gateway_stages = tuple(k for k in range(pre_count) if layers[k] == Layer.GATEWAY)
-    for gw in placement.predeploy:
+    for gw in sorted(placement.predeploy, key=str):  # names the same id whatever the hash seed
         if gw not in topology.nodes or topology.node(gw).layer != Layer.GATEWAY:
             raise InvalidPlacement(f"invalid placement: invalid predeploy gateway: {gw}")
     if placement.predeploy and not gateway_stages:
@@ -234,8 +234,8 @@ def first_touch_slots(parts: Mapping[str, tuple | None], streams: Iterable) -> d
     for index, active in enumerate(streams):
         for device_id in active:
             part = parts[device_id]
-            if part is not None and first.setdefault(part[2], index) == index:
-                served.setdefault(part[2], []).append(device_id)
+            if part is not None and first.setdefault(gateway := part[1][1].id, index) == index:
+                served.setdefault(gateway, []).append(device_id)
     return {gateway: tuple(devices) for gateway, devices in served.items()}
 
 
@@ -262,7 +262,7 @@ class Instance:
     predeploy set) to their (placement, report, sum of the report's violation magnitudes
     by `_total`, in report order), or None if invalid; `solver._Best.score` fills it;
     `terms` maps up to as many valid (sink, agg host, positions) to their `_shared_terms`;
-    `paths` keeps one table of device rows per sink.
+    `paths` keeps one table per sink of device rows that hold the topology's own records.
     The tree is walked once, in `_to_edge`, which every table and per-node stream count reads.
     It refers to its topology weakly, so its memo entry never keeps its key alive.
     """
@@ -295,7 +295,7 @@ class Instance:
         """Node id -> most streams through it in one slot; each DC gets the busiest slot."""
         parts, peak = self._to_edge, dict.fromkeys(self.activations, 1)  # a device: 1 a slot
         for active in self.streams:
-            through = Counter([node for d in active if (part := parts[d]) for node in part[2:4]])
+            through = Counter([n.id for d in active if (part := parts[d]) for n in part[1][1:]])
             for node_id, count in through.items():
                 if count > peak.get(node_id, 0):
                     peak[node_id] = count
@@ -318,7 +318,7 @@ class Instance:
         weights = Counter()
         for part in self._to_edge.values():
             if part is not None:
-                weights[part[3]] += part[0]
+                weights[part[1][2].id] += part[0]
         return weights
 
     @cached_property
@@ -350,9 +350,9 @@ class Instance:
 
     @cached_property
     def _to_edge(self) -> dict[str, tuple | None]:
-        """Active device -> its row's part below the sink (count, 3 node ids, 2 link keys, 2
-        prices, 2 bandwidths, latency `0 + l0 + l1`, to which `paths` adds l2 as `_total` would, 3
-        CPU prices, 3 speeds); None where `route` raises whatever the sink."""
+        """Active device -> its row's part below the sink: (count, its device, gateway and edge
+        `Node`s, its two uplinks, latency `0 + l0 + l1`, to which `paths` adds l2 as `_total`
+        would); None where `route` raises whatever the sink."""
         nodes, uplink, parts = self.topology.nodes, self.topology.uplink, {}
         for device_id, count in self.activations.items():
             nd = nodes.get(device_id)
@@ -361,36 +361,29 @@ class Instance:
             l0, l1 = uplink(device_id), ng and uplink(ng.id)
             routed = ne is not None and ne.layer == Layer.EDGE and l0 and l1
             parts[device_id] = None if not routed else (
-                count, device_id, ng.id, ne.id, l0.key, l1.key, l0.traffic_cost_rate,
-                l1.traffic_cost_rate, l0.bandwidth_mbps, l1.bandwidth_mbps,
-                0 + l0.latency_ms + l1.latency_ms, nd.cpu_cost_rate, ng.cpu_cost_rate,
-                ne.cpu_cost_rate, nd.speed, ng.speed, ne.speed)
+                count, (nd, ng, ne), (l0, l1), 0 + l0.latency_ms + l1.latency_ms)
         return parts
 
     def paths(self, plan: _Plan) -> dict[str, tuple]:
         """Each active device's row for the plan's sink, equal to one built from its `route`:
-        (count, 4 node ids, 3 link keys, 3 link prices, 3 bandwidths, path latency, 4 CPU prices,
-        4 speeds), in tier order; built once per sink from `_to_edge` and the edge's hop to the
-        sink, read with `Topology.dc_link`. On every call, the first device in scenario order
-        with no route (worded by `stream_route`), or off the plan's edge host, raises why."""
+        (count, its 4 `Node`s and 3 `Link`s, path latency), the topology's own records, built
+        once per sink from `_to_edge` and the edge's DC hop. On every call, the first device in
+        scenario order with no route (`stream_route` words why), or off the edge host, raises."""
         topology, sink, table = self.topology, plan.sink, self._rows.get(plan.sink)
         if table is None:
             table, dc = self._rows.setdefault(sink, {}), topology.nodes[sink]
-            cc, sc = dc.cpu_cost_rate, dc.speed
             for device_id, part in self._to_edge.items():
-                hop = topology.dc_link(part[3], sink) if part else None
+                hop = topology.dc_link(part[1][2].id, sink) if part else None
                 if hop is None:
                     table[device_id] = None
                     continue
-                count, d, g, e, k0, k1, p0, p1, b0, b1, latency, cd, cg, ce, sd, sg, se = part
-                table[device_id] = (count, d, g, e, sink, k0, k1, hop.key, p0, p1,
-                                    hop.traffic_cost_rate, b0, b1, hop.bandwidth_mbps,
-                                    latency + hop.latency_ms, cd, cg, ce, cc, sd, sg, se, sc)
+                count, nodes, links, latency = part
+                table[device_id] = (count, nodes + (dc,), links + (hop,), latency + hop.latency_ms)
         edge_host = plan.agg_id if plan.agg_id != plan.sink else None  # the sink ends each route
-        for device_id, row in table.items():  # only index 3 of a row can hold an edge id
+        for device_id, row in table.items():  # only a route's third node can be an edge
             if row is None:
                 stream_route(topology, device_id, plan)  # raises InvalidPlacement
-            if edge_host is not None and row[3] != edge_host:
+            if edge_host is not None and row[1][2].id != edge_host:
                 raise InvalidPlacement(f"invalid placement: aggregation host {edge_host} "
                                        f"is off the path of {device_id}")
         return table  # type: ignore[return-value]  # no None left once checked
@@ -500,15 +493,15 @@ def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
     peak CPU, and the sorted CPU and bandwidth violations.
 
     Each active device adds its number of active slots times its per-stream network cost, usage
-    cost and latency, which plain arithmetic on its `Instance.paths` row gives in the replay's
-    order of operations. Peaks need the precondition that `validate_bundle` enforces, that
-    every rate, CPU demand and reduction is finite and nonnegative: a slot's load, added up
-    stream by stream, then never shrinks as the streams through its node or link grow, nor
-    merged demand as the streams in the slot grow. So a peak is the per-stream loads added up
-    for the most streams through the node (or the link's child side) in one slot, plus peak
-    merged demand on the aggregation host, which alloc must cover too. Added up in the replay's
-    order, not multiplied, they let `simulator.simulate` agree on every field, at a capacity
-    boundary too.
+    cost and latency, which plain arithmetic on its `Instance.paths` row's nodes and links gives
+    in the replay's order of operations. Peaks need the precondition that `validate_bundle`
+    enforces, that every rate, CPU demand and reduction is finite and nonnegative: a slot's
+    load, added up stream by stream, then never shrinks as the streams through its node or link
+    grow, nor merged demand as the streams in the slot grow. So a peak is the per-stream loads
+    added up for the most streams through the node (or the link's child side) in one slot, plus
+    peak merged demand on the aggregation host, which alloc must cover too. Added up in the
+    replay's order, not multiplied, they let `simulator.simulate` agree on every field, at a
+    capacity boundary too.
     """
     topology = instance.topology
     share, link_rates, link_gbs, rows, merged_ms = _stream_terms(instance, plan)
@@ -517,7 +510,6 @@ def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
         if load != 0.0:
             tier_loads[position] += (load,)
     loaded_tiers = [i for i, loads in enumerate(tier_loads) if loads]
-    hosts = [(15 + position, 19 + position, load, base_ms) for position, load, base_ms in rows]
     (gb0, gb1, gb2), (rate0, rate1, rate2) = link_gbs, link_rates
 
     usage_cost = 0.0
@@ -526,20 +518,20 @@ def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
     latency: dict[str, float] = {}  # device -> stream latency without dispatch penalty
     loaded: dict[str, int] = {}  # node id -> path index of a tier with CPU load
     capped: dict[str, tuple[str, float, float]] = {}  # link key -> (child, bandwidth, rate)
-    for device_id, row in instance.paths(plan).items():
-        count = row[0]
-        network = 0.0 + gb0 * row[8] + gb1 * row[9] + gb2 * row[10]
-        if row[11] is not None:
-            capped[row[5]] = (row[1], row[11], rate0)
-        if row[12] is not None:
-            capped[row[6]] = (row[2], row[12], rate1)
-        if row[13] is not None:
-            capped[row[7]] = (row[3], row[13], rate2)
+    for device_id, (count, nodes, (l0, l1, l2), stream_latency) in instance.paths(plan).items():
+        network = (0.0 + gb0 * l0.traffic_cost_rate + gb1 * l1.traffic_cost_rate
+                   + gb2 * l2.traffic_cost_rate)
+        # A capped link's child is its src: uplinks are keyed by src, DC hops by (src, dst).
+        if l0.bandwidth_mbps is not None:
+            capped[l0.key] = (l0.src, l0.bandwidth_mbps, rate0)
+        if l1.bandwidth_mbps is not None:
+            capped[l1.key] = (l1.src, l1.bandwidth_mbps, rate1)
+        if l2.bandwidth_mbps is not None:
+            capped[l2.key] = (l2.src, l2.bandwidth_mbps, rate2)
         usage = 0.0
-        stream_latency = row[14]
-        for cpu_price, speed, load, base_ms in hosts:
-            usage += load * row[cpu_price] * share
-            stream_latency += base_ms / row[speed]
+        for position, load, base_ms in rows:
+            usage += load * nodes[position].cpu_cost_rate * share
+            stream_latency += base_ms / nodes[position].speed
         for merged in merged_ms:
             stream_latency += merged
         network_cost += count * network
@@ -547,7 +539,7 @@ def _shared_terms(instance: Instance, plan: _Plan) -> tuple:
         latency_sum += count * stream_latency
         latency[device_id] = stream_latency
         for i in loaded_tiers:
-            loaded[row[1 + i]] = i
+            loaded[nodes[i].id] = i
 
     peak_of = cache(lambda i, streams: _total(tier_loads[i] * streams))
     peak_streams = instance.peak_streams

@@ -85,23 +85,23 @@ def simulate(topology: Topology, spec: ServiceSpec, placement: Placement) -> Tim
 
     caps = {}  # capped link key -> bandwidth
     terms = {}  # device -> (gateway, latency without penalty, link terms, capped links, hosts)
-    for device_id, row in routes.items():  # loops, not comprehensions: fewer calls
-        links, capped, hosts, latency = [], [], [], row[14]
-        for li in range(3):
-            key, gb, bandwidth = row[5 + li], link_gbs[li], row[11 + li]
-            links.append((key, gb, gb * row[8 + li]))
-            if bandwidth is not None:  # only a capped link's load reaches the verdict
-                caps[key] = bandwidth
-                capped.append((key, link_rates[li]))
+    for device_id, (_, nodes, route_links, latency) in routes.items():  # loops: fewer calls
+        links, capped, hosts = [], [], []
+        for link, gb, rate in zip(route_links, link_gbs, link_rates):
+            links.append((link.key, gb, gb * link.traffic_cost_rate))
+            if link.bandwidth_mbps is not None:  # only a capped link's load reaches the verdict
+                caps[link.key] = link.bandwidth_mbps
+                capped.append((link.key, rate))
         for position, used, base_ms in stage_rows:
+            node = nodes[position]
             if used != 0.0:
-                hosts.append((row[1 + position], used, used * row[15 + position] * share))
-            latency += base_ms / row[19 + position]
+                hosts.append((node.id, used, used * node.cpu_cost_rate * share))
+            latency += base_ms / node.speed
         for ms in merged_ms:
             latency += ms
-        terms[device_id] = row[2], latency, links, capped, hosts
+        terms[device_id] = nodes[1].id, latency, links, capped, hosts
 
-    pending = {row[2] for row in routes.values()} - plan.predeploy if plan.gateway_stages else set()
+    pending = {terms[d][0] for d in routes} - plan.predeploy if plan.gateway_stages else set()
     records: list[SlotRecord] = []
     peak_cpu: dict[str, float] = {}
     peak_load: dict[str, float] = {}  # capped link key -> peak load

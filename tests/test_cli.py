@@ -11,7 +11,15 @@ from pathlib import Path
 import pytest
 
 import tierplace.cost_model as cost_model
-from tierplace import Slot, mini_bundle, save_bundle, synth_bundle
+from tierplace import (
+    InvalidPlacement,
+    Slot,
+    evaluate,
+    mini_bundle,
+    save_bundle,
+    simulate,
+    synth_bundle,
+)
 from tierplace.bundle import bundle_to_json, dumps, placement_to_json
 from tierplace.cli import main
 from _instances import (
@@ -226,6 +234,22 @@ def test_simulate_unknown_node_exits_3(mini_path, tmp_path, p1):
     data["sink_dc"] = "dc9"
     placement_path.write_text(dumps(data), encoding="utf-8")
     assert main(["simulate", mini_path, str(placement_path)]) == 3
+
+
+def test_predeploy_error_names_the_smallest_unknown_gateway(mini, mini_path, tmp_path, capsys, p1):
+    """Of ten unknown predeploy gateways, evaluate, simulate and the CLI all name the smallest
+    id in `str` order, whatever the order of string hashes; a non-string id is named too."""
+    unknown = replace(p1, predeploy=frozenset(f"gw{n}" for n in range(3, 13)))
+    topology, spec = mini.topology, mini.service_spec()
+    for replay in (evaluate, simulate):
+        with pytest.raises(InvalidPlacement, match=r"invalid predeploy gateway: gw10$"):
+            replay(topology, spec, unknown)
+        with pytest.raises(InvalidPlacement, match=r"invalid predeploy gateway: 7$"):
+            replay(topology, spec, replace(p1, predeploy=frozenset({"gw9", 7})))
+    placement_path = tmp_path / "unknown.json"
+    placement_path.write_text(dumps(placement_to_json(unknown)), encoding="utf-8")
+    assert main(["simulate", mini_path, str(placement_path)]) == 3
+    assert capsys.readouterr().err == "error: invalid placement: invalid predeploy gateway: gw10\n"
 
 
 def test_sweep_rows_and_exit(mini_path, tmp_path):

@@ -518,11 +518,9 @@ def _route_row(topology, device_id, dc, count):
         path = route(topology, device_id, dc)
     except TopologyError:
         return None
-    links, nodes = path.links, [topology.node(node_id) for node_id in path.nodes]
-    return (count, *path.nodes, *(link.key for link in links),
-            *(link.traffic_cost_rate for link in links), *(link.bandwidth_mbps for link in links),
-            0 + links[0].latency_ms + links[1].latency_ms + links[2].latency_ms,
-            *(node.cpu_cost_rate for node in nodes), *(node.speed for node in nodes))
+    links = path.links
+    return (count, tuple(map(topology.node, path.nodes)), links,
+            0 + links[0].latency_ms + links[1].latency_ms + links[2].latency_ms)
 
 
 def _sink_tables(topology, spec):
@@ -551,7 +549,8 @@ def _assert_rows_match_route(topology, spec):
 def test_sink_tables_are_built_once_without_calling_route(cold_memo, monkeypatch):
     """A cold exhaustive solve, a replay of its answer and a sweep build each sink's table
     once, and, with every route present, never call `route`: a row is its sink-independent
-    part plus the edge's hop to the sink, and equals the row built from `route`."""
+    part plus the edge's hop to the sink, and equals the row built from `route`. A row holds
+    the topology's own `Node` and `Link` records, not copies."""
     real_route, routed = cost_model.route, Counter()
 
     def counting_route(topology, device_id, dc_id):
@@ -577,7 +576,10 @@ def test_sink_tables_are_built_once_without_calling_route(cold_memo, monkeypatch
             table = instance.paths(resolve_placement(topology, spec.pipeline, at_dc))
             assert table is tables[dc] and list(table) == list(instance.activations)
             for device_id, row in table.items():
-                assert row == _route_row(topology, device_id, dc, instance.activations[device_id])
+                expected = _route_row(topology, device_id, dc, instance.activations[device_id])
+                assert row == expected
+                records = zip(row[1] + row[2], expected[1] + expected[2])
+                assert all(own is ref for own, ref in records)
         assert routed == Counter(), seed
 
 

@@ -373,13 +373,25 @@ def test_summary_peaks_and_cpu_violations_are_read_off_the_records():
     assert replays >= 250 and over >= 1000
 
 
+def _capped_camera_uplinks(topology: Topology, spec: ServiceSpec, seed: int) -> Topology:
+    """The topology with about half its camera uplinks capped below one stream's source rate."""
+    rng, rate = random.Random(seed), spec.scenario.source_rate_mbps
+    tree = [replace(link, bandwidth_mbps=rate * rng.uniform(0.2, 0.9))
+            if topology.node(link.src).layer == Layer.DEVICE and rng.random() < 0.5 else link
+            for link in topology.tree_link_list]
+    return Topology(topology.node_list, tree, topology.dc_link_list)
+
+
 def test_bandwidth_violations_are_read_off_capped_links_only():
     """On crowded slots each `bandwidth` violation names a capped link, and each capped link
     whose busiest slot's load, added up stream by stream along `route`, is over its bandwidth
-    has exactly one, of that load minus the bandwidth."""
-    replays = over = 0
-    for seed in range(24):
-        topology, spec = _crowded_instance(seed)
+    has exactly one, of that load minus the bandwidth, in the replay and in `evaluate`. Odd
+    cases also cap camera uplinks, whose load is one stream's."""
+    replays = over = over_cameras = 0
+    for case in range(48):
+        topology, spec = _crowded_instance(case // 2)
+        if case % 2:
+            topology = _capped_camera_uplinks(topology, spec, case)
         instance = compile_instance(topology, spec)
         links = {link.key: link for link in topology.tree_link_list + topology.dc_link_list}
         pre, stage_count = spec.pipeline.pre_count, len(spec.pipeline.stages)
@@ -403,13 +415,19 @@ def test_bandwidth_violations_are_read_off_capped_links_only():
                     load, bandwidth = _total((rates[i],) * n), links[key].bandwidth_mbps
                     if bandwidth is not None and load > bandwidth:
                         expected[key] = load - bandwidth
-                seen = [v for v in report.violations if v.kind == "bandwidth"]
-                assert all(links[v.ident].bandwidth_mbps is not None for v in seen)
-                assert {v.ident: v.magnitude for v in seen} == expected
-                assert len(seen) == len(expected)
+                direct = evaluate(topology, spec, placement)
+                for violations in (report.violations, direct.violations):
+                    seen = [v for v in violations if v.kind == "bandwidth"]
+                    assert all(links[v.ident].bandwidth_mbps is not None for v in seen)
+                    assert {v.ident: v.magnitude for v in seen} == expected
+                    assert len(seen) == len(expected)
                 replays += 1
-                over += len(seen)
-    assert replays >= 250 and over >= 400
+                if case % 2:
+                    over_cameras += sum(topology.node(links[key].src).layer == Layer.DEVICE
+                                        for key in expected)
+                else:
+                    over += len(seen)
+    assert replays >= 500 and over >= 400 and over_cameras >= 700
 
 
 def test_each_record_dispatches_exactly_the_gateways_new_to_it():
